@@ -139,31 +139,22 @@ class StructureMatrix:
 
     # ---- norms --------------------------------------------------------------
 
+    @staticmethod
+    def _max_entry_norm(block, params: WeightedNormParams) -> float:
+        return max([0.0] + [weighted_norm(e, params).K for row in block for e in row])
+
     def block_norms(self, params: WeightedNormParams):
         """(G11, G12, G22): the block matrix norms nm * max sup|entry|.
 
         The upper-left block is structurally zero, so G11 = 0 always.
         """
-        g12 = 0.0
-        for row in self.B12:
-            for entry in row:
-                g12 = max(g12, weighted_norm(entry, params).K)
-        g22 = 0.0
-        for row in self.B22:
-            for entry in row:
-                g22 = max(g22, weighted_norm(entry, params).K)
+        g12 = self._max_entry_norm(self.B12, params)
+        g22 = self._max_entry_norm(self.B22, params)
         return 0.0, self.m * self.n * g12, self.n * self.n * g22
 
     def full_norm(self, params: WeightedNormParams) -> float:
         """Norm of the whole (m+n)^2 matrix: (m+n)^2 * max entry majorant."""
-        top = 0.0
-        for row in self.B12:
-            for entry in row:
-                top = max(top, weighted_norm(entry, params).K)
-        for row in self.B22:
-            for entry in row:
-                top = max(top, weighted_norm(entry, params).K)
-        return (self.m + self.n) ** 2 * top
+        return (self.m + self.n) ** 2 * self._max_entry_norm(self.B12 + self.B22, params)
 
     def eval_blocks(self, y):
         """Numeric B12(y), B22(y) at a point (used by the integrator)."""

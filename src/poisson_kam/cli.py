@@ -14,7 +14,7 @@ from pathlib import Path
 from . import jsonio
 from .dynamics import lie_vs_flow_check, torus_persistence_report, write_trajectory
 from .errors import (
-    DivergenceError,
+    ParameterError,
     PoissonKamError,
     ProblemFormatError,
     ResonanceError,
@@ -79,7 +79,10 @@ def cmd_normalize(args) -> int:
 
 def cmd_verify(args) -> int:
     """Exit 0 iff the settled-action improvement meets the threshold; 2 when
-    the run exists but misses it; 1 when normalize outputs are absent."""
+    the run exists but misses it; 1 when normalize outputs are absent or
+    --angles is below 1."""
+    if args.angles < 1:
+        raise ParameterError("--angles must be at least 1, got %d" % args.angles)
     out = Path(args.out)
     gen_path = out / "generators.json"
     if not gen_path.exists():
@@ -109,30 +112,9 @@ def cmd_verify(args) -> int:
     )
     _write(out / "persistence_report.json", report.as_dict())
     if args.write_trajectories:
-        from .dynamics import integrate
-        from .kolmogorov import compose_map
-
-        tol = float(problem.option("tol", args.tol))
-        t_end = float(problem.option("t_end", args.t_end))
         for i, angle in enumerate(report.angles):
-            x0 = np.asarray(angle.x0)
-            naive_start = ExtendedPoint(np.zeros(problem.m), x0, 0.0, 0.0)
-            mapped = compose_map(chi_records, naive_start, setup.structure)
-            for tag, start in (("naive", naive_start), ("mapped", mapped)):
-                samples = integrate(
-                    setup.decomp.full,
-                    setup.structure,
-                    ExtendedPoint(
-                        np.real(start.y).astype(float),
-                        np.real(start.x).astype(float),
-                        float(np.real(start.eta)),
-                        start.xi,
-                    ),
-                    t_end,
-                    tol,
-                    omega=setup.freq.omega,
-                )
-                write_trajectory(samples, out / ("trajectory_%s_%02d.csv" % (tag, i)))
+            write_trajectory(angle.naive, out / ("trajectory_naive_%02d.csv" % i))
+            write_trajectory(angle.mapped, out / ("trajectory_mapped_%02d.csv" % i))
     print(
         "min_improvement=%r threshold=%r"
         % (report.min_improvement, report.threshold)
@@ -282,9 +264,6 @@ def main(argv=None) -> int:
     except (StepRefusedError,) as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 2
-    except DivergenceError as exc:
-        print("diverged: %s" % exc, file=sys.stderr)
-        return 3
     except PoissonKamError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -1,7 +1,7 @@
 """Numerical verification: integrate the extended Poisson ODEs and measure
 how well the normalized torus is tracked by the original system.
 
-The field is zdot = B(z) H_z extended with etadot = -H_xi, xidot = 1; the
+The field is zdot = B(z) H_z extended with etadot = -H_xi, xidot = H_eta; the
 gradient comes from exact series differentiation, the time stepping from an
 adaptive high-order explicit Runge-Kutta (DOP853).  Runs are short and audited
 by conservation checks, so no structure-preserving integrator is needed.
@@ -10,8 +10,6 @@ by conservation checks, so no structure-preserving integrator is needed.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -19,21 +17,17 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .bracket import ExtendedPoint, StructureMatrix, lie_coordinate_displacement
-from .errors import StiffnessError
+from .errors import ParameterError, StiffnessError
 from .jsonio import fmt_float
-from .kolmogorov import compose_map
+from .kolmogorov import apply_displacements, composed_displacements
 from .series import FourierTaylorSeries
 
 
 def thread_cap() -> int:
-    """Parallelism cap: POISSON_KAM_THREADS, default min(4, cpu count)."""
-    env = os.environ.get("POISSON_KAM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(4, os.cpu_count() or 1))
+    """Always 1: verification runs serially.  Kept only because the
+    benchmark's environment record (perfbench/environment.py) calls it; that
+    is its only caller."""
+    return 1
 
 
 @dataclass
@@ -49,11 +43,18 @@ def _wrap_angles(x):
 
 
 class _GradientCache:
+    """The Hamiltonian vector field of H in the extended phase space.
+
+    H_eta is taken as a constant, read off once: 1 for a system Hamiltonian
+    eta + h, 0 for an eta-free generating function.
+    """
+
     def __init__(self, H: FourierTaylorSeries, S: StructureMatrix):
         self.S = S
         self.Hy = [H.partial_y(i) for i in range(S.m)]
         self.Hx = [H.partial_x(l) for l in range(S.n)]
         self.Hxi = H.partial_xi()
+        self.xidot = H.partial_eta().coefficient((0,) * S.n, (0,) * S.m, 0, 0).real
         self.m, self.n = S.m, S.n
         self.constant_blocks = all(
             e.num_terms <= 1 and not e.acols.any()
@@ -80,7 +81,17 @@ class _GradientCache:
         ydot = B12 @ Hx
         xdot = -B12.T @ Hy + B22 @ Hx
         etadot = -self.Hxi.evaluate(y, x, 0.0, xi).real
-        return np.concatenate([ydot, xdot, [etadot], [1.0]])
+        return np.concatenate([ydot, xdot, [etadot], [self.xidot]])
+
+
+def _state_vector(point: ExtendedPoint, m: int, n: int) -> np.ndarray:
+    return np.concatenate(
+        [
+            np.asarray(point.y, dtype=float).reshape(m),
+            np.asarray(point.x, dtype=float).reshape(n),
+            [float(np.real(point.eta)), float(point.xi)],
+        ]
+    )
 
 
 def integrate(
@@ -114,13 +125,7 @@ def integrate(
     torus_action = (
         np.zeros(m) if torus_action is None else np.asarray(torus_action, dtype=float)
     )
-    v0 = np.concatenate(
-        [
-            np.asarray(start.y, dtype=float).reshape(m),
-            np.asarray(start.x, dtype=float).reshape(n),
-            [float(np.real(start.eta)), float(start.xi)],
-        ]
-    )
+    v0 = _state_vector(start, m, n)
     sol = solve_ivp(
         grad.field,
         (0.0, float(t_end)),
@@ -168,6 +173,9 @@ class AngleReport:
     mapped_drift_sup: float
     improvement: float
     xi_shift: float
+    # the two trajectories behind the numbers; not part of the JSON report
+    naive: List[TrajectorySample] = field(default_factory=list, repr=False)
+    mapped: List[TrajectorySample] = field(default_factory=list, repr=False)
 
     def as_dict(self):
         from .jsonio import safe_number
@@ -234,16 +242,21 @@ def torus_persistence_report(
     half of the window: by then the forcing has died out and any permanent
     action displacement is fully visible, whereas the early-window values of
     both runs are dominated by the O(eps) torus deformation itself and cannot
-    discriminate.  improvement = naive_settled / mapped_settled.
+    discriminate.  improvement = naive_settled / mapped_settled.  The
+    composed map is built once and evaluated at every start point; each
+    AngleReport keeps both trajectories.
     """
+    if n_angles < 1:
+        raise ParameterError("n_angles must be at least 1, got %d" % n_angles)
     n = S.n
     settle_from = 0.5 * t_end
     floor = 100.0 * tol
+    disp = composed_displacements(chi_records, S)
 
     def one_angle(idx):
         x0 = np.full(n, angle_offset + 2.0 * math.pi * idx / n_angles)
         naive_start = ExtendedPoint(np.zeros(S.m), x0.copy(), 0.0, 0.0)
-        mapped_start = compose_map(chi_records, naive_start, S)
+        mapped_start = apply_displacements(disp, naive_start)
         xi_shift = abs(mapped_start.xi - naive_start.xi)
         naive = integrate(H, S, naive_start, t_end, tol, omega=omega)
         mapped = integrate(
@@ -278,14 +291,11 @@ def torus_persistence_report(
             ),
             improvement=improvement,
             xi_shift=xi_shift,
+            naive=naive,
+            mapped=mapped,
         )
 
-    workers = min(thread_cap(), n_angles)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            angles = list(pool.map(one_angle, range(n_angles)))
-    else:
-        angles = [one_angle(i) for i in range(n_angles)]
+    angles = [one_angle(i) for i in range(n_angles)]
     report = PersistenceReport(
         t_end=t_end, tol=tol, settle_from=settle_from, threshold=threshold
     )
@@ -304,41 +314,20 @@ def lie_vs_flow_check(
 ) -> float:
     """Distance between exp(L_chi) applied as a series and the time-1 flow.
 
-    The flow realizing the transform is zdot = {chi, z} = -B(z) chi_z;
-    integrating it to t = 1 from the point must land where the series map
-    sends the point.  Returns the max coordinate distance.
+    The flow realizing the transform is zdot = {chi, z} = -B(z) chi_z, the
+    Hamiltonian field of -chi; integrating it to t = 1 from the point must
+    land where the series map sends the point.  Returns the max coordinate
+    distance.
     """
     from .series import WeightedNormParams
 
     if params is None:
         params = WeightedNormParams(1.0, 1.0)
     m, n = S.m, S.n
-    chix = [chi.partial_x(l) for l in range(n)]
-    chiy = [chi.partial_y(i) for i in range(m)]
-    chixi = chi.partial_xi()
-
-    def fieldfun(t, v):
-        y = v[:m]
-        x = v[m : m + n]
-        xi = v[m + n + 1]
-        cx = np.array([g.evaluate(y, x, 0.0, xi) for g in chix])
-        cy = np.array([g.evaluate(y, x, 0.0, xi) for g in chiy])
-        B12, B22 = S.eval_blocks(y)
-        ydot = -(B12 @ cx)
-        xdot = B12.T @ cy + B22.T @ cx
-        etadot = chixi.evaluate(y, x, 0.0, xi)
-        return np.concatenate(
-            [np.real(ydot), np.real(xdot), [np.real(etadot)], [0.0]]
-        )
-
-    v0 = np.concatenate(
-        [
-            np.asarray(point.y, dtype=float).reshape(m),
-            np.asarray(point.x, dtype=float).reshape(n),
-            [float(np.real(point.eta)), float(point.xi)],
-        ]
+    flow = _GradientCache(-chi, S).field
+    sol = solve_ivp(
+        flow, (0.0, 1.0), _state_vector(point, m, n), method="DOP853", rtol=tol, atol=tol
     )
-    sol = solve_ivp(fieldfun, (0.0, 1.0), v0, method="DOP853", rtol=tol, atol=tol)
     if not sol.success:
         raise StiffnessError("flow integration failed: %s" % sol.message)
     end = sol.y[:, -1]

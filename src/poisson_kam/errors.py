@@ -37,8 +37,8 @@ class StepRefusedError(PoissonKamError):
     """Normalization step refused because a smallness condition failed."""
 
 
-class DivergenceError(PoissonKamError):
-    """Measured perturbation size grew twice in a row; run aborted."""
+class ParameterError(PoissonKamError):
+    """A numeric argument lies outside its valid range."""
 
 
 class StiffnessError(PoissonKamError):

@@ -46,10 +46,17 @@ class FrequencyData:
         return cls(omega_tilde, omega, gamma, float(tau), int(K_max))
 
 
-def _wavevectors(n, K_max):
-    for k in itertools.product(range(-K_max, K_max + 1), repeat=n):
-        if 0 < sum(abs(v) for v in k) <= K_max:
-            yield k
+def lattice_divisors(omega, K_max):
+    """Yield (k, |k|_1, |k.omega|) for 0 < |k|_1 <= K_max, in a fixed order.
+
+    The dot product stays per row: a vectorized K @ omega rounds some
+    divisors differently, which would move every quantity derived from them.
+    """
+    omega = np.asarray(omega, dtype=float)
+    for k in itertools.product(range(-K_max, K_max + 1), repeat=len(omega)):
+        norm1 = sum(abs(v) for v in k)
+        if 0 < norm1 <= K_max:
+            yield k, norm1, abs(float(np.dot(k, omega)))
 
 
 def diophantine_profile(omega, tau, K_max) -> float:
@@ -65,9 +72,7 @@ def diophantine_profile(omega, tau, K_max) -> float:
         raise ResonanceError("zero frequency vector")
     scale = float(np.abs(omega).max())
     best = np.inf
-    for k in _wavevectors(len(omega), K_max):
-        dot = abs(float(np.dot(k, omega)))
-        norm1 = sum(abs(v) for v in k)
+    for k, norm1, dot in lattice_divisors(omega, K_max):
         if dot <= 1e-13 * scale * norm1:
             raise ResonanceError(
                 "resonance k=%s: |k.omega| = %.3g" % (list(k), dot)
@@ -78,11 +83,8 @@ def diophantine_profile(omega, tau, K_max) -> float:
 
 def divisor_shells(omega, tau, K_max):
     """Worst |k.omega| and worst |k.omega||k|^tau per shell |k| = 1..K_max."""
-    omega = np.asarray(omega, dtype=float)
     shells = {s: (np.inf, None) for s in range(1, K_max + 1)}
-    for k in _wavevectors(len(omega), K_max):
-        norm1 = sum(abs(v) for v in k)
-        dot = abs(float(np.dot(k, omega)))
+    for k, norm1, dot in lattice_divisors(omega, K_max):
         if dot < shells[norm1][0]:
             shells[norm1] = (dot, k)
     rows = []

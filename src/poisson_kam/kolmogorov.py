@@ -12,7 +12,6 @@ drive desk-scale runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -22,13 +21,14 @@ import numpy as np
 from .bracket import (
     ExtendedPoint,
     StructureMatrix,
+    gamma_rho_sigma,
     lie_contraction,
     lie_coordinate_displacement,
     lie_transform,
     poisson_bracket,
 )
 from .errors import ProblemFormatError, StepRefusedError
-from .homological import FrequencyData, build_E, solve_S, solve_T
+from .homological import FrequencyData, build_E, lattice_divisors, solve_S, solve_T
 from .series import (
     FourierTaylorSeries,
     WeightedNormParams,
@@ -56,7 +56,6 @@ class HamiltonianDecomposition:
     C: list
     R: FourierTaylorSeries
     full: FourierTaylorSeries
-    eta_present: bool = True
 
     @classmethod
     def from_full(cls, full, omega_tilde):
@@ -300,18 +299,12 @@ class RunResult:
 # ---------------------------------------------------------------- constants
 
 
-def measured_thetas(freq: FrequencyData, a: float, P_max: int):
+def measured_thetas(freq: FrequencyData, a: float):
     """Per-mode amplification of the solve at the working truncation:
     Theta1 ~ a * max 1/|div|, Theta2 ~ a * max (1+|k|)/|div|."""
     inv_best = 1.0 / a
     theta2_best = 1.0 / a
-    for k in itertools.product(
-        range(-freq.K_max, freq.K_max + 1), repeat=len(freq.omega)
-    ):
-        norm1 = sum(abs(v) for v in k)
-        if norm1 == 0 or norm1 > freq.K_max:
-            continue
-        dot = abs(float(np.dot(k, freq.omega)))
+    for _, norm1, dot in lattice_divisors(freq.omega, freq.K_max):
         inv_best = max(inv_best, 1.0 / dot)
         theta2_best = max(theta2_best, (1.0 + norm1) / dot)
     theta1 = a * inv_best
@@ -340,7 +333,7 @@ def constants_ledger(
     rho_star, sigma_star = u0.rho / 4.0, u0.sigma / 4.0
     upsilon_star = u0.upsilon / 2.0
     if Theta1 is None or Theta2 is None:
-        t1, t2 = measured_thetas(freq, a, 0)
+        t1, t2 = measured_thetas(freq, a)
         Theta1 = t1 if Theta1 is None else Theta1
         Theta2 = t2 if Theta2 is None else Theta2
     n, m = S.n, S.m
@@ -366,8 +359,6 @@ def constants_ledger(
     )
     M8 = 32.0 * m * M_B * M_h * M5 * (rho_star ** 2 * sigma_star) ** -2
     D = 32.0 * E_SQ * omega_abs * M_B * (rho_star * sigma_star) ** -2 * max(M6, M7, M8)
-    from .bracket import gamma_rho_sigma
-
     gamma = gamma_rho_sigma(S, params0)
     eps_threshold = a ** 4 / (D * 12.0 ** (8.0 * (tau + 1.0)))
     return ConstantsLedger(
@@ -484,12 +475,6 @@ def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, op
 
 def _finite_or_zero(x):
     return float(x) if math.isfinite(x) else 0.0
-
-
-def _gamma(S, params):
-    from .bracket import gamma_rho_sigma
-
-    return gamma_rho_sigma(S, params)
 
 
 def _schedule_d(j, ledger, eps0_rating, upsilon, a, tau, d_floor):
@@ -620,7 +605,7 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
         "min_divisor": _finite_or_zero(
             min([solS.min_divisor] + [t.min_divisor for t in solT])
         ),
-        "gamma_rho_sigma": _gamma(S, params),
+        "gamma_rho_sigma": gamma_rho_sigma(S, params),
         "lie_contraction": contraction,
         "lie_terms": diag.s_stop,
         "lie_tail_bound": diag.tail_bound,
@@ -723,13 +708,14 @@ def run(setup, max_steps=None, target_eps=None) -> RunResult:
 # ---------------------------------------------------------------- the map
 
 
-def compose_map(chi_records, point: ExtendedPoint, S: StructureMatrix, d_total=1.0):
-    """Push a point in final coordinates back through every step's flow.
+def composed_displacements(chi_records, S: StructureMatrix, d_total=1.0):
+    """The composed change of coordinates as identity + displacement series.
 
     Applies exp(L_chi) for step 0 first, then step 1, ... to the coordinate
     functions (kept as identity + series displacement, since bare x and xi are
-    not ring elements) and evaluates at the point.  xi is returned untouched:
-    the transformation does not act on time.
+    not ring elements).  Returns {coordinate: displacement or None}; xi has no
+    entry: the transformation does not act on time.  The map depends on the
+    run only, so build it once and evaluate it with apply_displacements.
     """
     coords = [("y", i) for i in range(S.m)] + [("x", l) for l in range(S.n)]
     coords += ["eta"]
@@ -747,34 +733,24 @@ def compose_map(chi_records, point: ExtendedPoint, S: StructureMatrix, d_total=1
             else:
                 carried = disp[c]
             disp[c] = base if carried is None else base + carried
-    y = np.array(
-        [
-            point.y[i]
-            + (
-                disp[("y", i)].evaluate(point.y, point.x, point.eta, point.xi)
-                if disp[("y", i)] is not None
-                else 0.0
-            )
-            for i in range(S.m)
-        ]
-    )
-    x = np.array(
-        [
-            point.x[l]
-            + (
-                disp[("x", l)].evaluate(point.y, point.x, point.eta, point.xi)
-                if disp[("x", l)] is not None
-                else 0.0
-            )
-            for l in range(S.n)
-        ]
-    )
-    eta = point.eta + (
-        disp["eta"].evaluate(point.y, point.x, point.eta, point.xi)
-        if disp["eta"] is not None
-        else 0.0
-    )
-    return ExtendedPoint(y, x, eta, point.xi)
+    return disp
+
+
+def apply_displacements(disp, point: ExtendedPoint) -> ExtendedPoint:
+    """Evaluate a composed map from composed_displacements at a point."""
+
+    def at(c):
+        d = disp[c]
+        return 0.0 if d is None else d.evaluate(point.y, point.x, point.eta, point.xi)
+
+    y = np.array([v + at(("y", i)) for i, v in enumerate(point.y)])
+    x = np.array([v + at(("x", l)) for l, v in enumerate(point.x)])
+    return ExtendedPoint(y, x, point.eta + at("eta"), point.xi)
+
+
+def compose_map(chi_records, point: ExtendedPoint, S: StructureMatrix, d_total=1.0):
+    """Push a point in final coordinates back through every step's flow."""
+    return apply_displacements(composed_displacements(chi_records, S, d_total), point)
 
 
 # ---------------------------------------------------------------- schedule audit

@@ -165,3 +165,37 @@ def test_verify_writes_trajectories(bench_file, tmp_path):
     assert code == 0
     assert (out / "trajectory_naive_00.csv").exists()
     assert (out / "trajectory_mapped_01.csv").exists()
+
+
+def test_verify_trajectories_match_report(bench_file, tmp_path):
+    out = tmp_path / "run"
+    main(["normalize", "--problem", str(bench_file), "--out", str(out)])
+    code = main(
+        [
+            "verify", "--problem", str(bench_file), "--out", str(out),
+            "--angles", "2", "--t-end", "10", "--write-trajectories",
+        ]
+    )
+    assert code == 0
+    report = json.loads((out / "persistence_report.json").read_text())
+    # columns: t, y (m = 1), x (n = 1), eta, xi, torus_error, drift
+    col = 5
+    for i, angle in enumerate(report["angles"]):
+        for tag in ("naive", "mapped"):
+            rows = (out / ("trajectory_%s_%02d.csv" % (tag, i))).read_text().split()
+            errors = [float(row.split(",")[col]) for row in rows]
+            assert max(errors) == angle[tag + "_sup"]
+
+
+@pytest.mark.parametrize("angles", ["0", "-1"])
+def test_verify_rejects_angles_below_one(bench_file, tmp_path, capsys, angles):
+    out = tmp_path / "run"
+    main(["normalize", "--problem", str(bench_file), "--out", str(out)])
+    capsys.readouterr()
+    code = main(
+        ["verify", "--problem", str(bench_file), "--out", str(out), "--angles", angles]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--angles" in err
+    assert not (out / "persistence_report.json").exists()

@@ -13,6 +13,7 @@ from poisson_kam import (
     torus_persistence_report,
     write_trajectory,
 )
+from poisson_kam.errors import PoissonKamError
 
 from conftest import (
     A_DEFAULT,
@@ -145,12 +146,9 @@ def test_persistence_naive_error_scales_linearly():
     assert settled[1e-3] / settled[5e-4] == pytest.approx(2.0, rel=0.2)
 
 
-def test_thread_cap_env(monkeypatch):
-    from poisson_kam.dynamics import thread_cap
-
-    monkeypatch.setenv("POISSON_KAM_THREADS", "2")
-    assert thread_cap() == 2
-    monkeypatch.setenv("POISSON_KAM_THREADS", "bogus")
-    assert thread_cap() >= 1
-    monkeypatch.delenv("POISSON_KAM_THREADS")
-    assert thread_cap() >= 1
+def test_persistence_rejects_no_angles():
+    setup = benchmark_problem(epsilon=0.0).initialize()
+    with pytest.raises(PoissonKamError):
+        torus_persistence_report(
+            setup.decomp.full, setup.structure, [], t_end=1.0, n_angles=0
+        )
