@@ -318,10 +318,26 @@ def _lie_sum(chi, first_term, base, S, params, contraction, tol, cap):
     return total, diag
 
 
-def lie_contraction(chi, S, params: WeightedNormParams, d_total: float) -> float:
-    """Measured contraction factor (4 e^2 Gamma / d~^2) * ||chi||."""
+def lie_contraction(chi, S, params: WeightedNormParams) -> float:
+    """Measured contraction factor 4 e^2 Gamma ||chi||."""
     gamma = gamma_rho_sigma(S, params)
-    return 4.0 * E_SQ * gamma * weighted_norm(chi, params).K / d_total ** 2
+    return 4.0 * E_SQ * gamma * weighted_norm(chi, params).K
+
+
+def _guarded_lie_sum(chi, first, base, S, params, tol, cap):
+    """The one place a Lie series refuses: returns (base, zero diagnostics)
+    for chi = 0, raises LieDivergenceError when the measured contraction
+    factor exceeds 1/2, and otherwise sums base + first() + ...; under the
+    bound the terms decay at least geometrically and the diagnostics carry
+    the geometric tail estimate."""
+    if chi.is_zero():
+        return base, LieDiagnostics(0.0, 0, 0.0, [], 0.0)
+    L = lie_contraction(chi, S, params)
+    if L > 0.5:
+        raise LieDivergenceError(
+            "Lie contraction %.3g > 1/2; shrink the perturbation first" % L
+        )
+    return _lie_sum(chi, first(), base, S, params, L, tol, cap)
 
 
 def lie_transform(
@@ -329,25 +345,16 @@ def lie_transform(
     F: FourierTaylorSeries,
     S: StructureMatrix,
     params: WeightedNormParams,
-    d_total: float = 1.0,
     tol: float = LIE_REL_TOL,
     cap: int = LIE_MAX_TERMS,
 ):
     """exp(L_chi) F summed until terms drop below tol relative to the sum.
 
-    Refuses (LieDivergenceError) when the measured contraction factor exceeds
-    1/2; under that bound the terms decay at least geometrically and the
-    returned diagnostics carry the geometric tail estimate.
+    Raises LieDivergenceError (a StepRefusedError) from _guarded_lie_sum when
+    the measured contraction factor exceeds 1/2.
     """
-    if chi.is_zero():
-        return F, LieDiagnostics(0.0, 0, 0.0, [], 0.0)
-    L = lie_contraction(chi, S, params, d_total)
-    if L > 0.5:
-        raise LieDivergenceError(
-            "Lie contraction %.3g > 1/2; shrink the perturbation first" % L
-        )
-    first = poisson_bracket(chi, F, S)
-    return _lie_sum(chi, first, F, S, params, L, tol, cap)
+    first = lambda: poisson_bracket(chi, F, S)
+    return _guarded_lie_sum(chi, first, F, S, params, tol, cap)
 
 
 def lie_coordinate_displacement(
@@ -355,18 +362,12 @@ def lie_coordinate_displacement(
     coord,
     S: StructureMatrix,
     params: WeightedNormParams,
-    d_total: float = 1.0,
     tol: float = LIE_REL_TOL,
     cap: int = LIE_MAX_TERMS,
 ):
-    """exp(L_chi) z_c - z_c as a series (zero series for coord = "xi")."""
-    zero = chi._like(None, None)
-    if chi.is_zero():
-        return zero, LieDiagnostics(0.0, 0, 0.0, [], 0.0)
-    L = lie_contraction(chi, S, params, d_total)
-    if L > 0.5:
-        raise LieDivergenceError(
-            "Lie contraction %.3g > 1/2; shrink the perturbation first" % L
-        )
-    first = bracket_with_coordinate(chi, coord, S)
-    return _lie_sum(chi, first, zero, S, params, L, tol, cap)
+    """exp(L_chi) z_c - z_c as a series (zero series for coord = "xi").
+
+    Refuses exactly as lie_transform does.
+    """
+    first = lambda: bracket_with_coordinate(chi, coord, S)
+    return _guarded_lie_sum(chi, first, chi._like(None, None), S, params, tol, cap)

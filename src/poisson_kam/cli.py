@@ -34,6 +34,18 @@ def _load_problem(path):
     return Problem.load(path)
 
 
+def _load_generators(out):
+    """The ChiRecords a normalize run stored in out/generators.json."""
+    path = out / "generators.json"
+    if not path.exists():
+        raise ProblemFormatError("missing run artifacts in %s" % out)
+    try:
+        payload = jsonio.loads(path.read_text())
+        return [ChiRecord.from_payload(p) for p in payload["chi"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProblemFormatError("bad generators file %s: %s" % (path, exc)) from exc
+
+
 def _write(path, payload):
     Path(path).write_text(jsonio.dumps(payload) + "\n")
 
@@ -47,16 +59,11 @@ def _trace_lines(trace):
 def cmd_normalize(args) -> int:
     """Exit 0 converged, 1 malformed input/resonance, 2 refused smallness,
     3 divergence, 4 step budget exhausted before the target."""
-    try:
-        problem = _load_problem(args.problem)
-        setup = problem.initialize(
-            max_steps=args.max_steps,
-            target_eps=args.target_eps,
-            d_floor=args.d_floor,
-        )
-    except (ProblemFormatError, ResonanceError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    setup = _load_problem(args.problem).initialize(
+        max_steps=args.max_steps,
+        target_eps=args.target_eps,
+        d_floor=args.d_floor,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = run(setup)
@@ -80,33 +87,24 @@ def cmd_normalize(args) -> int:
 def cmd_verify(args) -> int:
     """Exit 0 iff the settled-action improvement meets the threshold; 2 when
     the run exists but misses it; 1 when normalize outputs are absent or
-    --angles is below 1."""
+    malformed or --angles is below 1."""
     if args.angles < 1:
         raise ParameterError("--angles must be at least 1, got %d" % args.angles)
     out = Path(args.out)
-    gen_path = out / "generators.json"
-    if not gen_path.exists():
-        print("error: missing run artifacts in %s" % out, file=sys.stderr)
-        return 1
-    try:
-        problem = _load_problem(args.problem)
-    except ProblemFormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    chi_records = _load_generators(out)
+    problem = _load_problem(args.problem)
     setup = problem.initialize()
-    payload = jsonio.loads(gen_path.read_text())
-    chi_records = [ChiRecord.from_payload(p) for p in payload["chi"]]
-    seed = int(problem.option("seed", args.seed))
+    seed = problem.option("seed", args.seed)
     n_angles = args.angles
     offset = (seed % 1000) / 1000.0 * 2.0 * np.pi / n_angles
     report = torus_persistence_report(
         setup.decomp.full,
         setup.structure,
         chi_records,
-        t_end=float(problem.option("t_end", args.t_end)),
-        tol=float(problem.option("tol", args.tol)),
+        t_end=problem.option("t_end", args.t_end),
+        tol=problem.option("tol", args.tol),
         n_angles=n_angles,
-        threshold=float(problem.option("threshold", args.threshold)),
+        threshold=problem.option("threshold", args.threshold),
         angle_offset=offset,
         omega=setup.freq.omega,
     )
@@ -124,19 +122,10 @@ def cmd_verify(args) -> int:
 
 def cmd_check_diophantine(args) -> int:
     """Exit 0 with the gamma profile; 2 on resonance within the scan."""
-    try:
-        problem = _load_problem(args.problem)
-    except ProblemFormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    problem = _load_problem(args.problem)
     k_max = args.k_max or problem.trunc.K_max
     try:
-        setup = problem.initialize()
-    except ResonanceError as exc:
-        print("resonance: %s" % exc, file=sys.stderr)
-        return 2
-    omega = setup.freq.omega
-    try:
+        omega = problem.initialize().freq.omega
         gamma = diophantine_profile(omega, problem.tau, k_max)
         shells = divisor_shells(omega, problem.tau, k_max)
     except ResonanceError as exc:
@@ -158,12 +147,7 @@ def cmd_check_diophantine(args) -> int:
 
 def cmd_constants(args) -> int:
     """Write the constants ledger (M0..M8, D, thresholds); exit 0."""
-    try:
-        problem = _load_problem(args.problem)
-        setup = problem.initialize()
-    except (ProblemFormatError, ResonanceError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    setup = _load_problem(args.problem).initialize()
     payload = {
         "constants": setup.ledger.as_dict(),
         "eps0_rating": setup.eps0_rating,
@@ -180,20 +164,13 @@ def cmd_constants(args) -> int:
 
 def cmd_lie_check(args) -> int:
     """Check series transform vs time-1 flow for every stored generator.
-    Exit 0 when all distances are within tolerance, 2 otherwise."""
+    Exit 0 when all distances are within tolerance, 2 when one misses it or a
+    stored generator fails the contraction guard, 1 when normalize outputs
+    are absent or malformed."""
     out = Path(args.out)
-    gen_path = out / "generators.json"
-    if not gen_path.exists():
-        print("error: missing run artifacts in %s" % out, file=sys.stderr)
-        return 1
-    try:
-        problem = _load_problem(args.problem)
-        setup = problem.initialize()
-    except (ProblemFormatError, ResonanceError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    payload = jsonio.loads(gen_path.read_text())
-    chi_records = [ChiRecord.from_payload(p) for p in payload["chi"]]
+    chi_records = _load_generators(out)
+    problem = _load_problem(args.problem)
+    setup = problem.initialize()
     point = ExtendedPoint(
         np.zeros(problem.m), np.full(problem.n, 0.3), 0.0, 0.0
     )
@@ -255,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  The only error-to-exit mapping: a refusal
+    (StepRefusedError) prints "refused:" and exits 2, any other
+    PoissonKamError prints "error:" and exits 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (StepRefusedError,) as exc:
+    except StepRefusedError as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 2
     except PoissonKamError as exc:

@@ -16,10 +16,10 @@ from typing import List, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .bracket import ExtendedPoint, StructureMatrix, lie_coordinate_displacement
+from .bracket import ExtendedPoint, StructureMatrix
 from .errors import ParameterError, StiffnessError
 from .jsonio import fmt_float
-from .kolmogorov import apply_displacements, composed_displacements
+from .kolmogorov import ChiRecord, apply_displacements, composed_displacements
 from .series import FourierTaylorSeries
 
 
@@ -331,17 +331,7 @@ def lie_vs_flow_check(
     if not sol.success:
         raise StiffnessError("flow integration failed: %s" % sol.message)
     end = sol.y[:, -1]
-    dist = 0.0
-    for i in range(m):
-        disp, _ = lie_coordinate_displacement(chi, ("y", i), S, params)
-        val = point.y[i] + disp.evaluate(point.y, point.x, point.eta, point.xi)
-        dist = max(dist, abs(val - end[i]))
-    for l in range(n):
-        disp, _ = lie_coordinate_displacement(chi, ("x", l), S, params)
-        val = point.x[l] + disp.evaluate(point.y, point.x, point.eta, point.xi)
-        dist = max(dist, abs(val - end[m + l]))
-    disp, _ = lie_coordinate_displacement(chi, "eta", S, params)
-    val = point.eta + disp.evaluate(point.y, point.x, point.eta, point.xi)
-    dist = max(dist, abs(val - end[m + n]))
-    dist = max(dist, abs(point.xi - end[m + n + 1]))
-    return float(dist)
+    record = ChiRecord(0, chi, params.rho, params.sigma, 0.0)
+    mapped = apply_displacements(composed_displacements([record], S), point)
+    series_end = list(mapped.y) + list(mapped.x) + [mapped.eta, mapped.xi]
+    return float(max([0.0] + [abs(v - e) for v, e in zip(series_end, end)]))

@@ -29,12 +29,12 @@ class ResonanceError(PoissonKamError):
     """The torus frequency is resonant within the scanned mode range."""
 
 
-class LieDivergenceError(PoissonKamError):
-    """Measured Lie-series contraction factor exceeds 1/2."""
-
-
 class StepRefusedError(PoissonKamError):
     """Normalization step refused because a smallness condition failed."""
+
+
+class LieDivergenceError(StepRefusedError):
+    """Measured Lie-series contraction factor exceeds 1/2."""
 
 
 class ParameterError(PoissonKamError):

@@ -19,10 +19,11 @@ from typing import List, Optional
 import numpy as np
 
 from .bracket import (
+    LIE_MAX_TERMS,
+    LIE_REL_TOL,
     ExtendedPoint,
     StructureMatrix,
     gamma_rho_sigma,
-    lie_contraction,
     lie_coordinate_displacement,
     lie_transform,
     poisson_bracket,
@@ -218,9 +219,8 @@ class RunOptions:
     max_steps: int = 12
     target_eps: float = 1e-9
     d_floor: float = 1e-3
-    d_total: float = 1.0
-    lie_tol: float = 1e-14
-    lie_cap: int = 40
+    lie_tol: float = LIE_REL_TOL
+    lie_cap: int = LIE_MAX_TERMS
     enforce_theoretical: bool = False
     theta1: Optional[float] = None
     theta2: Optional[float] = None
@@ -492,8 +492,9 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
     """One Kolmogorov step: solve for chi = S + T.y, transform, re-split.
 
     Returns (new_decomposition, chi_record, u_next, trace_row).  Raises
-    StepRefusedError when the measured Lie contraction exceeds 1/2 (or, in
-    strict mode, when any printed smallness condition fails).
+    StepRefusedError in strict mode when any printed smallness condition
+    fails, and lie_transform raises LieDivergenceError (a StepRefusedError)
+    when the measured Lie contraction exceeds 1/2.
     """
     options = options or RunOptions()
     a, tau = u.a, u.tau
@@ -535,14 +536,9 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
     chi = solS.phi
     for j, sol in enumerate(solT):
         chi = chi + sol.phi.mul_y(j)
-    contraction = lie_contraction(chi, S, params, options.d_total)
-    if contraction > 0.5:
-        raise StepRefusedError(
-            "measured Lie contraction %.3g > 1/2 at eps=%.3g" % (contraction, eps)
-        )
 
     Hhat, diag = lie_transform(
-        chi, decomp.full, S, params, options.d_total, options.lie_tol, options.lie_cap
+        chi, decomp.full, S, params, options.lie_tol, options.lie_cap
     )
     Hhat = Hhat.drop_pure_constant()
     if options.prune_rel > 0.0:
@@ -606,7 +602,7 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
             min([solS.min_divisor] + [t.min_divisor for t in solT])
         ),
         "gamma_rho_sigma": gamma_rho_sigma(S, params),
-        "lie_contraction": contraction,
+        "lie_contraction": diag.contraction,
         "lie_terms": diag.s_stop,
         "lie_tail_bound": diag.tail_bound,
         "lie_discarded_mass": diag.discarded_mass,
@@ -669,11 +665,10 @@ def run(setup, max_steps=None, target_eps=None) -> RunResult:
         "problem": setup.problem_echo,
     }
     chi_records = []
-    status = "converged" if u.eps <= target_eps else "max_steps"
+    stopped = None
     grew = 0
     for j in range(max_steps):
         if u.eps <= target_eps:
-            status = "converged"
             break
         try:
             decomp, chi_rec, u_next, row = normalization_step(
@@ -682,23 +677,19 @@ def run(setup, max_steps=None, target_eps=None) -> RunResult:
             )
         except StepRefusedError as exc:
             warnings.append("step %d refused: %s" % (j, exc))
-            status = "refused"
+            stopped = "refused"
             break
         trace.rows.append(row)
         chi_records.append(chi_rec)
         grew = grew + 1 if u_next.eps > u.eps else 0
         u = u_next
-        if u.eps <= target_eps:
-            status = "converged"
-            break
-        if grew >= 2:
+        if u.eps > target_eps and grew >= 2:
             warnings.append(
                 "eps grew twice in a row (%.3g); aborting as divergent" % u.eps
             )
-            status = "diverged"
+            stopped = "diverged"
             break
-    else:
-        status = "converged" if u.eps <= target_eps else "max_steps"
+    status = stopped or ("converged" if u.eps <= target_eps else "max_steps")
     trace.header["status"] = status
     trace.header["eps_final"] = u.eps
     trace.header["steps_taken"] = len(trace.rows)
@@ -708,7 +699,7 @@ def run(setup, max_steps=None, target_eps=None) -> RunResult:
 # ---------------------------------------------------------------- the map
 
 
-def composed_displacements(chi_records, S: StructureMatrix, d_total=1.0):
+def composed_displacements(chi_records, S: StructureMatrix):
     """The composed change of coordinates as identity + displacement series.
 
     Applies exp(L_chi) for step 0 first, then step 1, ... to the coordinate
@@ -716,20 +707,18 @@ def composed_displacements(chi_records, S: StructureMatrix, d_total=1.0):
     not ring elements).  Returns {coordinate: displacement or None}; xi has no
     entry: the transformation does not act on time.  The map depends on the
     run only, so build it once and evaluate it with apply_displacements.
+    A stored generator that fails the contraction guard raises
+    LieDivergenceError (a StepRefusedError).
     """
     coords = [("y", i) for i in range(S.m)] + [("x", l) for l in range(S.n)]
     coords += ["eta"]
     disp = {c: None for c in coords}
     for rec in chi_records:
         params = rec.norm_params()
-        if lie_contraction(rec.chi, S, params, d_total) > 0.5:
-            raise StepRefusedError(
-                "stored generating function fails its contraction check"
-            )
         for c in coords:
-            base, _ = lie_coordinate_displacement(rec.chi, c, S, params, d_total)
+            base, _ = lie_coordinate_displacement(rec.chi, c, S, params)
             if disp[c] is not None and not disp[c].is_zero():
-                carried, _ = lie_transform(rec.chi, disp[c], S, params, d_total)
+                carried, _ = lie_transform(rec.chi, disp[c], S, params)
             else:
                 carried = disp[c]
             disp[c] = base if carried is None else base + carried
@@ -748,9 +737,9 @@ def apply_displacements(disp, point: ExtendedPoint) -> ExtendedPoint:
     return ExtendedPoint(y, x, point.eta + at("eta"), point.xi)
 
 
-def compose_map(chi_records, point: ExtendedPoint, S: StructureMatrix, d_total=1.0):
+def compose_map(chi_records, point: ExtendedPoint, S: StructureMatrix):
     """Push a point in final coordinates back through every step's flow."""
-    return apply_displacements(composed_displacements(chi_records, S, d_total), point)
+    return apply_displacements(composed_displacements(chi_records, S), point)
 
 
 # ---------------------------------------------------------------- schedule audit

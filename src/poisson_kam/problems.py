@@ -9,7 +9,7 @@ orders, plus free-form options (norm radii, step budgets, tolerances).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,18 +22,17 @@ from .series import FourierTaylorSeries, Truncation
 
 GOLDEN = (1.0 + 5 ** 0.5) / 2.0
 
+# defaults of the options that are not RunOptions fields; RunOptions holds
+# the defaults of the run settings
 _OPTION_DEFAULTS = {
     "rho": 0.5,
     "sigma": 1.0,
-    "max_steps": 12,
-    "target_eps": 1e-9,
-    "d_floor": 1e-3,
-    "d_total": 1.0,
     "t_end": 100.0,
     "tol": 1e-10,
     "threshold": 10.0,
     "seed": 0,
 }
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunOptions)}
 
 
 @dataclass
@@ -50,31 +49,36 @@ class Problem:
     structure: StructureMatrix
     options: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in self.options:
+            self.option(name)
+
     def option(self, name, override=None):
-        if override is not None:
-            return override
-        if name in self.options:
-            return self.options[name]
-        return _OPTION_DEFAULTS[name]
+        """The override, else the file value, else the default; None counts as
+        unset.  The value is coerced by the type of its default (float where
+        the default is None).  Raises ProblemFormatError for an unknown name
+        or a value that does not coerce."""
+        if name in _OPTION_DEFAULTS:
+            default = _OPTION_DEFAULTS[name]
+        elif name in _RUN_DEFAULTS:
+            default = _RUN_DEFAULTS[name]
+        else:
+            raise ProblemFormatError("unknown option %r" % name)
+        value = override if override is not None else self.options.get(name)
+        if value is None:
+            return default
+        try:
+            return (float if default is None else type(default))(value)
+        except (TypeError, ValueError) as exc:
+            raise ProblemFormatError("option %r: %s" % (name, exc)) from exc
 
     def run_options(self, **overrides) -> RunOptions:
-        opts = RunOptions(
-            max_steps=int(self.option("max_steps", overrides.get("max_steps"))),
-            target_eps=float(self.option("target_eps", overrides.get("target_eps"))),
-            d_floor=float(self.option("d_floor", overrides.get("d_floor"))),
-            d_total=float(self.option("d_total", overrides.get("d_total"))),
-            theta1=self.options.get("theta1"),
-            theta2=self.options.get("theta2"),
+        unknown = sorted(set(overrides) - set(_RUN_DEFAULTS))
+        if unknown:
+            raise ProblemFormatError("unknown run option %s" % ", ".join(unknown))
+        return RunOptions(
+            **{name: self.option(name, overrides.get(name)) for name in _RUN_DEFAULTS}
         )
-        if "lie_tol" in self.options:
-            opts.lie_tol = float(self.options["lie_tol"])
-        if "lie_cap" in self.options:
-            opts.lie_cap = int(self.options["lie_cap"])
-        if "enforce_theoretical" in self.options:
-            opts.enforce_theoretical = bool(self.options["enforce_theoretical"])
-        if "prune_rel" in self.options:
-            opts.prune_rel = float(self.options["prune_rel"])
-        return opts
 
     def initialize(self, **overrides) -> RunSetup:
         setup = init_from_problem(

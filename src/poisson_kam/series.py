@@ -35,7 +35,6 @@ from .errors import (
     NormDomainError,
     StructureMismatchError,
 )
-from .jsonio import fmt_float
 
 # pairs per chunk in the outer-product multiply; keeps peak memory modest
 _MUL_CHUNK_PAIRS = 2_000_000
@@ -61,9 +60,6 @@ class WeightedNormParams:
         if not (self.rho > 0 and self.sigma > 0):
             raise ValueError("rho and sigma must be positive")
 
-    def shrink(self, d: float) -> "WeightedNormParams":
-        return WeightedNormParams((1.0 - d) * self.rho, (1.0 - d) * self.sigma)
-
 
 @dataclass(frozen=True)
 class DecayBound:
@@ -71,9 +67,6 @@ class DecayBound:
 
     K: float
     p: int
-
-    def value_at(self, xi: float, a: float) -> float:
-        return self.K * math.exp(-self.p * a * xi)
 
 
 class TruncationTracker:
@@ -643,14 +636,3 @@ def shift_action_expansion(f: FourierTaylorSeries, y_star) -> FourierTaylorSerie
             if w != 0.0:
                 terms.append((k, new_alpha, e, p, c * w))
     return FourierTaylorSeries.from_terms(f.n, f.m, f.decay_rate, f.trunc, terms)
-
-
-def format_term(k, alpha, e, p, c) -> str:
-    return "(k=%s a=%s e=%d p=%d) %s%+sj" % (
-        list(k),
-        list(alpha),
-        e,
-        p,
-        fmt_float(c.real),
-        fmt_float(c.imag),
-    )

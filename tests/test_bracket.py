@@ -16,7 +16,11 @@ from poisson_kam import (
     poisson_bracket,
     weighted_norm,
 )
-from poisson_kam.errors import LieDivergenceError, StructureMismatchError
+from poisson_kam.errors import (
+    LieDivergenceError,
+    StepRefusedError,
+    StructureMismatchError,
+)
 
 from conftest import (
     A_DEFAULT,
@@ -222,8 +226,11 @@ def test_lie_transform_identity_for_zero_chi():
 
 def test_lie_transform_divergence_guard():
     chi = sinx().scale(50.0)
-    with pytest.raises(LieDivergenceError):
+    with pytest.raises(LieDivergenceError) as exc:
         lie_transform(chi, yi(0), CANON, PARAMS)
+    assert isinstance(exc.value, StepRefusedError)
+    with pytest.raises(LieDivergenceError):
+        lie_coordinate_displacement(chi, ("y", 0), CANON, PARAMS)
 
 
 def test_lie_transform_first_order_eta(rng):

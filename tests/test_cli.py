@@ -199,3 +199,42 @@ def test_verify_rejects_angles_below_one(bench_file, tmp_path, capsys, angles):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--angles" in err
     assert not (out / "persistence_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "lie-check"])
+@pytest.mark.parametrize("text", ['{"chi": [', '{"steps": []}'])
+def test_malformed_generators_exit_1(bench_file, tmp_path, capsys, command, text):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "generators.json").write_text(text)
+    code = main([command, "--problem", str(bench_file), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["verify", "lie-check"])
+def test_oversized_stored_generator_refused_exit_2(bench_file, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    main(["normalize", "--problem", str(bench_file), "--out", str(out)])
+    gen = json.loads((out / "generators.json").read_text())
+    for term in gen["chi"][0]["chi"]["terms"]:
+        term["re"] *= 1e4
+        term["im"] *= 1e4
+    (out / "generators.json").write_text(json.dumps(gen))
+    capsys.readouterr()
+    code = main([command, "--problem", str(bench_file), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("refused:")
+
+
+@pytest.mark.parametrize(
+    "key, value", [("d_total", 2.0), ("max_step", 3), ("max_steps", "abc")]
+)
+def test_bad_problem_option_exit_1(bench_file, tmp_path, capsys, key, value):
+    payload = json.loads(bench_file.read_text())
+    payload["options"][key] = value
+    bench_file.write_text(json.dumps(payload))
+    code = main(["normalize", "--problem", str(bench_file), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err

@@ -361,6 +361,33 @@ def test_problem_payload_roundtrip(tmp_path):
         Problem.load(path)
 
 
+def test_problem_file_sets_every_run_option(tmp_path):
+    from dataclasses import fields
+
+    from poisson_kam import Problem, RunOptions
+
+    values = {
+        "max_steps": 5,
+        "target_eps": 1e-7,
+        "d_floor": 2e-3,
+        "lie_tol": 1e-12,
+        "lie_cap": 30,
+        "enforce_theoretical": True,
+        "theta1": 1.5,
+        "theta2": 3.5,
+        "prune_rel": 1e-15,
+    }
+    assert set(values) == {f.name for f in fields(RunOptions)}
+    defaults = RunOptions()
+    assert all(values[k] != getattr(defaults, k) for k in values)
+    path = tmp_path / "p.json"
+    benchmark_problem(**values).save(path)
+    options = Problem.load(path).initialize().options
+    assert {k: getattr(options, k) for k in values} == values
+    with pytest.raises(ProblemFormatError, match="d_total"):
+        Problem.load(path).initialize(d_total=2.0)
+
+
 def test_compose_map_matches_sequential_flows():
     # the map sends new coords to old: first step's flow applied last
     from scipy.integrate import solve_ivp
