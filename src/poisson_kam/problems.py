@@ -9,6 +9,7 @@ orders, plus free-form options (norm radii, step budgets, tolerances).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -50,14 +51,26 @@ class Problem:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ProblemFormatError(
+                "epsilon must be finite and >= 0, got %r" % self.epsilon
+            )
+        if not 0.0 < self.a < 1.0:
+            raise ProblemFormatError("decay rate a must lie in (0, 1), got %r" % self.a)
+        for name, order in self.trunc._asdict().items():
+            if order < 1:
+                raise ProblemFormatError(
+                    "truncation order %s must be >= 1, got %r" % (name, order)
+                )
         for name in self.options:
             self.option(name)
 
     def option(self, name, override=None):
         """The override, else the file value, else the default; None counts as
         unset.  The value is coerced by the type of its default (float where
-        the default is None).  Raises ProblemFormatError for an unknown name
-        or a value that does not coerce."""
+        the default is None); a boolean option takes only true or false.
+        Raises ProblemFormatError for an unknown name or a value that does
+        not coerce."""
         if name in _OPTION_DEFAULTS:
             default = _OPTION_DEFAULTS[name]
         elif name in _RUN_DEFAULTS:
@@ -67,6 +80,12 @@ class Problem:
         value = override if override is not None else self.options.get(name)
         if value is None:
             return default
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ProblemFormatError(
+                    "option %r: expected true or false, got %r" % (name, value)
+                )
+            return value
         try:
             return (float if default is None else type(default))(value)
         except (TypeError, ValueError) as exc:

@@ -16,10 +16,16 @@ alpha_1..alpha_m, e, p) plus a complex coefficient vector, kept in a canonical
 sorted order with no exactly-zero coefficients.  All operations are pure; the
 arrays are marked read-only, so series can be shared freely across threads.
 
-Multiplication is vectorized: key rows are combined by outer addition, packed
-into int64 words and merged with a sort/reduceat pass.  Mass discarded by the
-hard truncation is accumulated on a module-level tracker so tests can demand
-"no discard".
+Multiplication works on packed keys: each key row packs into one int64 code,
+and packing is linear, so a product's code is a sum of its factors' codes.
+Pairs are filtered on |alpha| and p, which add per row, before |k|_1 is
+summed for the survivors; the kept codes are merged with a stable
+sort/reduceat pass (the same one that canonicalizes any key rows), and only
+the merged codes are unpacked into keys.  Row-major pair order and the stable
+sort fix the summation order, so every coefficient is bit-identical to summing
+materialized key rows, which remains the path for truncations too wide for 64
+bits.  Mass discarded by the hard truncation is accumulated on a module-level
+tracker so tests can demand "no discard".
 """
 
 from __future__ import annotations
@@ -88,21 +94,59 @@ class TruncationTracker:
 discard_tracker = TruncationTracker()
 
 
+class _Codec(NamedTuple):
+    """Packing of a key row into one int64 code: (row - lo) @ strides, where
+    column i occupies the bits masks[i] << shifts[i]."""
+
+    lo: np.ndarray
+    strides: np.ndarray
+    shifts: np.ndarray
+    masks: np.ndarray
+
+
 def _pack_codec(n, m, trunc):
-    """Column offsets/strides packing a (possibly product-summed) key row
-    into one int64; None when 64 bits are not enough."""
+    """The _Codec for a (possibly product-summed) key row; None when 64 bits
+    are not enough.  Packing is linear, so the code of a product key is the
+    code of one factor plus the other factor's row @ strides."""
     K, L, P = trunc
     lo = [-2 * K] * n + [0] * (m + 2)
     sizes = [4 * K + 1] * n + [2 * L + 1] * m + [3] + [2 * P + 1]
     bits = [max(1, int(math.ceil(math.log2(s + 1)))) for s in sizes]
     if sum(bits) > 62:
         return None
-    strides = np.empty(n + m + 2, dtype=np.int64)
+    shifts = np.empty(n + m + 2, dtype=np.int64)
     shift = 0
     for i in range(n + m + 2 - 1, -1, -1):
-        strides[i] = 1 << shift
+        shifts[i] = shift
         shift += bits[i]
-    return np.asarray(lo, dtype=np.int64), strides
+    return _Codec(
+        np.asarray(lo, dtype=np.int64),
+        np.left_shift(1, shifts),
+        shifts,
+        np.left_shift(1, np.asarray(bits, dtype=np.int64)) - 1,
+    )
+
+
+def _unpack(codes, codec):
+    """Key rows (int32) of packed codes."""
+    return (((codes[:, None] >> codec.shifts) & codec.masks) + codec.lo).astype(np.int32)
+
+
+def _merge_codes(codes, coeffs):
+    """Stable-sort by code and sum the coefficients of equal codes, real and
+    imaginary parts separately.  Returns the unique codes, the index of the
+    first row of each, and the sums."""
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    coeffs = coeffs[order]
+    boundary = np.empty(len(codes), dtype=bool)
+    boundary[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    summed = np.add.reduceat(coeffs.real, starts) + 1j * np.add.reduceat(
+        coeffs.imag, starts
+    )
+    return codes[starts], order[starts], summed
 
 
 def _merge_rows(keys, coeffs, codec):
@@ -110,20 +154,9 @@ def _merge_rows(keys, coeffs, codec):
     if len(coeffs) == 0:
         return keys, coeffs
     if codec is not None:
-        lo, strides = codec
-        packed = (keys.astype(np.int64) - lo) @ strides
-        order = np.argsort(packed, kind="stable")
-        packed = packed[order]
-        keys = keys[order]
-        coeffs = coeffs[order]
-        boundary = np.empty(len(packed), dtype=bool)
-        boundary[0] = True
-        np.not_equal(packed[1:], packed[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        summed = np.add.reduceat(coeffs.real, starts) + 1j * np.add.reduceat(
-            coeffs.imag, starts
-        )
-        return keys[starts], summed
+        packed = (keys.astype(np.int64) - codec.lo) @ codec.strides
+        _, first, summed = _merge_codes(packed, coeffs)
+        return keys[first], summed
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     summed = np.bincount(inverse, weights=coeffs.real, minlength=len(uniq)) + (
         1j * np.bincount(inverse, weights=coeffs.imag, minlength=len(uniq))
@@ -490,6 +523,61 @@ class FourierTaylorSeries:
 def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylorSeries:
     if f.is_zero() or g.is_zero():
         return f._like(None, None)
+    if f.ecol.any() and g.ecol.any():
+        raise EtaDegreeError("product would carry eta^2; misuse of the scheme")
+    if f._codec is None:
+        return _series_mul_rows(f, g)
+    return _series_mul_packed(f, g)
+
+
+def _series_mul_packed(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylorSeries:
+    """Product on packed codes.  Pairs (i, j) are taken in row-major order,
+    filtered on |alpha| and p (which add per row) before |k|_1 is summed for
+    the survivors; the kept codes are merged with a stable sort, and only the
+    merged rows are unpacked into keys.  Summation order, and hence every
+    bit, is that of _series_mul_rows."""
+    K, L, P = f.trunc
+    codec = f._codec
+    f_codes = f.keys.astype(np.int64) @ codec.strides
+    g_codes = (g.keys.astype(np.int64) - codec.lo) @ codec.strides
+    f_room_a = L - f.acols.sum(axis=1, dtype=np.int32)
+    g_a = g.acols.sum(axis=1, dtype=np.int32)
+    f_room_p = P - f.pcol
+    fk, gk = f.kcols, g.kcols
+    M = g.num_terms
+    out_codes, out_coeffs = [], []
+    chunk = max(1, _MUL_CHUNK_PAIRS // M)
+    for start in range(0, f.num_terms, chunk):
+        rows = slice(start, start + chunk)
+        ok = (g_a[None, :] <= f_room_a[rows, None]) & (
+            g.pcol[None, :] <= f_room_p[rows, None]
+        )
+        flat = np.flatnonzero(ok)
+        i, j = np.divmod(flat, M)
+        i += start
+        k_norm = np.zeros(len(flat), dtype=np.int32)
+        for col in range(f.n):
+            k_norm += np.abs(fk[i, col] + gk[j, col])
+        far = k_norm > K
+        if far.any():
+            ok.ravel()[flat[far]] = False
+            keep = ~far
+            flat, i, j = flat[keep], i[keep], j[keep]
+        coeffs = (f.coeffs[rows, None] * g.coeffs[None, :]).reshape(-1)
+        if len(flat) < len(coeffs):
+            discard_tracker.record(float(np.abs(coeffs)[~ok.ravel()].sum()))
+        out_codes.append(f_codes[i] + g_codes[j])
+        out_coeffs.append(coeffs[flat])
+    codes = np.concatenate(out_codes)
+    if len(codes) == 0:
+        return f._like(None, None)
+    codes, _, summed = _merge_codes(codes, np.concatenate(out_coeffs))
+    return f._like(_unpack(codes, codec), summed, canonical=True)
+
+
+def _series_mul_rows(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylorSeries:
+    """Product on materialized key rows; the only path when keys do not pack
+    into 64 bits."""
     n, m = f.n, f.m
     K, L, P = f.trunc
     ncols = n + m + 2
@@ -500,8 +588,6 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
         fc = f.coeffs[start : start + chunk]
         keys = (fk[:, None, :] + g.keys[None, :, :]).reshape(-1, ncols)
         coeffs = (fc[:, None] * g.coeffs[None, :]).reshape(-1)
-        if (keys[:, n + m] > 1).any():
-            raise EtaDegreeError("product would carry eta^2; misuse of the scheme")
         ok = (
             (np.abs(keys[:, :n]).sum(axis=1) <= K)
             & (keys[:, n : n + m].sum(axis=1) <= L)

@@ -212,23 +212,47 @@ def test_malformed_generators_exit_1(bench_file, tmp_path, capsys, command, text
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["verify", "lie-check"])
-def test_oversized_stored_generator_refused_exit_2(bench_file, tmp_path, capsys, command):
-    out = tmp_path / "run"
-    main(["normalize", "--problem", str(bench_file), "--out", str(out)])
+def _oversize_first_generator(out):
     gen = json.loads((out / "generators.json").read_text())
     for term in gen["chi"][0]["chi"]["terms"]:
         term["re"] *= 1e4
         term["im"] *= 1e4
     (out / "generators.json").write_text(json.dumps(gen))
+
+
+@pytest.mark.parametrize("command", ["verify", "lie-check"])
+def test_oversized_stored_generator_refused_exit_2(bench_file, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    main(["normalize", "--problem", str(bench_file), "--out", str(out)])
+    _oversize_first_generator(out)
     capsys.readouterr()
     code = main([command, "--problem", str(bench_file), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("refused:")
 
 
+def test_lie_check_and_verify_guard_at_the_record_params(bench_file, tmp_path, capsys):
+    # both commands measure a stored generator's contraction at its own (rho, sigma)
+    out = tmp_path / "run"
+    main(["normalize", "--problem", str(bench_file), "--out", str(out)])
+    _oversize_first_generator(out)
+    errors = []
+    for command in ("verify", "lie-check"):
+        capsys.readouterr()
+        assert main([command, "--problem", str(bench_file), "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("refused: Lie contraction")
+    assert errors[0] == errors[1]
+
+
 @pytest.mark.parametrize(
-    "key, value", [("d_total", 2.0), ("max_step", 3), ("max_steps", "abc")]
+    "key, value",
+    [
+        ("d_total", 2.0),
+        ("max_step", 3),
+        ("max_steps", "abc"),
+        ("enforce_theoretical", "false"),
+    ],
 )
 def test_bad_problem_option_exit_1(bench_file, tmp_path, capsys, key, value):
     payload = json.loads(bench_file.read_text())
@@ -238,3 +262,32 @@ def test_bad_problem_option_exit_1(bench_file, tmp_path, capsys, key, value):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("epsilon", -1e-3),
+        ("a", 0.0),
+        ("a", 1.0),
+        ("a", float("nan")),
+        ("trunc.K_max", -3),
+        ("trunc.L_max", 0),
+        ("trunc.P_max", 0),
+    ],
+)
+def test_bad_problem_scalar_exit_1(bench_file, tmp_path, capsys, key, value):
+    payload = json.loads(bench_file.read_text())
+    *parents, name = key.split(".")
+    target = payload
+    for parent in parents:
+        target = target[parent]
+    target[name] = value
+    bench_file.write_text(json.dumps(payload))
+    code = main(["normalize", "--problem", str(bench_file), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert not (tmp_path / "o").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from poisson_kam import series
 from poisson_kam import (
     DecayBound,
     FourierTaylorSeries,
@@ -331,3 +332,103 @@ def test_packing_fallback_huge_truncation(rng):
     prod = f * g
     assert prod.coefficient((70001, -3, 2), (1,), 0, 2) == pytest.approx(-0.75)
     assert (f + f.scale(-1.0)).is_zero()
+    # the eta^2 guard holds on the row-wise and on the packed path
+    eta_big = FourierTaylorSeries.from_terms(3, 1, 0.5, big, [((0, 0, 0), (0,), 1, 0, 1.0)])
+    with pytest.raises(EtaDegreeError):
+        (f + eta_big) * (g + eta_big)
+    with pytest.raises(EtaDegreeError):
+        (decay(p=1) + eta()) * (cosx() + eta())
+
+
+# ---- packed product against the row-wise product ----------------------------
+
+
+def _both_products(f, g, monkeypatch):
+    """(keys, coeffs, discarded mass, discard events) of the packed and of the
+    row-wise product, each counted on a fresh tracker."""
+    out = []
+    for mul in (series._series_mul_packed, series._series_mul_rows):
+        tracker = series.TruncationTracker()
+        monkeypatch.setattr(series, "discard_tracker", tracker)
+        prod = mul(f, g)
+        out.append((prod.keys, prod.coeffs, tracker.total_mass, tracker.events))
+    return out
+
+
+def _assert_bit_identical(f, g, monkeypatch):
+    (k1, c1, mass1, ev1), (k2, c2, mass2, ev2) = _both_products(f, g, monkeypatch)
+    assert k1.shape == k2.shape and (k1 == k2).all()
+    assert (c1 == c2).all()
+    assert mass1 == mass2 and ev1 == ev2
+    return len(c1), mass1, ev1
+
+
+def _edge_terms(n, m, trunc):
+    """Terms on each truncation edge: |k|_1 = K_max, |alpha| = L_max, p = P_max."""
+    K, L, P = trunc
+    k_edge = (-K,) + (0,) * (n - 1)
+    k_split = (K - 1, -1) + (0,) * (n - 2) if n > 1 else (K,)
+    a_edge = (L,) + (0,) * (m - 1)
+    z_k, z_a = (0,) * n, (0,) * m
+    return [
+        (k_edge, z_a, 0, 0, 0.75 - 0.5j),
+        (k_split, (1,) + (0,) * (m - 1), 0, 1, -1.25),
+        (z_k, a_edge, 0, 0, 0.5 + 2j),
+        (z_k, z_a, 0, P, 1.5j),
+        (k_edge, a_edge, 0, P, -0.3 + 0.1j),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_product_bit_identical_to_rows(rng, monkeypatch, n):
+    m = 2 if n > 1 else 1
+    trunc = Truncation(4, 3, 3)
+    edges = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, _edge_terms(n, m, trunc))
+    for _ in range(6):
+        f = random_series(rng, n=n, m=m, trunc=trunc, nterms=15) + edges
+        g = random_series(rng, n=n, m=m, trunc=trunc, nterms=11, with_eta=True)
+        assert f.kcols.min() < 0 and g.ecol.any()
+        for a, b in ((f, g), (g, f), (f, f)):
+            kept, mass, events = _assert_bit_identical(a, b, monkeypatch)
+            assert kept > 0 and mass > 0 and events == 1
+
+
+def test_packed_product_all_discarded(monkeypatch):
+    f = mk([((5,), (2,), 0, 3, 1.0 + 1j), ((-6,), (1,), 0, 4, 0.5)])
+    g = mk([((4,), (0,), 0, 1, 2.0), ((-3,), (3,), 0, 4, -1j)])
+    kept, mass, events = _assert_bit_identical(f, g, monkeypatch)
+    assert kept == 0 and mass > 0 and events == 1
+    assert series._series_mul_packed(f, g).is_zero()
+
+
+def test_packed_product_chunk_split(rng, monkeypatch):
+    trunc = Truncation(4, 3, 3)
+    f = random_series(rng, n=2, m=2, trunc=trunc, nterms=40)
+    g = random_series(rng, n=2, m=2, trunc=trunc, nterms=30)
+    whole = series._series_mul_packed(f, g)
+    monkeypatch.setattr(series, "_MUL_CHUNK_PAIRS", 2 * g.num_terms + 1)
+    kept, mass, events = _assert_bit_identical(f, g, monkeypatch)
+    assert events > 1
+    assert series._series_mul_packed(f, g) == whole
+
+
+def test_packed_product_sums_in_pair_order(rng):
+    # each product coefficient is the reduceat sum of its contributions taken
+    # in row-major pair order, the order the stable merge preserves
+    trunc = Truncation(3, 2, 2)
+    f = random_series(rng, n=1, m=1, trunc=trunc, nterms=40)
+    g = random_series(rng, n=1, m=1, trunc=trunc, nterms=40)
+    products = f.coeffs[:, None] * g.coeffs[None, :]
+    parts = {}
+    for i, fk in enumerate(f.keys):
+        for j, gk in enumerate(g.keys):
+            key = fk + gk
+            if abs(key[0]) <= trunc.K_max and key[1] <= trunc.L_max and key[3] <= trunc.P_max:
+                parts.setdefault(tuple(key), []).append(products[i, j])
+    prod = series._series_mul_packed(f, g)
+    assert max(len(v) for v in parts.values()) > 16
+    assert sorted(parts) == sorted(tuple(k) for k in prod.keys)
+    for key, c in zip(prod.keys, prod.coeffs):
+        ordered = np.array(parts[tuple(key)])
+        assert c.real == np.add.reduceat(ordered.real, [0])[0]
+        assert c.imag == np.add.reduceat(ordered.imag, [0])[0]
