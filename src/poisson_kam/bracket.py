@@ -156,17 +156,6 @@ class StructureMatrix:
         """Norm of the whole (m+n)^2 matrix: (m+n)^2 * max entry majorant."""
         return (self.m + self.n) ** 2 * self._max_entry_norm(self.B12 + self.B22, params)
 
-    def eval_blocks(self, y):
-        """Numeric B12(y), B22(y) at a point (used by the integrator)."""
-        x0 = np.zeros(self.n)
-        B12 = np.array(
-            [[e.evaluate(y, x0) for e in row] for row in self.B12]
-        )
-        B22 = np.array(
-            [[e.evaluate(y, x0) for e in row] for row in self.B22]
-        )
-        return B12, B22
-
     # ---- serialization --------------------------------------------------------
 
     def to_payload(self) -> dict:

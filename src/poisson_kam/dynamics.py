@@ -3,8 +3,10 @@ how well the normalized torus is tracked by the original system.
 
 The field is zdot = B(z) H_z extended with etadot = -H_xi, xidot = H_eta; the
 gradient comes from exact series differentiation, the time stepping from an
-adaptive high-order explicit Runge-Kutta (DOP853).  Runs are short and audited
-by conservation checks, so no structure-preserving integrator is needed.
+adaptive high-order explicit Runge-Kutta (DOP853).  One evaluator serves every
+field: the gradient components and the structure entries form one SeriesStack,
+so each right-hand side is one pass over their terms.  Runs are short and
+audited by conservation checks, so no structure-preserving integrator is needed.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from scipy.integrate import solve_ivp
 
 from .bracket import ExtendedPoint, StructureMatrix
 from .errors import ParameterError, StiffnessError
-from .jsonio import fmt_float
+from .jsonio import fmt_float, safe_number
 from .kolmogorov import ChiRecord, apply_displacements, composed_displacements
-from .series import FourierTaylorSeries
+from .series import FourierTaylorSeries, SeriesStack, WeightedNormParams
 
 
 def thread_cap() -> int:
@@ -45,50 +47,40 @@ def _wrap_angles(x):
 class _GradientCache:
     """The Hamiltonian vector field of H in the extended phase space.
 
-    H_eta is taken as a constant, read off once: 1 for a system Hamiltonian
-    eta + h, 0 for an eta-free generating function.
+    One SeriesStack holds H_y, H_x, H_xi and every entry of B12 and B22, so a
+    right-hand side is one pass over all their terms.  H_eta is taken as a
+    constant, read off once: 1 for a system Hamiltonian eta + h, 0 for an
+    eta-free generating function.
     """
 
     def __init__(self, H: FourierTaylorSeries, S: StructureMatrix):
-        self.S = S
-        self.Hy = [H.partial_y(i) for i in range(S.m)]
-        self.Hx = [H.partial_x(l) for l in range(S.n)]
-        self.Hxi = H.partial_xi()
-        self.xidot = H.partial_eta().coefficient((0,) * S.n, (0,) * S.m, 0, 0).real
         self.m, self.n = S.m, S.n
-        self.constant_blocks = all(
-            e.num_terms <= 1 and not e.acols.any()
-            for row in S.B12 + S.B22
-            for e in row
+        self.stack = SeriesStack(
+            [H.partial_y(i) for i in range(S.m)]
+            + [H.partial_x(l) for l in range(S.n)]
+            + [H.partial_xi()]
+            + [e for row in S.B12 + S.B22 for e in row]
         )
-        if self.constant_blocks:
-            self._B12, self._B22 = S.eval_blocks(np.zeros(S.m))
-            self._B12 = self._B12.real
-            self._B22 = self._B22.real
+        self.xidot = H.partial_eta().coefficient((0,) * S.n, (0,) * S.m, 0, 0).real
 
     def field(self, t, v):
         m, n = self.m, self.n
-        y = v[:m]
-        x = v[m : m + n]
-        xi = v[m + n + 1]
-        Hy = np.array([g.evaluate(y, x, 0.0, xi).real for g in self.Hy])
-        Hx = np.array([g.evaluate(y, x, 0.0, xi).real for g in self.Hx])
-        if self.constant_blocks:
-            B12, B22 = self._B12, self._B22
-        else:
-            B12, B22 = self.S.eval_blocks(y)
-            B12, B22 = B12.real, B22.real
+        vals = self.stack.evaluate(v[:m], v[m : m + n], 0.0, v[m + n + 1])
+        Hy, Hx = vals[:m].real, vals[m : m + n].real
+        b = m + n + 1
+        B12 = vals[b : b + m * n].reshape(m, n).real
+        B22 = vals[b + m * n :].reshape(n, n).real
         ydot = B12 @ Hx
         xdot = -B12.T @ Hy + B22 @ Hx
-        etadot = -self.Hxi.evaluate(y, x, 0.0, xi).real
-        return np.concatenate([ydot, xdot, [etadot], [self.xidot]])
+        return np.concatenate([ydot, xdot, [-vals[m + n].real], [self.xidot]])
 
 
 def _state_vector(point: ExtendedPoint, m: int, n: int) -> np.ndarray:
+    """The real state (y, x, eta, xi); a mapped point's imaginary dust is dropped."""
     return np.concatenate(
         [
-            np.asarray(point.y, dtype=float).reshape(m),
-            np.asarray(point.x, dtype=float).reshape(n),
+            np.real(point.y).astype(float).reshape(m),
+            np.real(point.x).astype(float).reshape(n),
             [float(np.real(point.eta)), float(point.xi)],
         ]
     )
@@ -101,30 +93,20 @@ def integrate(
     t_end: float,
     tol: float,
     omega: Optional[np.ndarray] = None,
-    torus_action: Optional[np.ndarray] = None,
 ) -> List[TrajectorySample]:
     """Integrate the extended system from ``start`` for t in [0, t_end].
 
-    One sample per accepted solver step.  torus_error is the Euclidean
-    distance of y from torus_action (default: the origin, i.e. the expansion
-    torus); phase_drift is x(t) - x(0) - omega t wrapped to (-pi, pi].  When
-    omega is not supplied it is recovered from the linear action part of H.
+    One sample per accepted solver step.  torus_error is |y|, the Euclidean
+    distance from the expansion torus y = 0; phase_drift is x(t) - x(0) -
+    omega t wrapped to (-pi, pi].  When omega is not supplied it is recovered
+    from the linear action part of H.
     """
     grad = _GradientCache(H, S)
     m, n = S.m, S.n
     if omega is None:
-        omega_tilde = np.array(
-            [
-                H.coefficient(
-                    (0,) * n, tuple(1 if t_ == i else 0 for t_ in range(m)), 0, 0
-                ).real
-                for i in range(m)
-            ]
-        )
-        omega = S.B0 @ omega_tilde
-    torus_action = (
-        np.zeros(m) if torus_action is None else np.asarray(torus_action, dtype=float)
-    )
+        unit = np.eye(m, dtype=int)
+        omega_tilde = [H.coefficient((0,) * n, unit[i], 0, 0).real for i in range(m)]
+        omega = S.B0 @ np.array(omega_tilde)
     v0 = _state_vector(start, m, n)
     sol = solve_ivp(
         grad.field,
@@ -140,7 +122,7 @@ def integrate(
     x0 = v0[m : m + n]
     for t, v in zip(sol.t, sol.y.T):
         point = ExtendedPoint(v[:m].copy(), v[m : m + n].copy(), v[m + n], v[m + n + 1])
-        err = float(np.linalg.norm(v[:m] - torus_action))
+        err = float(np.linalg.norm(v[:m]))
         drift = _wrap_angles(v[m : m + n] - x0 - omega * t)
         samples.append(TrajectorySample(float(t), point, err, drift))
     return samples
@@ -178,8 +160,6 @@ class AngleReport:
     mapped: List[TrajectorySample] = field(default_factory=list, repr=False)
 
     def as_dict(self):
-        from .jsonio import safe_number
-
         return {
             "x0": self.x0,
             "naive_settled": self.naive_settled,
@@ -204,8 +184,6 @@ class PersistenceReport:
     passed: bool = False
 
     def as_dict(self):
-        from .jsonio import safe_number
-
         return {
             "t_end": self.t_end,
             "tol": self.tol,
@@ -259,19 +237,7 @@ def torus_persistence_report(
         mapped_start = apply_displacements(disp, naive_start)
         xi_shift = abs(mapped_start.xi - naive_start.xi)
         naive = integrate(H, S, naive_start, t_end, tol, omega=omega)
-        mapped = integrate(
-            H,
-            S,
-            ExtendedPoint(
-                np.real(mapped_start.y).astype(float),
-                np.real(mapped_start.x).astype(float),
-                float(np.real(mapped_start.eta)),
-                mapped_start.xi,
-            ),
-            t_end,
-            tol,
-            omega=omega,
-        )
+        mapped = integrate(H, S, mapped_start, t_end, tol, omega=omega)
         ns, ms = _settled(naive, settle_from), _settled(mapped, settle_from)
         if ns <= floor and ms <= floor:
             improvement = math.inf
@@ -319,8 +285,6 @@ def lie_vs_flow_check(
     land where the series map sends the point.  Returns the max coordinate
     distance.
     """
-    from .series import WeightedNormParams
-
     if params is None:
         params = WeightedNormParams(1.0, 1.0)
     m, n = S.m, S.n

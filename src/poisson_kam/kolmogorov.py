@@ -32,6 +32,7 @@ from .errors import ProblemFormatError, StepRefusedError
 from .homological import FrequencyData, build_E, lattice_divisors, solve_S, solve_T
 from .series import (
     FourierTaylorSeries,
+    SeriesStack,
     WeightedNormParams,
     reassemble_taylor,
     shift_action_expansion,
@@ -101,13 +102,10 @@ class HamiltonianDecomposition:
             weighted_norm(self.A, params).K, vector_norm(self.B, params).K
         )
 
-    def min_decay_index(self, dominant=True):
-        """Smallest decay index across A and B (dominant support by default;
-        exact-cancellation dust sits ~1e-16 below scale and is excluded)."""
-        if dominant:
-            ps = [s.dominant_min_decay_index() for s in [self.A] + list(self.B)]
-        else:
-            ps = [s.min_decay_index() for s in [self.A] + list(self.B)]
+    def min_decay_index(self):
+        """Smallest decay index across the dominant supports of A and B
+        (exact-cancellation dust sits ~1e-16 below scale and is excluded)."""
+        ps = [s.dominant_min_decay_index() for s in [self.A] + list(self.B)]
         ps = [p for p in ps if p is not None]
         return min(ps) if ps else None
 
@@ -726,15 +724,16 @@ def composed_displacements(chi_records, S: StructureMatrix):
 
 
 def apply_displacements(disp, point: ExtendedPoint) -> ExtendedPoint:
-    """Evaluate a composed map from composed_displacements at a point."""
-
-    def at(c):
-        d = disp[c]
-        return 0.0 if d is None else d.evaluate(point.y, point.x, point.eta, point.xi)
-
-    y = np.array([v + at(("y", i)) for i, v in enumerate(point.y)])
-    x = np.array([v + at(("x", l)) for l, v in enumerate(point.x)])
-    return ExtendedPoint(y, x, point.eta + at("eta"), point.xi)
+    """Evaluate a composed map from composed_displacements at a point; the
+    displacements that are not None are evaluated as one SeriesStack."""
+    live = [c for c, d in disp.items() if d is not None]
+    vals = []
+    if live:
+        vals = SeriesStack([disp[c] for c in live]).evaluate(point.y, point.x, point.eta, point.xi)
+    at = dict(zip(live, map(complex, vals)))
+    y = np.array([v + at.get(("y", i), 0.0) for i, v in enumerate(point.y)])
+    x = np.array([v + at.get(("x", l), 0.0) for l, v in enumerate(point.x)])
+    return ExtendedPoint(y, x, point.eta + at.get("eta", 0.0), point.xi)
 
 
 def compose_map(chi_records, point: ExtendedPoint, S: StructureMatrix):

@@ -51,24 +51,32 @@ class Problem:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon) or self.epsilon < 0:
-            raise ProblemFormatError(
-                "epsilon must be finite and >= 0, got %r" % self.epsilon
-            )
-        if not 0.0 < self.a < 1.0:
-            raise ProblemFormatError("decay rate a must lie in (0, 1), got %r" % self.a)
-        for name, order in self.trunc._asdict().items():
-            if order < 1:
-                raise ProblemFormatError(
-                    "truncation order %s must be >= 1, got %r" % (name, order)
-                )
         for name in self.options:
             self.option(name)
+        y_star = np.asarray(self.y_star, dtype=float)
+        rho, sigma = self.option("rho"), self.option("sigma")
+        fin = math.isfinite
+        rules = [
+            ("epsilon", self.epsilon, "finite and >= 0", fin(self.epsilon) and self.epsilon >= 0),
+            ("decay rate a", self.a, "in (0, 1)", 0.0 < self.a < 1.0),
+            ("tau", self.tau, "finite and >= 0", fin(self.tau) and self.tau >= 0),
+            ("rho", rho, "finite and > 0", fin(rho) and rho > 0),
+            ("sigma", sigma, "finite and > 0", fin(sigma) and sigma > 0),
+            ("y_star", y_star.tolist(), "%d finite numbers" % self.m,
+             y_star.shape == (self.m,) and np.isfinite(y_star).all()),
+        ]
+        rules += [
+            ("truncation order " + k, v, ">= 1", v >= 1) for k, v in self.trunc._asdict().items()
+        ]
+        for name, value, rule, ok in rules:
+            if not ok:
+                raise ProblemFormatError("%s must be %s, got %r" % (name, rule, value))
 
     def option(self, name, override=None):
         """The override, else the file value, else the default; None counts as
         unset.  The value is coerced by the type of its default (float where
-        the default is None); a boolean option takes only true or false.
+        the default is None); a boolean option takes only true or false, an
+        integer option no boolean and no number with a fractional part.
         Raises ProblemFormatError for an unknown name or a value that does
         not coerce."""
         if name in _OPTION_DEFAULTS:
@@ -86,6 +94,9 @@ class Problem:
                     "option %r: expected true or false, got %r" % (name, value)
                 )
             return value
+        fractional = isinstance(value, float) and not value.is_integer()
+        if isinstance(default, int) and (isinstance(value, bool) or fractional):
+            raise ProblemFormatError("option %r: expected an integer, got %r" % (name, value))
         try:
             return (float if default is None else type(default))(value)
         except (TypeError, ValueError) as exc:

@@ -252,6 +252,10 @@ def test_lie_check_and_verify_guard_at_the_record_params(bench_file, tmp_path, c
         ("max_step", 3),
         ("max_steps", "abc"),
         ("enforce_theoretical", "false"),
+        ("max_steps", True),
+        ("lie_cap", False),
+        ("seed", 1.7),
+        ("max_steps", float("inf")),
     ],
 )
 def test_bad_problem_option_exit_1(bench_file, tmp_path, capsys, key, value):
@@ -276,6 +280,12 @@ def test_bad_problem_option_exit_1(bench_file, tmp_path, capsys, key, value):
         ("trunc.K_max", -3),
         ("trunc.L_max", 0),
         ("trunc.P_max", 0),
+        ("tau", float("nan")),
+        ("tau", -1),
+        ("y_star", [1, 2]),
+        ("y_star", [float("inf")]),
+        ("options.rho", -0.5),
+        ("options.sigma", float("nan")),
     ],
 )
 def test_bad_problem_scalar_exit_1(bench_file, tmp_path, capsys, key, value):
@@ -290,4 +300,16 @@ def test_bad_problem_scalar_exit_1(bench_file, tmp_path, capsys, key, value):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("part, value", [("re", float("nan")), ("im", float("inf"))])
+def test_nonfinite_coefficient_exit_1(bench_file, tmp_path, capsys, part, value):
+    payload = json.loads(bench_file.read_text())
+    payload["f"]["terms"][0][part] = value
+    bench_file.write_text(json.dumps(payload))
+    code = main(["normalize", "--problem", str(bench_file), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite coefficient" in err
     assert not (tmp_path / "o").exists()

@@ -9,10 +9,12 @@ from poisson_kam import (
     benchmark_problem,
     integrate,
     lie_vs_flow_check,
+    rescaled_benchmark_problem,
     run,
     torus_persistence_report,
     write_trajectory,
 )
+from poisson_kam.dynamics import _GradientCache
 from poisson_kam.errors import PoissonKamError
 
 from conftest import (
@@ -54,6 +56,36 @@ def test_time_coordinate_linear():
     samples = integrate(setup.decomp.full, setup.structure, start, 10.0, 1e-11)
     for s in samples:
         assert s.point.xi == pytest.approx(0.25 + s.t, abs=1e-9)
+
+
+def _field_entry_by_entry(H, S, v):
+    """The vector field from one evaluate call per gradient component and per
+    structure entry, the blocks taken at x = 0, xi = 0."""
+    m, n = S.m, S.n
+    y, x, xi = v[:m], v[m : m + n], v[m + n + 1]
+    Hy = np.array([H.partial_y(i).evaluate(y, x, 0.0, xi).real for i in range(m)])
+    Hx = np.array([H.partial_x(l).evaluate(y, x, 0.0, xi).real for l in range(n)])
+    x0 = np.zeros(n)
+    B12 = np.array([[e.evaluate(y, x0) for e in row] for row in S.B12]).real
+    B22 = np.array([[e.evaluate(y, x0) for e in row] for row in S.B22]).real
+    etadot = -H.partial_xi().evaluate(y, x, 0.0, xi).real
+    xidot = H.partial_eta().coefficient((0,) * n, (0,) * m, 0, 0).real
+    return np.concatenate([B12 @ Hx, -B12.T @ Hy + B22 @ Hx, [etadot], [xidot]])
+
+
+def test_field_equals_entry_by_entry_formula(rng):
+    # y-dependent B12 and a skew B22 with zero entries: the one stacked pass
+    # gives the per-entry formula bit for bit
+    setup = rescaled_benchmark_problem().initialize()
+    H, S = setup.decomp.full, setup.structure
+    assert any(e.acols.any() for row in S.B12 for e in row)
+    assert any(e.is_zero() for row in S.B22 for e in row)
+    field = _GradientCache(H, S).field
+    for _ in range(20):
+        v = np.concatenate(
+            [0.1 * rng.normal(size=S.m), rng.uniform(-7.0, 7.0, S.n), [0.0, rng.uniform(0, 50)]]
+        )
+        assert (field(0.0, v) == _field_entry_by_entry(H, S, v)).all()
 
 
 def test_write_trajectory_format(tmp_path):

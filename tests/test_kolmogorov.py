@@ -407,7 +407,8 @@ def test_compose_map_matches_sequential_flows():
             y, x, xi = v[:1], v[1:2], v[3]
             cx = np.array([g.evaluate(y, x, 0, xi) for g in chix])
             cy = np.array([g.evaluate(y, x, 0, xi) for g in chiy])
-            B12, B22 = S.eval_blocks(y)
+            B12 = np.array([[e.evaluate(y, x) for e in row] for row in S.B12])
+            B22 = np.array([[e.evaluate(y, x) for e in row] for row in S.B22])
             return np.concatenate(
                 [
                     np.real(-(B12 @ cx)),

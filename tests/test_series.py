@@ -20,6 +20,7 @@ from poisson_kam.errors import (
     NormDomainError,
     StructureMismatchError,
 )
+from poisson_kam.series import SeriesStack
 
 from conftest import cosx, decay, eta, mk, random_series, yi, zeros
 
@@ -145,6 +146,41 @@ def test_eval_omega_dot_y():
 def test_eval_decaying_cos():
     f = cosx(p=1)
     assert f.evaluate([0.0], [0.0], 0.0, 0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_stack_matches_each_part(rng, n):
+    # every part of a stack evaluates bit for bit as it does alone, whatever
+    # its neighbours: the empty part, the eta part and the one-term part too.
+    # The one-term k = (1, 3) rounds k.x differently under a fused dot, which
+    # a matrix product takes for a single row; the > 8-term part sums
+    # differently under a sequential reduceat.
+    m, a, trunc = 2, 0.5, Truncation(4, 3, 3)
+    k_one = (1, 3) + (0,) * (n - 2) if n > 1 else (3,)
+    parts = [
+        random_series(rng, n=n, m=m, a=a, trunc=trunc, nterms=20),
+        FourierTaylorSeries.zeros(n, m, a, trunc),
+        random_series(rng, n=n, m=m, a=a, trunc=trunc, nterms=6, with_eta=True),
+        FourierTaylorSeries.from_terms(n, m, a, trunc, [(k_one, (1, 0), 0, 1, 0.3 - 0.7j)]),
+        random_series(rng, n=n, m=m, a=a, trunc=trunc, nterms=3),
+    ]
+    assert parts[0].num_terms > 8
+    assert parts[2].ecol.any() and not parts[2].ecol.all()
+    stack = SeriesStack(parts)
+    for _ in range(10):
+        y, x, et, xi = rand_point(rng, n, m)
+        for point in ((y, x, et, xi), (y.real, x.real, 0.0, xi.real)):
+            got = stack.evaluate(*point)
+            assert got.shape == (len(parts),)
+            assert [complex(v) for v in got] == [part.evaluate(*point) for part in parts]
+    assert (SeriesStack(parts[1:2]).evaluate(y, x) == 0).all()
+
+
+def test_series_stack_rejects_mixed_rings():
+    with pytest.raises(StructureMismatchError):
+        SeriesStack([zeros(), zeros(n=2)])
+    with pytest.raises(StructureMismatchError):
+        SeriesStack([zeros(), zeros(a=0.25)])
 
 
 # ---- weighted norm ----------------------------------------------------------
