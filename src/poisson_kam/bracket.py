@@ -271,11 +271,15 @@ def gamma_rho_sigma(S: StructureMatrix, params: WeightedNormParams) -> float:
 
 @dataclass
 class LieDiagnostics:
+    """converged is False when the term cap stopped the series while its
+    last term was still above the relative tolerance."""
+
     contraction: float
     s_stop: int
     tail_bound: float
     term_norms: List[float] = field(default_factory=list)
     discarded_mass: float = 0.0
+    converged: bool = True
 
 
 def _lie_sum(chi, first_term, base, S, params, contraction, tol, cap):
@@ -290,7 +294,8 @@ def _lie_sum(chi, first_term, base, S, params, contraction, tol, cap):
         tn = majorant_with_eta(term, params)
         norms.append(tn)
         running = majorant_with_eta(total, params)
-        if term.is_zero() or tn <= tol * max(running, 1e-300) or s >= cap:
+        converged = term.is_zero() or tn <= tol * max(running, 1e-300)
+        if converged or s >= cap:
             break
         s += 1
         term = poisson_bracket(chi, term, S).scale(1.0 / s)
@@ -303,6 +308,7 @@ def _lie_sum(chi, first_term, base, S, params, contraction, tol, cap):
         tail_bound=tail,
         term_norms=norms,
         discarded_mass=discard_tracker.snapshot() - before,
+        converged=converged,
     )
     return total, diag
 

@@ -602,6 +602,7 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
         "gamma_rho_sigma": gamma_rho_sigma(S, params),
         "lie_contraction": diag.contraction,
         "lie_terms": diag.s_stop,
+        "lie_converged": diag.converged,
         "lie_tail_bound": diag.tail_bound,
         "lie_discarded_mass": diag.discarded_mass,
         "hom_residual_low": resid_low,
@@ -679,6 +680,11 @@ def run(setup, max_steps=None, target_eps=None) -> RunResult:
             break
         trace.rows.append(row)
         chi_records.append(chi_rec)
+        if not row["lie_converged"]:
+            warnings.append(
+                "step %d: Lie series stopped by its cap at %d terms above lie_tol "
+                "(tail bound %.3g)" % (j, row["lie_terms"], row["lie_tail_bound"])
+            )
         grew = grew + 1 if u_next.eps > u.eps else 0
         u = u_next
         if u.eps > target_eps and grew >= 2:

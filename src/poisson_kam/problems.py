@@ -36,6 +36,17 @@ _OPTION_DEFAULTS = {
 _RUN_DEFAULTS = {f.name: f.default for f in fields(RunOptions)}
 
 
+# the range each numeric option must lie in, whether set in the file or
+# passed as an override
+_OPTION_RANGES = {
+    **dict.fromkeys(("rho", "sigma", "tol", "t_end", "target_eps", "lie_tol"),
+                    ("finite and > 0", lambda v: math.isfinite(v) and v > 0)),
+    **dict.fromkeys(("prune_rel", "d_floor"),
+                    ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)),
+    **dict.fromkeys(("max_steps", "lie_cap"), (">= 1", lambda v: v >= 1)),
+}
+
+
 @dataclass
 class Problem:
     n: int
@@ -54,14 +65,11 @@ class Problem:
         for name in self.options:
             self.option(name)
         y_star = np.asarray(self.y_star, dtype=float)
-        rho, sigma = self.option("rho"), self.option("sigma")
         fin = math.isfinite
         rules = [
             ("epsilon", self.epsilon, "finite and >= 0", fin(self.epsilon) and self.epsilon >= 0),
             ("decay rate a", self.a, "in (0, 1)", 0.0 < self.a < 1.0),
             ("tau", self.tau, "finite and >= 0", fin(self.tau) and self.tau >= 0),
-            ("rho", rho, "finite and > 0", fin(rho) and rho > 0),
-            ("sigma", sigma, "finite and > 0", fin(sigma) and sigma > 0),
             ("y_star", y_star.tolist(), "%d finite numbers" % self.m,
              y_star.shape == (self.m,) and np.isfinite(y_star).all()),
         ]
@@ -76,9 +84,10 @@ class Problem:
         """The override, else the file value, else the default; None counts as
         unset.  The value is coerced by the type of its default (float where
         the default is None); a boolean option takes only true or false, an
-        integer option no boolean and no number with a fractional part.
-        Raises ProblemFormatError for an unknown name or a value that does
-        not coerce."""
+        integer option no boolean and no number with a fractional part, and
+        a numeric option must lie in its range in _OPTION_RANGES.  Raises
+        ProblemFormatError for an unknown name or a value that does not
+        coerce or is out of range."""
         if name in _OPTION_DEFAULTS:
             default = _OPTION_DEFAULTS[name]
         elif name in _RUN_DEFAULTS:
@@ -98,9 +107,13 @@ class Problem:
         if isinstance(default, int) and (isinstance(value, bool) or fractional):
             raise ProblemFormatError("option %r: expected an integer, got %r" % (name, value))
         try:
-            return (float if default is None else type(default))(value)
+            value = (float if default is None else type(default))(value)
         except (TypeError, ValueError) as exc:
             raise ProblemFormatError("option %r: %s" % (name, exc)) from exc
+        rule, ok = _OPTION_RANGES.get(name, (None, None))
+        if rule is not None and not ok(value):
+            raise ProblemFormatError("option %r must be %s, got %r" % (name, rule, value))
+        return value
 
     def run_options(self, **overrides) -> RunOptions:
         unknown = sorted(set(overrides) - set(_RUN_DEFAULTS))

@@ -16,16 +16,21 @@ alpha_1..alpha_m, e, p) plus a complex coefficient vector, kept in a canonical
 sorted order with no exactly-zero coefficients.  All operations are pure; the
 arrays are marked read-only, so series can be shared freely across threads.
 
-Multiplication works on packed keys: each key row packs into one int64 code,
-and packing is linear, so a product's code is a sum of its factors' codes.
-Pairs are filtered on |alpha| and p, which add per row, before |k|_1 is
-summed for the survivors; the kept codes are merged with a stable
-sort/reduceat pass (the same one that canonicalizes any key rows), and only
-the merged codes are unpacked into keys.  Row-major pair order and the stable
-sort fix the summation order, so every coefficient is bit-identical to summing
-materialized key rows, which remains the path for truncations too wide for 64
-bits.  Mass discarded by the hard truncation is accumulated on a module-level
-tracker so tests can demand "no discard".
+Multiplication forms only the pairs of terms that survive the |alpha| and p
+orders: the second factor's rows are grouped by their (|alpha|, p) class,
+so the rows within reach of a first-factor row are one contiguous run per
+|alpha| level, and every run is expanded in one vectorized pass, so no N*M
+array is built.  |k|_1 is summed for those pairs only.  Each key row packs
+into one int64 code, and packing is linear, so a product's code is a sum of
+its factors' codes; the kept codes are merged with a stable sort/reduceat
+pass (the same one that canonicalizes any key rows), and only the merged
+codes are unpacked into keys.  Lattices too wide for 62 bits merge summed
+key rows instead.  Pairs are taken first-factor-row by row, and the stable
+merge keeps that order, so every coefficient is bit-identical to summing all
+N*M pairs in row-major order.  Mass discarded by the hard truncation is
+accumulated on a module-level tracker so tests can demand "no discard"; the
+pairs cut on |alpha| or p are valued per class, |c_f| times the mass of the
+second factor's classes out of reach.
 
 Evaluation at a point is written once, in SeriesStack, which values the terms
 of several series in one pass; FourierTaylorSeries.evaluate is its one-series case.
@@ -47,7 +52,8 @@ from .errors import (
     StructureMismatchError,
 )
 
-# pairs per chunk in the outer-product multiply; keeps peak memory modest
+# pairs within the |alpha| and p orders per chunk of the product, which
+# splits the first factor's rows into ranges; keeps peak memory modest
 _MUL_CHUNK_PAIRS = 2_000_000
 
 # hygiene threshold used by canonical_pruned(); never applied inside add/mul
@@ -553,84 +559,87 @@ class SeriesStack:
 
 
 def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylorSeries:
+    """f * g from the pairs (i, j) within the |alpha| and p orders only, taken
+    in i-major order (see the module docstring).  g's keys are unique, so
+    each f row adds at most once to an output key, and every coefficient is
+    the row-major all-pairs sum bit for bit.  One discard event is recorded
+    per chunk that drops a pair."""
     if f.is_zero() or g.is_zero():
         return f._like(None, None)
     if f.ecol.any() and g.ecol.any():
         raise EtaDegreeError("product would carry eta^2; misuse of the scheme")
-    if f._codec is None:
-        return _series_mul_rows(f, g)
-    return _series_mul_packed(f, g)
-
-
-def _series_mul_packed(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Product on packed codes.  Pairs (i, j) are taken in row-major order,
-    filtered on |alpha| and p (which add per row) before |k|_1 is summed for
-    the survivors; the kept codes are merged with a stable sort, and only the
-    merged rows are unpacked into keys.  Summation order, and hence every
-    bit, is that of _series_mul_rows."""
+    n = f.n
     K, L, P = f.trunc
     codec = f._codec
-    f_codes = f.keys.astype(np.int64) @ codec.strides
-    g_codes = (g.keys.astype(np.int64) - codec.lo) @ codec.strides
-    f_room_a = L - f.acols.sum(axis=1, dtype=np.int32)
-    g_a = g.acols.sum(axis=1, dtype=np.int32)
-    f_room_p = P - f.pcol
-    fk, gk = f.kcols, g.kcols
-    M = g.num_terms
-    out_codes, out_coeffs = [], []
-    chunk = max(1, _MUL_CHUNK_PAIRS // M)
-    for start in range(0, f.num_terms, chunk):
-        rows = slice(start, start + chunk)
-        ok = (g_a[None, :] <= f_room_a[rows, None]) & (
-            g.pcol[None, :] <= f_room_p[rows, None]
-        )
-        flat = np.flatnonzero(ok)
-        i, j = np.divmod(flat, M)
-        i += start
-        k_norm = np.zeros(len(flat), dtype=np.int32)
-        for col in range(f.n):
-            k_norm += np.abs(fk[i, col] + gk[j, col])
+    # g in (|alpha|, p) class order; class (a, p) is a * (P + 1) + p, and it
+    # is rows first[c] .. first[c + 1] of the sorted g
+    classes = (L + 1) * (P + 1)
+    g_class = g.acols.sum(axis=1, dtype=np.int64) * (P + 1) + g.pcol
+    order = np.argsort(g_class, kind="stable")
+    counts = np.bincount(g_class, minlength=classes)
+    first = np.concatenate([[0], np.cumsum(counts)])
+    level_start = np.arange(0, classes, P + 1)
+    level_first = first[level_start]
+    # for each room (ra, rp) of an f row: the number of g rows with
+    # |alpha| <= ra and p <= rp, and the g mass out of reach, built from
+    # suffix sums of nonnegative masses (never as total - reachable, which
+    # cancels); tails[a, p] is the mass of class a at p or above
+    reach = counts.reshape(L + 1, P + 1).cumsum(axis=0).cumsum(axis=1)
+    mass = np.bincount(g_class, weights=np.abs(g.coeffs), minlength=classes)
+    tails = np.zeros((L + 2, P + 2))
+    tails[:-1, :-1] = mass.reshape(L + 1, P + 1)
+    tails = tails[:, ::-1].cumsum(axis=1)[:, ::-1]
+    above = tails[::-1, 0].cumsum()[::-1]
+    unreached = above[1:, None] + tails[:-1, 1:].cumsum(axis=0)
+
+    room_a = L - f.acols.sum(axis=1, dtype=np.int64)
+    room_p = P - f.pcol.astype(np.int64)
+    pairs = reach[room_a, room_p]
+    f_abs = np.abs(f.coeffs)
+    g_keys, g_coeffs = g.keys[order], g.coeffs[order]
+    fk = np.ascontiguousarray(f.kcols.T)
+    gk = np.ascontiguousarray(g_keys[:, :n].T)
+    if codec is not None:
+        f_rows = f.keys.astype(np.int64) @ codec.strides
+        g_rows = (g_keys.astype(np.int64) - codec.lo) @ codec.strides
+    else:
+        f_rows, g_rows = f.keys, g_keys
+
+    out_rows, out_coeffs = [], []
+    ends = np.cumsum(pairs)
+    start = 0
+    while start < f.num_terms:
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _MUL_CHUNK_PAIRS, "right")))
+        ra, rp = room_a[start:stop], room_p[start:stop]
+        # one run per (f row, |alpha| level a): the g rows of classes
+        # (a, 0..rp), empty above the row's |alpha| room
+        length = first[level_start + rp[:, None] + 1] - level_first
+        length = (length * (np.arange(L + 1) <= ra[:, None])).ravel()
+        lo = np.tile(level_first, stop - start)
+        i = np.repeat(np.arange(start, stop), pairs[start:stop])
+        j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(length) - length), length)
+        k_norm = np.zeros(len(i), dtype=np.int32)
+        for col in range(n):
+            k_norm += np.abs(fk[col][i] + gk[col][j])
+        lost = float(f_abs[start:stop] @ unreached[ra, rp])
         far = k_norm > K
         if far.any():
-            ok.ravel()[flat[far]] = False
-            keep = ~far
-            flat, i, j = flat[keep], i[keep], j[keep]
-        coeffs = (f.coeffs[rows, None] * g.coeffs[None, :]).reshape(-1)
-        if len(flat) < len(coeffs):
-            discard_tracker.record(float(np.abs(coeffs)[~ok.ravel()].sum()))
-        out_codes.append(f_codes[i] + g_codes[j])
-        out_coeffs.append(coeffs[flat])
-    codes = np.concatenate(out_codes)
-    if len(codes) == 0:
+            lost += float(np.abs(f.coeffs[i[far]] * g_coeffs[j[far]]).sum())
+            near = ~far
+            i, j = i[near], j[near]
+        discard_tracker.record(lost)
+        out_rows.append(f_rows[i] + g_rows[j])
+        out_coeffs.append(f.coeffs[i] * g_coeffs[j])
+        start = stop
+    rows = np.concatenate(out_rows)
+    coeffs = np.concatenate(out_coeffs)
+    if len(coeffs) == 0:
         return f._like(None, None)
-    codes, _, summed = _merge_codes(codes, np.concatenate(out_coeffs))
+    if codec is None:
+        return f._like(rows, coeffs)
+    codes, _, summed = _merge_codes(rows, coeffs)
     return f._like(_unpack(codes, codec), summed, canonical=True)
-
-
-def _series_mul_rows(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Product on materialized key rows; the only path when keys do not pack
-    into 64 bits."""
-    n, m = f.n, f.m
-    K, L, P = f.trunc
-    ncols = n + m + 2
-    out_keys, out_coeffs = [], []
-    chunk = max(1, _MUL_CHUNK_PAIRS // max(1, g.num_terms))
-    for start in range(0, f.num_terms, chunk):
-        fk = f.keys[start : start + chunk]
-        fc = f.coeffs[start : start + chunk]
-        keys = (fk[:, None, :] + g.keys[None, :, :]).reshape(-1, ncols)
-        coeffs = (fc[:, None] * g.coeffs[None, :]).reshape(-1)
-        ok = (
-            (np.abs(keys[:, :n]).sum(axis=1) <= K)
-            & (keys[:, n : n + m].sum(axis=1) <= L)
-            & (keys[:, n + m + 1] <= P)
-        )
-        if not ok.all():
-            discard_tracker.record(float(np.abs(coeffs[~ok]).sum()))
-            keys, coeffs = keys[ok], coeffs[ok]
-        out_keys.append(keys)
-        out_coeffs.append(coeffs)
-    return f._like(np.concatenate(out_keys), np.concatenate(out_coeffs))
 
 
 # ---- norms ------------------------------------------------------------------

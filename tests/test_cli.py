@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poisson_kam
 from poisson_kam import benchmark_problem, two_dof_problem
 from poisson_kam.cli import main
 
@@ -245,6 +250,28 @@ def test_lie_check_and_verify_guard_at_the_record_params(bench_file, tmp_path, c
     assert errors[0] == errors[1]
 
 
+def _cli_with_timeout(*args):
+    """The CLI in a child process with a timeout: an unchecked NaN tol or
+    t_end makes the integrator spin instead of failing."""
+    src = str(Path(poisson_kam.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, "-m", "poisson_kam.cli", *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+@pytest.fixture(scope="module")
+def bench_run(tmp_path_factory):
+    """The benchmark problem file and the directory of its normalize outputs."""
+    root = tmp_path_factory.mktemp("bench_run")
+    problem = root / "bench.json"
+    benchmark_problem(epsilon=1e-3).save(problem)
+    assert main(["normalize", "--problem", str(problem), "--out", str(root / "out")]) == 0
+    return problem, root / "out"
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -256,16 +283,44 @@ def test_lie_check_and_verify_guard_at_the_record_params(bench_file, tmp_path, c
         ("lie_cap", False),
         ("seed", 1.7),
         ("max_steps", float("inf")),
+        ("tol", float("nan")),
+        ("tol", -1),
+        ("t_end", float("nan")),
+        ("t_end", 0.0),
+        ("target_eps", float("nan")),
+        ("lie_tol", 0.0),
+        ("prune_rel", float("nan")),
+        ("d_floor", -1e-3),
+        ("max_steps", -3),
+        ("lie_cap", -1),
     ],
 )
-def test_bad_problem_option_exit_1(bench_file, tmp_path, capsys, key, value):
-    payload = json.loads(bench_file.read_text())
+def test_bad_problem_option_exit_1(bench_run, tmp_path, key, value):
+    problem, out = bench_run
+    payload = json.loads(problem.read_text())
     payload["options"][key] = value
-    bench_file.write_text(json.dumps(payload))
-    code = main(["normalize", "--problem", str(bench_file), "--out", str(tmp_path / "o")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(key) in err
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    proc = _cli_with_timeout("verify", "--angles", "1", "--problem", str(bad), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and repr(key) in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key, args",
+    [
+        ("tol", ["verify", "--angles", "1", "--tol", "nan"]),
+        ("t_end", ["verify", "--angles", "1", "--t-end", "-1"]),
+        ("max_steps", ["normalize", "--max-steps", "-3"]),
+    ],
+)
+def test_bad_option_flag_exit_1(bench_run, tmp_path, key, args):
+    problem, out = bench_run
+    if args[0] == "normalize":
+        out = tmp_path / "o"
+    proc = _cli_with_timeout(*args, "--problem", str(problem), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and repr(key) in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,17 @@ def test_run_empirical_mode_flag():
     assert any("empirical" in w for w in res.trace.header["warnings"])
 
 
+def test_run_flags_lie_series_stopped_by_cap():
+    capped = run(benchmark_problem(epsilon=1e-3).initialize(lie_cap=2))
+    row = capped.trace.rows[0]
+    assert row["lie_converged"] is False and row["lie_terms"] == 2
+    warnings = capped.trace.header["warnings"]
+    assert any(w.startswith("step 0: Lie series stopped by its cap") for w in warnings)
+    free = run(canonical_setup(epsilon=1e-3))
+    assert all(row["lie_converged"] is True for row in free.trace.rows)
+    assert not any("Lie series" in w for w in free.trace.header["warnings"])
+
+
 def test_run_decay_order_growth():
     res = run(canonical_setup(epsilon=1e-3), max_steps=3, target_eps=0.0)
     minps = [row["min_p_out"] for row in res.trace.rows]
@@ -285,7 +296,7 @@ def test_run_divergence_abort(monkeypatch):
             d=u.d, eps=state["eps"], zeta=u.zeta, upsilon=u.upsilon,
             rho=u.rho, sigma=u.sigma, a=u.a, tau=u.tau, gamma=u.gamma,
         )
-        row = {"step": step_index, "eps_in": u.eps, "eps_out": state["eps"]}
+        row = {"step": step_index, "eps_in": u.eps, "eps_out": state["eps"], "lie_converged": True}
         chi = K.ChiRecord(step_index, decomp.A, u.rho, u.sigma, u.d)
         return decomp, chi, u_next, row
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisson_kam import series
 from poisson_kam import (
@@ -368,7 +369,7 @@ def test_packing_fallback_huge_truncation(rng):
     prod = f * g
     assert prod.coefficient((70001, -3, 2), (1,), 0, 2) == pytest.approx(-0.75)
     assert (f + f.scale(-1.0)).is_zero()
-    # the eta^2 guard holds on the row-wise and on the packed path
+    # the eta^2 guard holds on a wide and on a packed lattice
     eta_big = FourierTaylorSeries.from_terms(3, 1, 0.5, big, [((0, 0, 0), (0,), 1, 0, 1.0)])
     with pytest.raises(EtaDegreeError):
         (f + eta_big) * (g + eta_big)
@@ -376,27 +377,39 @@ def test_packing_fallback_huge_truncation(rng):
         (decay(p=1) + eta()) * (cosx() + eta())
 
 
-# ---- packed product against the row-wise product ----------------------------
+# ---- product against the all-pairs oracle -------------------------------------
 
 
-def _both_products(f, g, monkeypatch):
-    """(keys, coeffs, discarded mass, discard events) of the packed and of the
-    row-wise product, each counted on a fresh tracker."""
-    out = []
-    for mul in (series._series_mul_packed, series._series_mul_rows):
-        tracker = series.TruncationTracker()
-        monkeypatch.setattr(series, "discard_tracker", tracker)
-        prod = mul(f, g)
-        out.append((prod.keys, prod.coeffs, tracker.total_mass, tracker.events))
-    return out
+def _all_pairs_product(f, g):
+    """The naive product: every pair (i, j) in row-major order, filtered on
+    the truncation and merged by the series constructor.  Returns the
+    product and the discarded mass."""
+    n, m = f.n, f.m
+    K, L, P = f.trunc
+    keys = (f.keys[:, None, :] + g.keys[None, :, :]).reshape(-1, n + m + 2)
+    coeffs = (f.coeffs[:, None] * g.coeffs[None, :]).reshape(-1)
+    ok = (
+        (np.abs(keys[:, :n]).sum(axis=1) <= K)
+        & (keys[:, n : n + m].sum(axis=1) <= L)
+        & (keys[:, n + m + 1] <= P)
+    )
+    return f._like(keys[ok], coeffs[ok]), float(np.abs(coeffs[~ok]).sum())
 
 
 def _assert_bit_identical(f, g, monkeypatch):
-    (k1, c1, mass1, ev1), (k2, c2, mass2, ev2) = _both_products(f, g, monkeypatch)
-    assert k1.shape == k2.shape and (k1 == k2).all()
-    assert (c1 == c2).all()
-    assert mass1 == mass2 and ev1 == ev2
-    return len(c1), mass1, ev1
+    """Keys and coefficients equal the oracle's bit for bit; the discarded
+    mass, which the product values blockwise for the |alpha| and p cuts,
+    agrees to 1e-12, and an event is recorded iff something is discarded.
+    Returns (kept terms, discarded mass, discard events)."""
+    tracker = series.TruncationTracker()
+    monkeypatch.setattr(series, "discard_tracker", tracker)
+    prod = series._series_mul(f, g)
+    ref, mass = _all_pairs_product(f, g)
+    assert prod.keys.shape == ref.keys.shape and (prod.keys == ref.keys).all()
+    assert (prod.coeffs == ref.coeffs).all()
+    assert tracker.total_mass == pytest.approx(mass, rel=1e-12, abs=0.0)
+    assert (tracker.events > 0) == (mass > 0)
+    return prod.num_terms, tracker.total_mass, tracker.events
 
 
 def _edge_terms(n, m, trunc):
@@ -434,18 +447,18 @@ def test_packed_product_all_discarded(monkeypatch):
     g = mk([((4,), (0,), 0, 1, 2.0), ((-3,), (3,), 0, 4, -1j)])
     kept, mass, events = _assert_bit_identical(f, g, monkeypatch)
     assert kept == 0 and mass > 0 and events == 1
-    assert series._series_mul_packed(f, g).is_zero()
+    assert series._series_mul(f, g).is_zero()
 
 
 def test_packed_product_chunk_split(rng, monkeypatch):
     trunc = Truncation(4, 3, 3)
     f = random_series(rng, n=2, m=2, trunc=trunc, nterms=40)
     g = random_series(rng, n=2, m=2, trunc=trunc, nterms=30)
-    whole = series._series_mul_packed(f, g)
+    whole = series._series_mul(f, g)
     monkeypatch.setattr(series, "_MUL_CHUNK_PAIRS", 2 * g.num_terms + 1)
     kept, mass, events = _assert_bit_identical(f, g, monkeypatch)
     assert events > 1
-    assert series._series_mul_packed(f, g) == whole
+    assert series._series_mul(f, g) == whole
 
 
 def test_packed_product_sums_in_pair_order(rng):
@@ -461,10 +474,64 @@ def test_packed_product_sums_in_pair_order(rng):
             key = fk + gk
             if abs(key[0]) <= trunc.K_max and key[1] <= trunc.L_max and key[3] <= trunc.P_max:
                 parts.setdefault(tuple(key), []).append(products[i, j])
-    prod = series._series_mul_packed(f, g)
+    prod = series._series_mul(f, g)
     assert max(len(v) for v in parts.values()) > 16
     assert sorted(parts) == sorted(tuple(k) for k in prod.keys)
     for key, c in zip(prod.keys, prod.coeffs):
         ordered = np.array(parts[tuple(key)])
         assert c.real == np.add.reduceat(ordered.real, [0])[0]
         assert c.imag == np.add.reduceat(ordered.imag, [0])[0]
+
+
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(0.125, 4.0), st.floats(-4.0, -0.125))
+_COEFF = st.builds(complex, _MAGNITUDE, _MAGNITUDE).filter(lambda c: c != 0)
+
+
+@st.composite
+def _terms(draw, n, m, trunc, with_eta):
+    """Up to 10 random terms inside the truncation; each k draws its
+    components from the |k|_1 budget left, so edge values come up."""
+    K, L, P = trunc
+    terms = []
+    for _ in range(draw(st.integers(0, 10))):
+        k, left = [], K
+        for _ in range(n):
+            k.append(draw(st.integers(-left, left)))
+            left -= abs(k[-1])
+        alpha, left = [], L
+        for _ in range(m):
+            alpha.append(draw(st.integers(0, left)))
+            left -= alpha[-1]
+        e = draw(st.integers(0, 1)) if with_eta else 0
+        terms.append((k, alpha, e, draw(st.integers(0, P)), draw(_COEFF)))
+    return terms
+
+
+@st.composite
+def _operands(draw):
+    """(f, g, chunk): f carries the truncation-edge terms, eta sits on at most
+    one side, and a wide lattice (K_max = 2^20 in three angles) does not pack
+    into 62 bits."""
+    wide = draw(st.booleans())
+    n = 3 if wide else draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    K = 1 << 20 if wide else draw(st.integers(1, 5))
+    trunc = Truncation(K, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    eta_side = draw(st.sampled_from(["f", "g", None]))
+    f_terms = draw(_terms(n, m, trunc, eta_side == "f")) + _edge_terms(n, m, trunc)
+    g_terms = draw(_terms(n, m, trunc, eta_side == "g"))
+    f = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, f_terms)
+    g = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, g_terms)
+    assert (f._codec is None) == wide
+    return f, g, draw(st.sampled_from([None, 1, 7]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_operands())
+def test_product_matches_all_pairs_oracle(operands):
+    f, g, chunk = operands
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(series, "_MUL_CHUNK_PAIRS", chunk)
+        for a, b in ((f, g), (g, f)):
+            _assert_bit_identical(a, b, mp)
