@@ -46,9 +46,6 @@ class ExtendedPoint:
         self.y = np.atleast_1d(np.asarray(self.y))
         self.x = np.atleast_1d(np.asarray(self.x))
 
-    def copy(self):
-        return ExtendedPoint(self.y.copy(), self.x.copy(), self.eta, self.xi)
-
 
 class StructureMatrix:
     """Block Poisson matrix [[0, B12], [-B12^T, B22]] with y-only entries.
@@ -58,8 +55,10 @@ class StructureMatrix:
     """
 
     def __init__(self, B12, B22, y_star=None):
+        if not B12 or not B12[0] or any(len(row) != len(B12[0]) for row in B12):
+            raise StructureMismatchError("B12 must be a non-empty m x n matrix")
         self.m = len(B12)
-        self.n = len(B12[0]) if self.m else 0
+        self.n = len(B12[0])
         self.B12 = [list(row) for row in B12]
         self.B22 = [list(row) for row in B22]
         proto = self.B12[0][0]

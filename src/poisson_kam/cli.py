@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
 def cmd_check_diophantine(args) -> int:
     """Exit 0 with the gamma profile; 2 on resonance within the scan."""
     problem = _load_problem(args.problem)
-    k_max = args.k_max or problem.trunc.K_max
+    k_max = problem.trunc.K_max if args.k_max is None else args.k_max
     try:
         omega = problem.initialize().freq.omega
         gamma = diophantine_profile(omega, problem.tau, k_max)
@@ -174,7 +174,7 @@ def cmd_lie_check(args) -> int:
     point = ExtendedPoint(
         np.zeros(problem.m), np.full(problem.n, 0.3), 0.0, 0.0
     )
-    tol = args.tol or 1e-12
+    tol = 1e-12 if args.tol is None else args.tol
     rows = []
     ok = True
     for rec in chi_records:

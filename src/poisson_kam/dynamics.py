@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp
 from .bracket import ExtendedPoint, StructureMatrix
 from .errors import ParameterError, StiffnessError
 from .jsonio import fmt_float, safe_number
-from .kolmogorov import ChiRecord, apply_displacements, composed_displacements
+from .kolmogorov import ChiRecord, apply_displacements, composed_displacements, linear_frequencies
 from .series import FourierTaylorSeries, SeriesStack, WeightedNormParams
 
 
@@ -86,6 +86,19 @@ def _state_vector(point: ExtendedPoint, m: int, n: int) -> np.ndarray:
     )
 
 
+def _solve(fun, v0, t_end, tol, atol):
+    """DOP853 from v0 over [0, t_end] at rtol = tol.  Raises ParameterError
+    unless tol and t_end are finite and > 0, and StiffnessError when the
+    solver fails."""
+    for name, value in (("tol", tol), ("t_end", t_end)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError("%r must be finite and > 0, got %r" % (name, value))
+    sol = solve_ivp(fun, (0.0, float(t_end)), v0, method="DOP853", rtol=tol, atol=atol)
+    if not sol.success:
+        raise StiffnessError("integrator failed: %s" % sol.message)
+    return sol
+
+
 def integrate(
     H: FourierTaylorSeries,
     S: StructureMatrix,
@@ -104,20 +117,9 @@ def integrate(
     grad = _GradientCache(H, S)
     m, n = S.m, S.n
     if omega is None:
-        unit = np.eye(m, dtype=int)
-        omega_tilde = [H.coefficient((0,) * n, unit[i], 0, 0).real for i in range(m)]
-        omega = S.B0 @ np.array(omega_tilde)
+        omega = S.B0 @ linear_frequencies(H)
     v0 = _state_vector(start, m, n)
-    sol = solve_ivp(
-        grad.field,
-        (0.0, float(t_end)),
-        v0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-    )
-    if not sol.success:
-        raise StiffnessError("integrator failed: %s" % sol.message)
+    sol = _solve(grad.field, v0, t_end, tol, tol * 1e-2)
     samples = []
     x0 = v0[m : m + n]
     for t, v in zip(sol.t, sol.y.T):
@@ -289,12 +291,7 @@ def lie_vs_flow_check(
         params = WeightedNormParams(1.0, 1.0)
     m, n = S.m, S.n
     flow = _GradientCache(-chi, S).field
-    sol = solve_ivp(
-        flow, (0.0, 1.0), _state_vector(point, m, n), method="DOP853", rtol=tol, atol=tol
-    )
-    if not sol.success:
-        raise StiffnessError("flow integration failed: %s" % sol.message)
-    end = sol.y[:, -1]
+    end = _solve(flow, _state_vector(point, m, n), 1.0, tol, tol).y[:, -1]
     record = ChiRecord(0, chi, params.rho, params.sigma, 0.0)
     mapped = apply_displacements(composed_displacements([record], S), point)
     series_end = list(mapped.y) + list(mapped.x) + [mapped.eta, mapped.xi]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearResonanceError, ResonanceError, SecularTermError
+from .errors import NearResonanceError, ParameterError, ResonanceError, SecularTermError
 from .series import FourierTaylorSeries, WeightedNormParams, weighted_norm
 
 # solves abort below this divisor magnitude (floating-point safety; the
@@ -62,12 +62,12 @@ def lattice_divisors(omega, K_max):
 def diophantine_profile(omega, tau, K_max) -> float:
     """Effective Diophantine constant min |k.omega| |k|^tau over 0 < |k| <= K_max.
 
-    Raises ResonanceError when some k.omega vanishes (to floating precision)
-    inside the scanned range.
+    Raises ParameterError when K_max < 1, and ResonanceError when some k.omega
+    vanishes (to floating precision) inside the scanned range.
     """
     omega = np.asarray(omega, dtype=float)
     if K_max < 1:
-        raise ValueError("K_max must be >= 1")
+        raise ParameterError("'K_max' must be >= 1, got %r" % (K_max,))
     if not np.any(omega):
         raise ResonanceError("zero frequency vector")
     scale = float(np.abs(omega).max())

@@ -50,7 +50,9 @@ E_SQ = math.e ** 2
 @dataclass
 class HamiltonianDecomposition:
     """H = eta + omega~.y + A + B.y + (1/2) C y.y + R, with the full series
-    kept alongside so the split/reassemble identity can be audited exactly."""
+    kept alongside so the split/reassemble identity can be audited exactly.
+    from_full is the one split of a Hamiltonian; g = A + B.y and
+    h = omega~.y + (1/2) C y.y + R are selections of the series it splits."""
 
     omega_tilde: np.ndarray
     A: FourierTaylorSeries
@@ -62,40 +64,29 @@ class HamiltonianDecomposition:
     @classmethod
     def from_full(cls, full, omega_tilde):
         omega_tilde = np.asarray(omega_tilde, dtype=float)
-        m = full.m
         eta_part = full.eta_part()
         if eta_part.num_terms != 1 or eta_part.coefficient(
-            (0,) * full.n, (0,) * m, 1, 0
+            (0,) * full.n, (0,) * full.m, 1, 0
         ) != 1.0:
             raise ProblemFormatError("Hamiltonian must carry eta with coefficient 1")
-        rest = full.eta_free_part()
-        for i in range(m):
-            rest = rest - _linear_action_series(full, omega_tilde, i)
-        A, B, C, R = taylor_split(rest)
-        return cls(omega_tilde, A, B, C, R, full)
+        return cls(omega_tilde, *taylor_split(_rest(full, omega_tilde)), full)
 
     def h_part(self) -> FourierTaylorSeries:
         """omega~.y + (1/2) C y.y + R (the integrable block, eta excluded)."""
-        h = self.R
-        for i in range(len(self.B)):
-            h = h + _linear_action_series(self.full, self.omega_tilde, i)
-        m = len(self.B)
-        for i in range(m):
-            for l in range(m):
-                h = h + self.C[i][l].mul_y(i).mul_y(l).scale(0.5)
-        return h
+        return _by_degree(_rest(self.full, self.omega_tilde))[1] + _omega_y(
+            self.full, self.omega_tilde
+        )
 
     def g_part(self) -> FourierTaylorSeries:
-        g = self.A
-        for i, b in enumerate(self.B):
-            g = g + b.mul_y(i)
-        return g
+        """A + B.y (the unwanted block)."""
+        return _by_degree(_rest(self.full, self.omega_tilde))[0]
 
     def reassembled(self) -> FourierTaylorSeries:
-        total = _eta_series(self.full)
-        for i in range(len(self.B)):
-            total = total + _linear_action_series(self.full, self.omega_tilde, i)
-        return total + reassemble_taylor(self.A, self.B, self.C, self.R)
+        return (
+            _eta_series(self.full)
+            + _omega_y(self.full, self.omega_tilde)
+            + reassemble_taylor(self.A, self.B, self.C, self.R)
+        )
 
     def measured_eps(self, params: WeightedNormParams) -> float:
         return max(
@@ -130,17 +121,33 @@ def _eta_series(like):
     )
 
 
-def _linear_action_series(like, omega_tilde, i):
-    if omega_tilde[i] == 0.0:
-        return like._like(None, None)
-    alpha = tuple(1 if t == i else 0 for t in range(like.m))
+def _omega_y(like, omega_tilde):
+    """omega~.y in the ring of like."""
+    unit = np.eye(like.m, dtype=int)
     return FourierTaylorSeries.from_terms(
         like.n,
         like.m,
         like.decay_rate,
         like.trunc,
-        [((0,) * like.n, alpha, 0, 0, float(omega_tilde[i]))],
+        [((0,) * like.n, unit[i], 0, 0, float(w)) for i, w in enumerate(omega_tilde)],
     )
+
+
+def linear_frequencies(H):
+    """omega~: the real parts of the y_i coefficients (k = 0, e = 0, p = 0) of H."""
+    unit = np.eye(H.m, dtype=int)
+    return np.array([H.coefficient((0,) * H.n, row, 0, 0).real for row in unit])
+
+
+def _rest(full, omega_tilde):
+    """The eta-free part of full less omega~.y: A + B.y + (1/2) C y.y + R."""
+    return full.eta_free_part() - _omega_y(full, omega_tilde)
+
+
+def _by_degree(f):
+    """(terms with |alpha| <= 1, terms with |alpha| >= 2) of f."""
+    degree = f.acols.sum(axis=1)
+    return f.select(degree <= 1), f.select(degree >= 2)
 
 
 @dataclass
@@ -387,17 +394,20 @@ def constants_ledger(
 
 
 def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, options=None):
-    """Shift the expansion point to the torus, split the Hamiltonian, and set
+    """Shift the expansion point to the torus, assemble H = eta + omega~.y +
+    h(y* + .)|_{|alpha| >= 2} + eps f(y* + .), with omega~ the real parts of the
+    linear coefficients of h(y* + .) and its constant dropped, split it, and set
     the step-0 parameter vector (rho0, sigma0) = (rho, sigma)/2, d0 = 1/6.
 
-    Rejects perturbations that violate the decay hypothesis (any p = 0 term)
-    and resonant frequencies (via the Diophantine scan at the truncation).
+    Rejects series whose decay rate or truncation disagrees with (a, trunc),
+    perturbations that violate the decay hypothesis (any p = 0 term) and
+    resonant frequencies (via the Diophantine scan at the truncation).
     """
     options = options or RunOptions()
     if not (0.0 < a < 1.0):
         raise ProblemFormatError("decay rate a must lie in (0, 1)")
-    if h.decay_rate != a or f.decay_rate != a or S.decay_rate != a:
-        raise ProblemFormatError("decay rate disagrees with the series ring")
+    if any((s.decay_rate, s.trunc) != (a, tuple(trunc)) for s in (h, f, S)):
+        raise ProblemFormatError("decay rate or truncation disagrees with the series ring")
     if f.ecol.any():
         raise ProblemFormatError("perturbation must not depend on eta")
     if not f.is_zero() and int(f.pcol.min()) < 1:
@@ -410,31 +420,19 @@ def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, op
     S_shifted = S.shifted(y_star)
     h_shift = shift_action_expansion(h, y_star)
     f_shift = shift_action_expansion(f, y_star)
-    hA, hB, hC, hR = taylor_split(h_shift)
-    omega_tilde = np.empty(h.m)
-    for i, b in enumerate(hB):
-        c = b.coefficient((0,) * h.n, (0,) * h.m, 0, 0)
-        if b.num_terms > (1 if c != 0 else 0):
-            raise ProblemFormatError("h linear part must be constant in x, xi")
-        omega_tilde[i] = c.real
-    ef = f_shift.scale(eps_scalar)
-    fA, fB, fC, fR = taylor_split(ef)
-    A0 = fA
-    B0 = list(fB)
-    C0 = [
-        [hC[i][l] + fC[i][l] for l in range(h.m)] for i in range(h.m)
-    ]
-    R0 = hR + fR
-    full = _eta_series(h_shift)
-    for i in range(h.m):
-        full = full + _linear_action_series(h_shift, omega_tilde, i)
-    full = full + reassemble_taylor(A0, B0, C0, R0)
+    omega_tilde = linear_frequencies(h_shift)
+    full = (
+        _eta_series(h_shift)
+        + _omega_y(h_shift, omega_tilde)
+        + _by_degree(h_shift)[1]
+        + f_shift.scale(eps_scalar)
+    )
     decomp = HamiltonianDecomposition.from_full(full, omega_tilde)
     freq = FrequencyData.build(omega_tilde, S_shifted.B0, tau, trunc[0])
     omega_abs = float(np.abs(freq.omega).max())
     rho0, sigma0 = rho / 2.0, sigma / 2.0
     params0 = WeightedNormParams(rho0, sigma0)
-    c_bound = c_operator_bound(C0, params0)
+    c_bound = c_operator_bound(decomp.C, params0)
     upsilon_hyp = min(0.9999, 1.0 / c_bound) if c_bound > 0 else 0.9999
     d0 = 1.0 / 6.0
     u0 = IterationParams(
@@ -547,11 +545,7 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
     resid = chi.partial_xi() + decomp.g_part() + poisson_bracket(
         chi, decomp.h_part(), S
     )
-    rA, rB, _, _ = taylor_split(resid)
-    low = rA
-    for i, b in enumerate(rB):
-        low = low + b.mul_y(i)
-    resid_low = weighted_norm(low, params).K
+    resid_low = weighted_norm(_by_degree(resid)[0], params).K
 
     d_next = _schedule_d(
         step_index + 1,

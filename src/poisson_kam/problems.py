@@ -79,6 +79,18 @@ class Problem:
         for name, value, rule, ok in rules:
             if not ok:
                 raise ProblemFormatError("%s must be %s, got %r" % (name, rule, value))
+        # StructureMatrix gives every entry the (n, m) of its block shape, so
+        # checking the entries' ring also checks B12 is m x n and B22 n x n
+        S = self.structure
+        parts = [("h", self.h), ("f", self.f)]
+        parts += [("structure entry", e) for row in S.B12 + S.B22 for e in row]
+        want = (self.n, self.m, self.a, self.trunc)
+        for part, s in parts:
+            got = (s.n, s.m, s.decay_rate, s.trunc)
+            for name, g, w in zip(("n", "m", "a", "trunc"), got, want):
+                if g != w:
+                    msg = "%s has %s = %r, but the problem states %r" % (part, name, g, w)
+                    raise ProblemFormatError(msg)
 
     def option(self, name, override=None):
         """The override, else the file value, else the default; None counts as

@@ -56,9 +56,6 @@ from .errors import (
 # splits the first factor's rows into ranges; keeps peak memory modest
 _MUL_CHUNK_PAIRS = 2_000_000
 
-# hygiene threshold used by canonical_pruned(); never applied inside add/mul
-DEFAULT_PRUNE_REL = 1e-15
-
 
 class Truncation(NamedTuple):
     K_max: int
@@ -175,6 +172,15 @@ def _merge_rows(keys, coeffs, codec):
     return uniq, summed
 
 
+def _term_index(v) -> int:
+    """v as an int; a boolean or a number with a fractional part is refused."""
+    if type(v) is int:
+        return v
+    if isinstance(v, (bool, np.bool_)) or (isinstance(v, float) and not v.is_integer()):
+        raise StructureMismatchError("term index must be an integer, got %r" % (v,))
+    return int(v)
+
+
 class FourierTaylorSeries:
     """Immutable sparse series; see module docstring for the term model."""
 
@@ -212,13 +218,14 @@ class FourierTaylorSeries:
 
     @classmethod
     def from_terms(cls, n, m, decay_rate, trunc, terms: Iterable):
-        """Build from an iterable of (k, alpha, e, p, coefficient)."""
+        """Build from an iterable of (k, alpha, e, p, coefficient); the indices
+        must be integers (an integral float is taken, a boolean is not)."""
         trunc = Truncation(*trunc)
         rows, cs = [], []
         for k, alpha, e, p, c in terms:
-            k = tuple(int(v) for v in k)
-            alpha = tuple(int(v) for v in alpha)
-            e, p = int(e), int(p)
+            k = tuple(_term_index(v) for v in k)
+            alpha = tuple(_term_index(v) for v in alpha)
+            e, p = _term_index(e), _term_index(p)
             if len(k) != n or len(alpha) != m:
                 raise StructureMismatchError("key length does not match dims")
             if e not in (0, 1):
@@ -464,7 +471,7 @@ class FourierTaylorSeries:
         mask = ~((self.keys == 0).all(axis=1))
         return self.select(mask)
 
-    def canonical_pruned(self, rel_tol: float = DEFAULT_PRUNE_REL) -> "FourierTaylorSeries":
+    def canonical_pruned(self, rel_tol: float) -> "FourierTaylorSeries":
         """Drop coefficients below rel_tol times the largest magnitude."""
         if self.is_zero():
             return self

@@ -63,6 +63,13 @@ def test_b22_skew_enforced():
         StructureMatrix([[one]], [[one]])
 
 
+def test_empty_row_or_ragged_b12_rejected():
+    z = zeros(n=2, m=2)
+    for B12 in ([[]], [[z, z], [z]]):
+        with pytest.raises(StructureMismatchError, match="B12"):
+            StructureMatrix(B12, [[z, z], [z, z]])
+
+
 def test_y_dependent_expansion_data():
     S = rescaled_bracket_instance()
     # B12 = (1+y) (1, 1/2) so B0 = -B12^T(0), B1[l,0,0] = -d/dy B12[0,l]

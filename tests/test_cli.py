@@ -312,6 +312,11 @@ def test_bad_problem_option_exit_1(bench_run, tmp_path, key, value):
         ("tol", ["verify", "--angles", "1", "--tol", "nan"]),
         ("t_end", ["verify", "--angles", "1", "--t-end", "-1"]),
         ("max_steps", ["normalize", "--max-steps", "-3"]),
+        ("K_max", ["check-diophantine", "--k-max", "-1"]),
+        ("K_max", ["check-diophantine", "--k-max", "0"]),
+        ("tol", ["lie-check", "--tol", "-1"]),
+        ("tol", ["lie-check", "--tol", "nan"]),
+        ("tol", ["lie-check", "--tol", "0"]),
     ],
 )
 def test_bad_option_flag_exit_1(bench_run, tmp_path, key, args):
@@ -341,6 +346,9 @@ def test_bad_option_flag_exit_1(bench_run, tmp_path, key, args):
         ("y_star", [float("inf")]),
         ("options.rho", -0.5),
         ("options.sigma", float("nan")),
+        ("n", 2),
+        ("trunc.K_max", 4),
+        ("B12", []),
     ],
 )
 def test_bad_problem_scalar_exit_1(bench_file, tmp_path, capsys, key, value):
@@ -367,4 +375,20 @@ def test_nonfinite_coefficient_exit_1(bench_file, tmp_path, capsys, part, value)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "non-finite coefficient" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, every_term",
+    [("p", 1.5, True), ("k", [0.5], False), ("alpha", [True], False), ("e", False, False)],
+)
+def test_non_integer_term_index_exit_1(bench_file, tmp_path, capsys, field, value, every_term):
+    payload = json.loads(bench_file.read_text())
+    terms = payload["f"]["terms"]
+    for term in terms if every_term else terms[:1]:
+        term[field] = value
+    bench_file.write_text(json.dumps(payload))
+    code = main(["normalize", "--problem", str(bench_file), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: term index must be an integer")
     assert not (tmp_path / "o").exists()
