@@ -28,10 +28,14 @@ from .problems import Problem
 import numpy as np
 
 
-def _load_problem(path):
-    if not Path(path).exists():
-        raise ProblemFormatError("problem file not found: %s" % path)
-    return Problem.load(path)
+def _out_dir(path) -> Path:
+    """The output directory, made if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ProblemFormatError("cannot make output directory %s: %s" % (out, exc)) from exc
+    return out
 
 
 def _load_generators(out):
@@ -42,7 +46,7 @@ def _load_generators(out):
     try:
         payload = jsonio.loads(path.read_text())
         return [ChiRecord.from_payload(p) for p in payload["chi"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError("bad generators file %s: %s" % (path, exc)) from exc
 
 
@@ -59,13 +63,12 @@ def _trace_lines(trace):
 def cmd_normalize(args) -> int:
     """Exit 0 converged, 1 malformed input/resonance, 2 refused smallness,
     3 divergence, 4 step budget exhausted before the target."""
-    setup = _load_problem(args.problem).initialize(
+    setup = Problem.load(args.problem).initialize(
         max_steps=args.max_steps,
         target_eps=args.target_eps,
         d_floor=args.d_floor,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     result = run(setup)
     (out / "trace.jsonl").write_text(_trace_lines(result.trace))
     _write(out / "normal_form.json", result.normal_form.to_payload())
@@ -92,7 +95,7 @@ def cmd_verify(args) -> int:
         raise ParameterError("--angles must be at least 1, got %d" % args.angles)
     out = Path(args.out)
     chi_records = _load_generators(out)
-    problem = _load_problem(args.problem)
+    problem = Problem.load(args.problem)
     setup = problem.initialize()
     seed = problem.option("seed", args.seed)
     n_angles = args.angles
@@ -122,7 +125,7 @@ def cmd_verify(args) -> int:
 
 def cmd_check_diophantine(args) -> int:
     """Exit 0 with the gamma profile; 2 on resonance within the scan."""
-    problem = _load_problem(args.problem)
+    problem = Problem.load(args.problem)
     k_max = problem.trunc.K_max if args.k_max is None else args.k_max
     try:
         omega = problem.initialize().freq.omega
@@ -139,15 +142,14 @@ def cmd_check_diophantine(args) -> int:
         "shells": shells,
     }
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        _write(Path(args.out) / "diophantine.json", table)
+        _write(_out_dir(args.out) / "diophantine.json", table)
     print(jsonio.dumps(table))
     return 0
 
 
 def cmd_constants(args) -> int:
     """Write the constants ledger (M0..M8, D, thresholds); exit 0."""
-    setup = _load_problem(args.problem).initialize()
+    setup = Problem.load(args.problem).initialize()
     payload = {
         "constants": setup.ledger.as_dict(),
         "eps0_rating": setup.eps0_rating,
@@ -156,8 +158,7 @@ def cmd_constants(args) -> int:
         "u0": setup.params.as_dict(),
     }
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        _write(Path(args.out) / "constants.json", payload)
+        _write(_out_dir(args.out) / "constants.json", payload)
     print(jsonio.dumps(payload))
     return 0
 
@@ -169,7 +170,7 @@ def cmd_lie_check(args) -> int:
     are absent or malformed."""
     out = Path(args.out)
     chi_records = _load_generators(out)
-    problem = _load_problem(args.problem)
+    problem = Problem.load(args.problem)
     setup = problem.initialize()
     point = ExtendedPoint(
         np.zeros(problem.m), np.full(problem.n, 0.3), 0.0, 0.0

@@ -7,22 +7,40 @@ adaptive high-order explicit Runge-Kutta (DOP853).  One evaluator serves every
 field: the gradient components and the structure entries form one SeriesStack,
 so each right-hand side is one pass over their terms.  Runs are short and
 audited by conservation checks, so no structure-preserving integrator is needed.
+
+The stepper is scipy's ``solve_ivp``, imported on first use: the module
+attribute ``solve_ivp`` loads ``scipy.integrate`` the first time it is read,
+so importing the package, normalizing and the other scan-only commands never
+load scipy.  ``_solve`` calls the solver through that attribute, so a
+replacement set on the module (a counting wrapper, say) is what runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .bracket import ExtendedPoint, StructureMatrix
 from .errors import ParameterError, StiffnessError
 from .jsonio import fmt_float, safe_number
 from .kolmogorov import ChiRecord, apply_displacements, composed_displacements, linear_frequencies
 from .series import FourierTaylorSeries, SeriesStack, WeightedNormParams
+
+
+def __getattr__(name):
+    """``solve_ivp``, imported from scipy.integrate on first access and kept
+    in the module globals; scipy costs most of the package's import time and
+    only integration needs it."""
+    if name != "solve_ivp":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from scipy.integrate import solve_ivp
+
+    globals()["solve_ivp"] = solve_ivp
+    return solve_ivp
 
 
 def thread_cap() -> int:
@@ -93,7 +111,8 @@ def _solve(fun, v0, t_end, tol, atol):
     for name, value in (("tol", tol), ("t_end", t_end)):
         if not (math.isfinite(value) and value > 0):
             raise ParameterError("%r must be finite and > 0, got %r" % (name, value))
-    sol = solve_ivp(fun, (0.0, float(t_end)), v0, method="DOP853", rtol=tol, atol=atol)
+    solver = sys.modules[__name__].solve_ivp
+    sol = solver(fun, (0.0, float(t_end)), v0, method="DOP853", rtol=tol, atol=atol)
     if not sol.success:
         raise StiffnessError("integrator failed: %s" % sol.message)
     return sol

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import jsonio
 from .bracket import StructureMatrix
-from .errors import ProblemFormatError
+from .errors import ProblemFormatError, StructureMismatchError
 from .kolmogorov import RunOptions, RunSetup, init_from_problem
-from .series import FourierTaylorSeries, Truncation
+from .series import FourierTaylorSeries, Truncation, _term_index
 
 GOLDEN = (1.0 + 5 ** 0.5) / 2.0
 
@@ -45,6 +45,16 @@ _OPTION_RANGES = {
                     ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)),
     **dict.fromkeys(("max_steps", "lie_cap"), (">= 1", lambda v: v >= 1)),
 }
+
+
+def _integer_field(payload: dict, name: str) -> int:
+    """payload[name] as an int, by the rule term indices follow: a boolean, a
+    non-integral or a non-finite number is refused."""
+    value = payload[name]
+    try:
+        return _term_index(value)
+    except StructureMismatchError as exc:
+        raise ProblemFormatError("%r must be an integer, got %r" % (name, value)) from exc
 
 
 @dataclass
@@ -180,9 +190,7 @@ class Problem:
     def from_payload(cls, payload: dict) -> "Problem":
         try:
             trunc = Truncation(
-                int(payload["trunc"]["K_max"]),
-                int(payload["trunc"]["L_max"]),
-                int(payload["trunc"]["P_max"]),
+                *(_integer_field(payload["trunc"], name) for name in ("K_max", "L_max", "P_max"))
             )
             h = FourierTaylorSeries.from_payload(payload["h"])
             f = FourierTaylorSeries.from_payload(payload["f"])
@@ -195,8 +203,8 @@ class Problem:
                 for row in payload["B22"]
             ]
             return cls(
-                n=int(payload["n"]),
-                m=int(payload["m"]),
+                n=_integer_field(payload, "n"),
+                m=_integer_field(payload, "m"),
                 a=float(payload["a"]),
                 epsilon=float(payload["epsilon"]),
                 tau=float(payload["tau"]),
@@ -215,7 +223,10 @@ class Problem:
 
     @classmethod
     def load(cls, path) -> "Problem":
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ProblemFormatError("cannot read problem file %s: %s" % (path, exc)) from exc
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -207,11 +207,15 @@ def test_verify_rejects_angles_below_one(bench_file, tmp_path, capsys, angles):
 
 
 @pytest.mark.parametrize("command", ["verify", "lie-check"])
-@pytest.mark.parametrize("text", ['{"chi": [', '{"steps": []}'])
+@pytest.mark.parametrize("text", ['{"chi": [', '{"steps": []}', None])
 def test_malformed_generators_exit_1(bench_file, tmp_path, capsys, command, text):
+    """text None makes generators.json a directory."""
     out = tmp_path / "run"
     out.mkdir()
-    (out / "generators.json").write_text(text)
+    if text is None:
+        (out / "generators.json").mkdir()
+    else:
+        (out / "generators.json").write_text(text)
     code = main([command, "--problem", str(bench_file), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -250,16 +254,20 @@ def test_lie_check_and_verify_guard_at_the_record_params(bench_file, tmp_path, c
     assert errors[0] == errors[1]
 
 
-def _cli_with_timeout(*args):
-    """The CLI in a child process with a timeout: an unchecked NaN tol or
-    t_end makes the integrator spin instead of failing."""
+def _python_with_timeout(*args):
+    """A fresh interpreter that imports this poisson_kam, with a timeout: an
+    unchecked NaN tol or t_end makes the integrator spin instead of failing."""
     src = str(Path(poisson_kam.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run(
-        [sys.executable, "-m", "poisson_kam.cli", *args],
-        capture_output=True, text=True, timeout=60, env=env,
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
     )
+
+
+def _cli_with_timeout(*args):
+    """The CLI in a child process."""
+    return _python_with_timeout("-m", "poisson_kam.cli", *args)
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +357,10 @@ def test_bad_option_flag_exit_1(bench_run, tmp_path, key, args):
         ("n", 2),
         ("trunc.K_max", 4),
         ("B12", []),
+        ("n", 1.5),
+        ("n", True),
+        ("trunc.P_max", 16.7),
+        ("trunc.K_max", float("inf")),
     ],
 )
 def test_bad_problem_scalar_exit_1(bench_file, tmp_path, capsys, key, value):
@@ -392,3 +404,41 @@ def test_non_integer_term_index_exit_1(bench_file, tmp_path, capsys, field, valu
     assert code == 1
     assert capsys.readouterr().err.startswith("error: term index must be an integer")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["problem_is_directory", "problem_not_utf8", "out_is_file"])
+def test_unreadable_path_exit_1(bench_file, tmp_path, capsys, case):
+    problem, out = bench_file, tmp_path / "o"
+    if case == "problem_is_directory":
+        problem = bad = tmp_path / "dir"
+        problem.mkdir()
+    elif case == "problem_not_utf8":
+        bad = problem
+        problem.write_bytes(b"\xff\xfe" + bench_file.read_bytes())
+    else:
+        bad = out
+        out.write_text("not a directory\n")
+    code = main(["normalize", "--problem", str(problem), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and str(bad) in err
+    assert not (out / "trace.jsonl").exists()
+
+
+def test_scan_commands_never_load_scipy(bench_file, tmp_path):
+    """Only integration needs scipy; a fresh process that normalizes, writes
+    the constants and scans the divisors must not import it."""
+    script = (
+        "import json, sys\n"
+        "from poisson_kam.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv\n"
+    )
+    runs = [
+        [command, "--problem", str(bench_file), "--out", str(tmp_path / command)]
+        for command in ("normalize", "constants", "check-diophantine")
+    ]
+    proc = _python_with_timeout("-c", script, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "normalize" / "normal_form.json").exists()

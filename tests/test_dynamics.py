@@ -184,3 +184,24 @@ def test_persistence_rejects_no_angles():
         torus_persistence_report(
             setup.decomp.full, setup.structure, [], t_end=1.0, n_angles=0
         )
+
+
+def test_solve_ivp_is_a_replaceable_module_attribute(monkeypatch):
+    """integrate reaches the solver through dynamics.solve_ivp, which is
+    scipy's; a replacement set there is what runs."""
+    import scipy.integrate
+
+    from poisson_kam import dynamics
+
+    assert dynamics.solve_ivp is scipy.integrate.solve_ivp
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return scipy.integrate.solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    setup = benchmark_problem(epsilon=0.0).initialize()
+    start = ExtendedPoint(np.zeros(1), np.array([0.3]), 0.0, 0.0)
+    samples = integrate(setup.decomp.full, setup.structure, start, 1.0, 1e-8)
+    assert calls == ["DOP853"] and samples[-1].t == 1.0
