@@ -10,7 +10,6 @@ from .bracket import (
     gamma_rho_sigma,
     lie_contraction,
     lie_coordinate_displacement,
-    lie_derivative,
     lie_transform,
     poisson_bracket,
 )
@@ -60,10 +59,10 @@ from .series import (
     Truncation,
     WeightedNormParams,
     discard_tracker,
+    discards,
     reassemble_taylor,
     shift_action_expansion,
     taylor_split,
-    vector_norm,
     weighted_norm,
 )
 

@@ -9,6 +9,12 @@ time made autonomous and eta its conjugate.  The bracket is
 with B12 (m x n) and skew B22 (n x n) depending on the actions only.  Sign
 conventions are pinned by the identities L_chi eta = chi_xi, L_chi xi = 0 and
 L_chi y = -chi_x B12^T, which the tests assert literally.
+
+The formula is written once, in _bracket, which takes G's partial
+derivatives: poisson_bracket passes a series G's, and bracket_with_coordinate
+the unit partial of a coordinate.  The Lie series is written once too, in
+_lie_sum, which also holds the contraction guard that refuses a step and
+counts the truncation discards of its own products.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import LieDivergenceError, StructureMismatchError
 from .series import (
     FourierTaylorSeries,
     WeightedNormParams,
-    discard_tracker,
+    discards,
     majorant_with_eta,
     weighted_norm,
 )
@@ -54,7 +60,7 @@ class StructureMatrix:
     B0 = -B12^T(0)  (n x m) and B1[l, i, j] = -d/dy_j (B12^T)_{l i}(0).
     """
 
-    def __init__(self, B12, B22, y_star=None):
+    def __init__(self, B12, B22):
         if not B12 or not B12[0] or any(len(row) != len(B12[0]) for row in B12):
             raise StructureMismatchError("B12 must be a non-empty m x n matrix")
         self.m = len(B12)
@@ -81,9 +87,6 @@ class StructureMatrix:
                 s = self.B22[l][lp] + self.B22[lp][l]
                 if not s.is_zero():
                     raise StructureMismatchError("B22 must be skew-symmetric")
-        self.y_star = (
-            np.zeros(self.m) if y_star is None else np.asarray(y_star, dtype=float)
-        )
         zero_a = (0,) * self.m
         self.B0 = np.zeros((self.n, self.m))
         self.B1 = np.zeros((self.n, self.m, self.m))
@@ -102,13 +105,7 @@ class StructureMatrix:
     @classmethod
     def canonical(cls, dof, decay_rate, trunc):
         """Canonical bracket: B12 = -I (so xdot = +H_y, ydot = -H_x), B22 = 0."""
-        zero = FourierTaylorSeries.zeros(dof, dof, decay_rate, trunc)
-        minus_one = FourierTaylorSeries.constant(-1.0, zero)
-        B12 = [
-            [minus_one if i == l else zero for l in range(dof)] for i in range(dof)
-        ]
-        B22 = [[zero for _ in range(dof)] for _ in range(dof)]
-        return cls(B12, B22)
+        return cls.from_constant_blocks(-np.eye(dof), np.zeros((dof, dof)), decay_rate, trunc)
 
     @classmethod
     def from_constant_blocks(cls, B12_vals, B22_vals, decay_rate, trunc):
@@ -125,7 +122,7 @@ class StructureMatrix:
         return cls(B12, B22)
 
     def shifted(self, y_star) -> "StructureMatrix":
-        """Re-expand all entries around y*; records y* for provenance."""
+        """Re-expand all entries around y*."""
         from .series import shift_action_expansion
 
         B12 = [
@@ -134,7 +131,7 @@ class StructureMatrix:
         B22 = [
             [shift_action_expansion(e, y_star) for e in row] for row in self.B22
         ]
-        return StructureMatrix(B12, B22, y_star=y_star)
+        return StructureMatrix(B12, B22)
 
     # ---- norms --------------------------------------------------------------
 
@@ -155,102 +152,59 @@ class StructureMatrix:
         """Norm of the whole (m+n)^2 matrix: (m+n)^2 * max entry majorant."""
         return (self.m + self.n) ** 2 * self._max_entry_norm(self.B12 + self.B22, params)
 
-    # ---- serialization --------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "y_star": [float(v) for v in self.y_star],
-            "B12": [[e.to_payload() for e in row] for row in self.B12],
-            "B22": [[e.to_payload() for e in row] for row in self.B22],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "StructureMatrix":
-        B12 = [
-            [FourierTaylorSeries.from_payload(e) for e in row]
-            for row in payload["B12"]
-        ]
-        B22 = [
-            [FourierTaylorSeries.from_payload(e) for e in row]
-            for row in payload["B22"]
-        ]
-        return cls(B12, B22, y_star=payload.get("y_star"))
-
 
 # ---- the bracket ---------------------------------------------------------------
 
 
-def poisson_bracket(
-    F: FourierTaylorSeries, G: FourierTaylorSeries, S: StructureMatrix
-) -> FourierTaylorSeries:
-    """Extended bracket {F, G}; bilinear, antisymmetric, Leibniz."""
-    F._check_compatible(G)
-    n, m = S.n, S.m
+def _bracket(F, Gy, Gx, Geta, Gxi, S: StructureMatrix) -> FourierTaylorSeries:
+    """{F, G} from G's partials: each a series, None where it vanishes, or
+    the int 1 where it is the constant one (series * 1 is an exact scale).
+    The loop order and the (F_d * b) * G_d grouping fix every rounding."""
     total = F._like(None, None)
-    Fy = [F.partial_y(i) for i in range(m)]
-    Gy = [G.partial_y(i) for i in range(m)]
-    Fx = [F.partial_x(l) for l in range(n)]
-    Gx = [G.partial_x(l) for l in range(n)]
-    for i in range(m):
-        for l in range(n):
+    Fy = [F.partial_y(i) for i in range(S.m)]
+    Fx = [F.partial_x(l) for l in range(S.n)]
+    for i in range(S.m):
+        for l in range(S.n):
             b = S.B12[i][l]
             if b.is_zero():
                 continue
-            if not (Fy[i].is_zero() or Gx[l].is_zero()):
+            if not (Fy[i].is_zero() or Gx[l] is None):
                 total = total + Fy[i] * b * Gx[l]
-            if not (Fx[l].is_zero() or Gy[i].is_zero()):
+            if not (Fx[l].is_zero() or Gy[i] is None):
                 total = total - Fx[l] * b * Gy[i]
-    for l in range(n):
-        for lp in range(n):
+    for l in range(S.n):
+        for lp in range(S.n):
             b = S.B22[l][lp]
-            if b.is_zero() or Fx[l].is_zero() or Gx[lp].is_zero():
-                continue
-            total = total + Fx[l] * b * Gx[lp]
-    Feta, Geta = F.partial_eta(), G.partial_eta()
-    if not Geta.is_zero():
+            if not (b.is_zero() or Fx[l].is_zero() or Gx[lp] is None):
+                total = total + Fx[l] * b * Gx[lp]
+    if Geta is not None:
         total = total + F.partial_xi() * Geta
-    if not Feta.is_zero():
-        total = total - Feta * G.partial_xi()
+    Feta = F.partial_eta()
+    if not Feta.is_zero() and Gxi is not None:
+        total = total - Feta * Gxi
     return total
 
 
-def lie_derivative(chi, F, S):
-    """L_chi F := {chi, F}."""
-    return poisson_bracket(chi, F, S)
+def poisson_bracket(F: FourierTaylorSeries, G: FourierTaylorSeries, S: StructureMatrix):
+    """Extended bracket {F, G}; bilinear, antisymmetric, Leibniz."""
+    F._check_compatible(G)
+    nz = lambda d: None if d.is_zero() else d
+    Gy = [nz(G.partial_y(i)) for i in range(S.m)]
+    Gx = [nz(G.partial_x(l)) for l in range(S.n)]
+    return _bracket(F, Gy, Gx, nz(G.partial_eta()), nz(G.partial_xi()), S)
 
 
 def bracket_with_coordinate(F: FourierTaylorSeries, coord, S: StructureMatrix):
-    """{F, z_c} for a coordinate function z_c in {("y", i), ("x", l), "eta", "xi"}.
-
-    Needed because the bare coordinates x_l and xi are not elements of the
-    series ring; their derivatives are, so the bracket still is.
-    """
-    if coord == "eta":
-        return F.partial_xi()
-    if coord == "xi":
-        return (-F.partial_eta())
-    kind, idx = coord
-    if kind == "y":
-        total = F._like(None, None)
-        for l in range(S.n):
-            Fx = F.partial_x(l)
-            if not Fx.is_zero():
-                total = total - Fx * S.B12[idx][l]
-        return total
-    if kind == "x":
-        total = F._like(None, None)
-        for i in range(S.m):
-            Fy = F.partial_y(i)
-            if not Fy.is_zero():
-                total = total + Fy * S.B12[i][idx]
-        for l in range(S.n):
-            Fx = F.partial_x(l)
-            if not (Fx.is_zero() or S.B22[l][idx].is_zero()):
-                total = total + Fx * S.B22[l][idx]
-        return total
-    raise ValueError("unknown coordinate %r" % (coord,))
+    """{F, z_c} for a coordinate function z_c in {("y", i), ("x", l), "eta", "xi"},
+    whose one nonzero partial is 1.  The bare coordinates x_l and xi are not
+    elements of the series ring; their derivatives are, so the bracket is."""
+    kind, idx = (coord, None) if isinstance(coord, str) else coord
+    valid = {"y": range(S.m), "x": range(S.n), "eta": [None], "xi": [None]}
+    if idx not in valid.get(kind, []):
+        raise ValueError("unknown coordinate %r" % (coord,))
+    unit = lambda k, size: [1 if kind == k and j == idx else None for j in range(size)]
+    one = lambda k: 1 if kind == k else None
+    return _bracket(F, unit("y", S.m), unit("x", S.n), one("eta"), one("xi"), S)
 
 
 # ---- convergence-controlled Lie transform ---------------------------------------
@@ -281,57 +235,43 @@ class LieDiagnostics:
     converged: bool = True
 
 
-def _lie_sum(chi, first_term, base, S, params, contraction, tol, cap):
-    """Sum base + sum_{s>=1} L_chi^s(seed)/s! given the s=1 term."""
-    before = discard_tracker.snapshot()
-    total = base
-    term = first_term
-    norms = []
-    s = 1
-    while True:
-        total = total + term
-        tn = majorant_with_eta(term, params)
-        norms.append(tn)
-        running = majorant_with_eta(total, params)
-        converged = term.is_zero() or tn <= tol * max(running, 1e-300)
-        if converged or s >= cap:
-            break
-        s += 1
-        term = poisson_bracket(chi, term, S).scale(1.0 / s)
-    tail = 0.0
-    if norms and contraction < 1.0:
-        tail = norms[-1] * contraction / (1.0 - contraction)
-    diag = LieDiagnostics(
-        contraction=contraction,
-        s_stop=s if norms and norms[-1] > 0 else max(s - 1, 0),
-        tail_bound=tail,
-        term_norms=norms,
-        discarded_mass=discard_tracker.snapshot() - before,
-        converged=converged,
-    )
-    return total, diag
-
-
 def lie_contraction(chi, S, params: WeightedNormParams) -> float:
     """Measured contraction factor 4 e^2 Gamma ||chi||."""
     gamma = gamma_rho_sigma(S, params)
     return 4.0 * E_SQ * gamma * weighted_norm(chi, params).K
 
 
-def _guarded_lie_sum(chi, first, base, S, params, tol, cap):
-    """The one place a Lie series refuses: returns (base, zero diagnostics)
-    for chi = 0, raises LieDivergenceError when the measured contraction
-    factor exceeds 1/2, and otherwise sums base + first() + ...; under the
-    bound the terms decay at least geometrically and the diagnostics carry
-    the geometric tail estimate."""
+def _lie_sum(chi, first, base, S, params, tol, cap):
+    """base + sum_{s>=1} L_chi^s(seed)/s!, where first() is the s = 1 term:
+    the one Lie series and the one place it refuses.  chi = 0 returns base;
+    a measured contraction factor above 1/2 raises LieDivergenceError.
+    Under that bound the terms decay at least geometrically; the diagnostics
+    carry the geometric tail estimate and the mass truncation dropped from
+    the series' products, first() included."""
     if chi.is_zero():
         return base, LieDiagnostics(0.0, 0, 0.0, [], 0.0)
     L = lie_contraction(chi, S, params)
-    if L > 0.5:
+    if not L <= 0.5:
         raise LieDivergenceError(
             "Lie contraction %.3g > 1/2; shrink the perturbation first" % L
         )
-    return _lie_sum(chi, first(), base, S, params, L, tol, cap)
+    with discards() as lost:
+        total = base
+        term = first()
+        norms = []
+        s = 1
+        while True:
+            total = total + term
+            norms.append(majorant_with_eta(term, params))
+            running = majorant_with_eta(total, params)
+            converged = term.is_zero() or norms[-1] <= tol * max(running, 1e-300)
+            if converged or s >= cap:
+                break
+            s += 1
+            term = poisson_bracket(chi, term, S).scale(1.0 / s)
+    s_stop = s if norms[-1] > 0 else s - 1
+    tail = norms[-1] * L / (1.0 - L)
+    return total, LieDiagnostics(L, s_stop, tail, norms, lost.total_mass, converged)
 
 
 def lie_transform(
@@ -344,11 +284,11 @@ def lie_transform(
 ):
     """exp(L_chi) F summed until terms drop below tol relative to the sum.
 
-    Raises LieDivergenceError (a StepRefusedError) from _guarded_lie_sum when
-    the measured contraction factor exceeds 1/2.
+    Raises LieDivergenceError (a StepRefusedError) from _lie_sum when the
+    measured contraction factor exceeds 1/2.
     """
     first = lambda: poisson_bracket(chi, F, S)
-    return _guarded_lie_sum(chi, first, F, S, params, tol, cap)
+    return _lie_sum(chi, first, F, S, params, tol, cap)
 
 
 def lie_coordinate_displacement(
@@ -364,4 +304,4 @@ def lie_coordinate_displacement(
     Refuses exactly as lie_transform does.
     """
     first = lambda: bracket_with_coordinate(chi, coord, S)
-    return _guarded_lie_sum(chi, first, chi._like(None, None), S, params, tol, cap)
+    return _lie_sum(chi, first, chi._like(None, None), S, params, tol, cap)

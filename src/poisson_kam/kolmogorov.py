@@ -37,7 +37,6 @@ from .series import (
     reassemble_taylor,
     shift_action_expansion,
     taylor_split,
-    vector_norm,
     weighted_norm,
 )
 
@@ -90,7 +89,8 @@ class HamiltonianDecomposition:
 
     def measured_eps(self, params: WeightedNormParams) -> float:
         return max(
-            weighted_norm(self.A, params).K, vector_norm(self.B, params).K
+            weighted_norm(self.A, params).K,
+            sum(weighted_norm(b, params).K for b in self.B),
         )
 
     def min_decay_index(self):
@@ -496,8 +496,8 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
     a, tau = u.a, u.tau
     params = u.norm_params()
     epsA = weighted_norm(decomp.A, params)
-    epsB = vector_norm(decomp.B, params)
-    eps = max(epsA.K, epsB.K)
+    epsB = sum(weighted_norm(b, params).K for b in decomp.B)
+    eps = max(epsA.K, epsB)
     zeta = u.d * u.sigma / (4.0 * ledger.omega_abs)
     v_picc = (
         eps * ledger.D / (a ** 4 * u.upsilon ** 2 * u.d ** (8.0 * (tau + 1.0)))
@@ -586,7 +586,7 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
         "upsilon": u.upsilon,
         "eps_in": eps,
         "eps_A": epsA.K,
-        "eps_B": epsB.K,
+        "eps_B": epsB,
         "min_p_in": decomp.min_decay_index() or 0,
         "chi_norm": weighted_norm(chi, params).K,
         "S_norm": weighted_norm(solS.phi, params).K,

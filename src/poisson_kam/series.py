@@ -27,10 +27,16 @@ pass (the same one that canonicalizes any key rows), and only the merged
 codes are unpacked into keys.  Lattices too wide for 62 bits merge summed
 key rows instead.  Pairs are taken first-factor-row by row, and the stable
 merge keeps that order, so every coefficient is bit-identical to summing all
-N*M pairs in row-major order.  Mass discarded by the hard truncation is
-accumulated on a module-level tracker so tests can demand "no discard"; the
-pairs cut on |alpha| or p are valued per class, |c_f| times the mass of the
-second factor's classes out of reach.
+N*M pairs in row-major order.  The packing codec is built once per ring.
+
+Mass discarded by the hard truncation is recorded on the innermost tracker
+opened by discards() in the current context, which passes it on outwards to
+discard_tracker, the process total; so a Lie series or a test can count its
+own discards, whatever ran before.  The pairs cut on |alpha| or p are valued
+per class, |c_f| times the mass of the second factor's classes out of reach.
+
+taylor_split reads the Taylor blocks off by selecting on |alpha| and
+differentiating in y, so it is exact.
 
 Evaluation at a point is written once, in SeriesStack, which values the terms
 of several series in one pass; FourierTaylorSeries.evaluate is its one-series case.
@@ -39,6 +45,9 @@ of several series in one pass; FourierTaylorSeries.evaluate is its one-series ca
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -84,22 +93,37 @@ class DecayBound:
 
 
 class TruncationTracker:
-    """Accumulates coefficient mass discarded by hard truncation."""
+    """Accumulates coefficient mass discarded by hard truncation; a tracker
+    opened by discards() passes every record on to the one it was opened in."""
 
-    def __init__(self):
+    def __init__(self, parent=None):
         self.total_mass = 0.0
         self.events = 0
+        self.parent = parent
 
     def record(self, mass: float):
         if mass > 0.0:
             self.total_mass += mass
             self.events += 1
+            if self.parent is not None:
+                self.parent.record(mass)
 
-    def snapshot(self) -> float:
-        return self.total_mass
 
-
+# the process total, which every discards() scope reaches in the end
 discard_tracker = TruncationTracker()
+_open_tracker = contextvars.ContextVar("open_tracker", default=discard_tracker)
+
+
+@contextlib.contextmanager
+def discards():
+    """A fresh tracker for the discards made inside the block, in this
+    context only; each is also recorded by the enclosing tracker."""
+    tracker = TruncationTracker(_open_tracker.get())
+    token = _open_tracker.set(tracker)
+    try:
+        yield tracker
+    finally:
+        _open_tracker.reset(token)
 
 
 class _Codec(NamedTuple):
@@ -112,10 +136,12 @@ class _Codec(NamedTuple):
     masks: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
 def _pack_codec(n, m, trunc):
-    """The _Codec for a (possibly product-summed) key row; None when 64 bits
-    are not enough.  Packing is linear, so the code of a product key is the
-    code of one factor plus the other factor's row @ strides."""
+    """The _Codec for a (possibly product-summed) key row of one ring, built
+    once per (n, m, trunc) with read-only arrays; None when 64 bits are not
+    enough.  Packing is linear, so the code of a product key is the code of
+    one factor plus the other factor's row @ strides."""
     K, L, P = trunc
     lo = [-2 * K] * n + [0] * (m + 2)
     sizes = [4 * K + 1] * n + [2 * L + 1] * m + [3] + [2 * P + 1]
@@ -127,12 +153,15 @@ def _pack_codec(n, m, trunc):
     for i in range(n + m + 2 - 1, -1, -1):
         shifts[i] = shift
         shift += bits[i]
-    return _Codec(
+    codec = _Codec(
         np.asarray(lo, dtype=np.int64),
         np.left_shift(1, shifts),
         shifts,
         np.left_shift(1, np.asarray(bits, dtype=np.int64)) - 1,
     )
+    for arr in codec:
+        arr.setflags(write=False)
+    return codec
 
 
 def _unpack(codes, codec):
@@ -184,14 +213,13 @@ def _term_index(v) -> int:
 class FourierTaylorSeries:
     """Immutable sparse series; see module docstring for the term model."""
 
-    __slots__ = ("n", "m", "decay_rate", "trunc", "keys", "coeffs", "_codec")
+    __slots__ = ("n", "m", "decay_rate", "trunc", "keys", "coeffs")
 
     def __init__(self, n, m, decay_rate, trunc, keys=None, coeffs=None, _canonical=False):
         self.n = int(n)
         self.m = int(m)
         self.decay_rate = float(decay_rate)
         self.trunc = Truncation(*trunc)
-        self._codec = _pack_codec(self.n, self.m, self.trunc)
         ncols = self.n + self.m + 2
         if keys is None:
             keys = np.zeros((0, ncols), dtype=np.int32)
@@ -201,7 +229,7 @@ class FourierTaylorSeries:
         if keys.shape[0] != coeffs.shape[0]:
             raise StructureMismatchError("keys/coeffs length mismatch")
         if not _canonical:
-            keys, coeffs = _merge_rows(keys, coeffs, self._codec)
+            keys, coeffs = _merge_rows(keys, coeffs, _pack_codec(self.n, self.m, self.trunc))
         keep = coeffs != 0
         if not keep.all():
             keys, coeffs = keys[keep], coeffs[keep]
@@ -446,7 +474,7 @@ class FourierTaylorSeries:
         keys = self.keys.copy()
         keys[:, self.n + i] += 1
         keep = keys[:, self.n : self.n + self.m].sum(axis=1) <= self.trunc.L_max
-        discard_tracker.record(float(np.abs(self.coeffs[~keep]).sum()))
+        _open_tracker.get().record(float(np.abs(self.coeffs[~keep]).sum()))
         return self._like(keys[keep], self.coeffs[keep])
 
     # ---- evaluation ------------------------------------------------------
@@ -577,7 +605,7 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
         raise EtaDegreeError("product would carry eta^2; misuse of the scheme")
     n = f.n
     K, L, P = f.trunc
-    codec = f._codec
+    codec = _pack_codec(n, f.m, f.trunc)
     # g in (|alpha|, p) class order; class (a, p) is a * (P + 1) + p, and it
     # is rows first[c] .. first[c + 1] of the sorted g
     classes = (L + 1) * (P + 1)
@@ -635,7 +663,7 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
             lost += float(np.abs(f.coeffs[i[far]] * g_coeffs[j[far]]).sum())
             near = ~far
             i, j = i[near], j[near]
-        discard_tracker.record(lost)
+        _open_tracker.get().record(lost)
         out_rows.append(f_rows[i] + g_rows[j])
         out_coeffs.append(f.coeffs[i] * g_coeffs[j])
         start = stop
@@ -682,57 +710,25 @@ def majorant_with_eta(f: FourierTaylorSeries, params: WeightedNormParams) -> flo
     return _majorant(f, params, include_eta=True)
 
 
-def vector_norm(fs, params: WeightedNormParams) -> DecayBound:
-    """Norm of a vector of series: sum of component majorants, min decay."""
-    K = 0.0
-    p = None
-    for f in fs:
-        b = weighted_norm(f, params)
-        K += b.K
-        if not f.is_zero():
-            p = b.p if p is None else min(p, b.p)
-    return DecayBound(K, 0 if p is None else p)
-
-
 # ---- Taylor split / reassembly ----------------------------------------------
 
 
 def taylor_split(f: FourierTaylorSeries):
     """Split f (eta-free) into (A, B, C, R) with f = A + B.y + (1/2) C y.y + R.
 
-    A collects |alpha| = 0, B_i the coefficient series of y_i, C the symmetric
-    matrix of the quadratic form (C_ii is twice the y_i^2 coefficient), and R
-    every term with |alpha| >= 3.  Coefficient series are returned with alpha
-    stripped to zero; reassembly is exact.
+    A collects |alpha| = 0 and R every term with |alpha| >= 3.  B_i is the
+    y_i-derivative of the |alpha| = 1 terms, and C the y-Hessian of the
+    |alpha| = 2 terms, so C is symmetric and C_ii is twice the y_i^2
+    coefficient; partial_y supplies both factors exactly, and reassembly is
+    exact.
     """
     if f.ecol.any():
         raise NormDomainError("taylor_split expects an eta-free series")
-    m = f.m
     tot = f.acols.sum(axis=1)
-    A = f.select(tot == 0)
-    B = []
-    for i in range(m):
-        mask = (tot == 1) & (f.acols[:, i] == 1)
-        keys = f.keys[mask].copy()
-        keys[:, f.n + i] = 0
-        B.append(f._like(keys, f.coeffs[mask]))
-    C = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for l in range(i, m):
-            if i == l:
-                mask = (tot == 2) & (f.acols[:, i] == 2)
-                factor = 2.0
-            else:
-                mask = (tot == 2) & (f.acols[:, i] == 1) & (f.acols[:, l] == 1)
-                factor = 1.0
-            keys = f.keys[mask].copy()
-            keys[:, f.n + i] = 0
-            keys[:, f.n + l] = 0
-            entry = f._like(keys, f.coeffs[mask] * factor)
-            C[i][l] = entry
-            C[l][i] = entry
-    R = f.select(tot >= 3)
-    return A, B, C, R
+    linear, quadratic = f.select(tot == 1), f.select(tot == 2)
+    B = [linear.partial_y(i) for i in range(f.m)]
+    C = [[quadratic.partial_y(i).partial_y(l) for l in range(f.m)] for i in range(f.m)]
+    return f.select(tot == 0), B, C, f.select(tot >= 3)
 
 
 def reassemble_taylor(A, B, C, R) -> FourierTaylorSeries:

@@ -5,15 +5,18 @@ import pytest
 
 from poisson_kam import (
     FourierTaylorSeries,
+    Problem,
     StructureMatrix,
     WeightedNormParams,
     bracket_with_coordinate,
+    discards,
     gamma_from_block_norms,
     gamma_rho_sigma,
     lie_coordinate_displacement,
-    lie_derivative,
     lie_transform,
     poisson_bracket,
+    rescaled_benchmark_problem,
+    run,
     weighted_norm,
 )
 from poisson_kam.errors import (
@@ -78,8 +81,10 @@ def test_y_dependent_expansion_data():
 
 
 def test_structure_payload_roundtrip():
-    S = rescaled_bracket_instance()
-    S2 = StructureMatrix.from_payload(S.to_payload())
+    # the problem file is the one serialization of B12 and B22
+    prob = rescaled_benchmark_problem()
+    S, S2 = prob.structure, Problem.from_payload(prob.to_payload()).structure
+    assert (S2.m, S2.n) == (S.m, S.n)
     assert all(
         S.B12[i][l] == S2.B12[i][l] for i in range(S.m) for l in range(S.n)
     )
@@ -290,8 +295,53 @@ def test_chipsi_inequality_smoke(rng):
         assert lhs <= rhs * (1 + 1e-12)
 
 
-def test_lie_derivative_is_bracket_alias(rng):
-    S = random_structure(rng, n=1, m=1)
-    chi = random_series(rng, nterms=4, dyadic=True, k_budget=2, l_budget=1)
-    F = random_series(rng, nterms=4, dyadic=True, k_budget=2, l_budget=1)
-    assert lie_derivative(chi, F, S) == poisson_bracket(chi, F, S)
+def test_coordinate_bracket_is_the_ring_bracket(rng):
+    # y_i and eta are ring elements, so the unit-partial bracket must equal
+    # the bracket with the series z_c exactly
+    cases = [
+        CANON,
+        StructureMatrix.canonical(2, A_DEFAULT, TR_DEFAULT),
+        rescaled_bracket_instance(),
+        random_structure(rng, n=1, m=1),
+        random_structure(rng, n=2, m=2),
+    ]
+    for S in cases:
+        n, m = S.n, S.m
+        F = random_series(rng, n=n, m=m, nterms=8, k_budget=3, l_budget=2, p_budget=2)
+        F = F + cosx(n=n, m=m, p=1).mul_y(0) + eta(n=n, m=m)
+        coords = [(("y", i), yi(i, n=n, m=m)) for i in range(m)] + [("eta", eta(n=n, m=m))]
+        for c, z in coords:
+            assert bracket_with_coordinate(F, c, S) == poisson_bracket(F, z, S)
+
+
+def test_unknown_coordinate_rejected():
+    for coord in (("y", 1), ("x", 1), ("x", -1), ("z", 0), "zeta"):
+        with pytest.raises(ValueError, match="unknown coordinate"):
+            bracket_with_coordinate(cosx(), coord, CANON)
+
+
+def test_lie_discards_count_the_first_bracket():
+    # |k| = 5 against |k| = 4 passes K_max = 8, so {chi, F} already truncates
+    chi = mk([((5,), (1,), 0, 1, 1e-6), ((-5,), (1,), 0, 1, 1e-6)])
+    F = mk([((4,), (1,), 0, 0, 0.5), ((-4,), (1,), 0, 0, 0.5), ((1,), (2,), 0, 0, 0.25)])
+    with discards() as first:
+        poisson_bracket(chi, F, CANON)
+    assert first.total_mass > 0.0
+    with discards() as outer:
+        _, diag = lie_transform(chi, F, CANON, PARAMS)
+    assert diag.s_stop >= 2
+    assert diag.discarded_mass == outer.total_mass
+    assert diag.discarded_mass > first.total_mass
+
+
+def test_lie_discards_do_not_depend_on_earlier_runs():
+    # the discarded mass of a run is its own, not a difference of a
+    # process-wide running total that earlier runs have grown
+    def masses(prob):
+        return [row["lie_discarded_mass"] for row in run(prob.initialize()).trace.rows]
+
+    before = masses(rescaled_benchmark_problem())
+    for _ in range(3):
+        masses(rescaled_benchmark_problem(trunc=(6, 2, 4)))
+    assert masses(rescaled_benchmark_problem()) == before
+    assert before[0] == 9.545548661988989e-08

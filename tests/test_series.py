@@ -11,6 +11,7 @@ from poisson_kam import (
     Truncation,
     WeightedNormParams,
     discard_tracker,
+    discards,
     reassemble_taylor,
     shift_action_expansion,
     taylor_split,
@@ -99,11 +100,18 @@ def test_mul_eta_degree_guard():
 
 
 def test_mul_truncation_discard_tracked():
-    base = discard_tracker.snapshot()
     f = mk([((5,), (0,), 0, 0, 1.0)])
     g = mk([((4,), (0,), 0, 0, 1.0)])
-    assert (f * g).is_zero()  # |k|=9 > K_max=8
-    assert discard_tracker.snapshot() > base
+    root = (discard_tracker.total_mass, discard_tracker.events)
+    with discards() as outer:
+        with discards() as inner:
+            assert (f * g).is_zero()  # |k|=9 > K_max=8
+        assert (inner.total_mass, inner.events) == (1.0, 1)
+        assert f.mul_y(0).mul_y(0).mul_y(0).mul_y(0).mul_y(0).is_zero()  # |alpha| > 4
+    assert (outer.total_mass, outer.events) == (2.0, 2)
+    # each record also reaches the process total
+    assert discard_tracker.events == root[1] + 2
+    assert discard_tracker.total_mass > root[0]
 
 
 # ---- derivatives ----------------------------------------------------------
@@ -245,6 +253,24 @@ def test_split_roundtrip_random(rng):
                 assert C[i][l] == C[l][i]
 
 
+def test_split_hessian_three_actions(rng):
+    # C is the y-Hessian: the y_i y_l coefficient off the diagonal, twice the
+    # y_i^2 coefficient on it, symmetric, and reassembly is exact
+    f = mk(
+        [((0,), (1, 1, 0), 0, 0, 0.75), ((1,), (0, 0, 2), 0, 1, 0.5 - 0.25j)],
+        m=3,
+    )
+    A, B, C, R = taylor_split(f)
+    assert list(C[0][1].terms()) == [((0,), (0, 0, 0), 0, 0, 0.75 + 0j)]
+    assert list(C[2][2].terms()) == [((1,), (0, 0, 0), 0, 1, 1.0 - 0.5j)]
+    assert C[0][0].is_zero() and C[1][2].is_zero()
+    for _ in range(10):
+        f = random_series(rng, n=2, m=3, nterms=16, dyadic=True)
+        A, B, C, R = taylor_split(f)
+        assert reassemble_taylor(A, B, C, R) == f
+        assert all(C[i][l] == C[l][i] for i in range(3) for l in range(3))
+
+
 # ---- shift of the expansion point ----------------------------------------------
 
 
@@ -362,7 +388,7 @@ def test_packing_fallback_huge_truncation(rng):
     f = FourierTaylorSeries.from_terms(
         3, 1, 0.5, big, [((70000, -3, 2), (1,), 0, 1, 1.5), ((0, 0, 0), (0,), 0, 0, 2.0)]
     )
-    assert f._codec is None
+    assert series._pack_codec(f.n, f.m, f.trunc) is None
     g = FourierTaylorSeries.from_terms(
         3, 1, 0.5, big, [((1, 0, 0), (0,), 0, 1, -0.5)]
     )
@@ -375,6 +401,14 @@ def test_packing_fallback_huge_truncation(rng):
         (f + eta_big) * (g + eta_big)
     with pytest.raises(EtaDegreeError):
         (decay(p=1) + eta()) * (cosx() + eta())
+
+
+def test_pack_codec_built_once_per_ring():
+    f, g = cosx(), yi(0)
+    codec = series._pack_codec(f.n, f.m, f.trunc)
+    assert codec is series._pack_codec(g.n, g.m, g.trunc)
+    assert codec is series._pack_codec(f.n, f.m, tuple(f.trunc))
+    assert not any(arr.flags.writeable for arr in codec)
 
 
 # ---- product against the all-pairs oracle -------------------------------------
@@ -396,14 +430,13 @@ def _all_pairs_product(f, g):
     return f._like(keys[ok], coeffs[ok]), float(np.abs(coeffs[~ok]).sum())
 
 
-def _assert_bit_identical(f, g, monkeypatch):
+def _assert_bit_identical(f, g):
     """Keys and coefficients equal the oracle's bit for bit; the discarded
     mass, which the product values blockwise for the |alpha| and p cuts,
     agrees to 1e-12, and an event is recorded iff something is discarded.
     Returns (kept terms, discarded mass, discard events)."""
-    tracker = series.TruncationTracker()
-    monkeypatch.setattr(series, "discard_tracker", tracker)
-    prod = series._series_mul(f, g)
+    with series.discards() as tracker:
+        prod = series._series_mul(f, g)
     ref, mass = _all_pairs_product(f, g)
     assert prod.keys.shape == ref.keys.shape and (prod.keys == ref.keys).all()
     assert (prod.coeffs == ref.coeffs).all()
@@ -429,7 +462,7 @@ def _edge_terms(n, m, trunc):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_packed_product_bit_identical_to_rows(rng, monkeypatch, n):
+def test_packed_product_bit_identical_to_rows(rng, n):
     m = 2 if n > 1 else 1
     trunc = Truncation(4, 3, 3)
     edges = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, _edge_terms(n, m, trunc))
@@ -438,14 +471,14 @@ def test_packed_product_bit_identical_to_rows(rng, monkeypatch, n):
         g = random_series(rng, n=n, m=m, trunc=trunc, nterms=11, with_eta=True)
         assert f.kcols.min() < 0 and g.ecol.any()
         for a, b in ((f, g), (g, f), (f, f)):
-            kept, mass, events = _assert_bit_identical(a, b, monkeypatch)
+            kept, mass, events = _assert_bit_identical(a, b)
             assert kept > 0 and mass > 0 and events == 1
 
 
-def test_packed_product_all_discarded(monkeypatch):
+def test_packed_product_all_discarded():
     f = mk([((5,), (2,), 0, 3, 1.0 + 1j), ((-6,), (1,), 0, 4, 0.5)])
     g = mk([((4,), (0,), 0, 1, 2.0), ((-3,), (3,), 0, 4, -1j)])
-    kept, mass, events = _assert_bit_identical(f, g, monkeypatch)
+    kept, mass, events = _assert_bit_identical(f, g)
     assert kept == 0 and mass > 0 and events == 1
     assert series._series_mul(f, g).is_zero()
 
@@ -456,7 +489,7 @@ def test_packed_product_chunk_split(rng, monkeypatch):
     g = random_series(rng, n=2, m=2, trunc=trunc, nterms=30)
     whole = series._series_mul(f, g)
     monkeypatch.setattr(series, "_MUL_CHUNK_PAIRS", 2 * g.num_terms + 1)
-    kept, mass, events = _assert_bit_identical(f, g, monkeypatch)
+    kept, mass, events = _assert_bit_identical(f, g)
     assert events > 1
     assert series._series_mul(f, g) == whole
 
@@ -522,7 +555,7 @@ def _operands(draw):
     g_terms = draw(_terms(n, m, trunc, eta_side == "g"))
     f = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, f_terms)
     g = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, g_terms)
-    assert (f._codec is None) == wide
+    assert (series._pack_codec(f.n, f.m, f.trunc) is None) == wide
     return f, g, draw(st.sampled_from([None, 1, 7]))
 
 
@@ -534,4 +567,4 @@ def test_product_matches_all_pairs_oracle(operands):
         if chunk is not None:
             mp.setattr(series, "_MUL_CHUNK_PAIRS", chunk)
         for a, b in ((f, g), (g, f)):
-            _assert_bit_identical(a, b, mp)
+            _assert_bit_identical(a, b)
