@@ -15,7 +15,7 @@ from .bracket import (
 )
 from .dynamics import (
     PersistenceReport,
-    TrajectorySample,
+    Trajectory,
     integrate,
     lie_vs_flow_check,
     torus_persistence_report,

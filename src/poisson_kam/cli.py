@@ -179,9 +179,7 @@ def cmd_lie_check(args) -> int:
     rows = []
     ok = True
     for rec in chi_records:
-        dist = lie_vs_flow_check(
-            rec.chi, setup.structure, point, tol=tol, params=rec.norm_params()
-        )
+        dist = lie_vs_flow_check(rec, setup.structure, point, tol=tol)
         bound = max(10.0 * tol, 1e-8)
         rows.append({"step": rec.step, "distance": dist, "bound": bound})
         ok = ok and dist <= bound

@@ -7,6 +7,7 @@ adaptive high-order explicit Runge-Kutta (DOP853).  One evaluator serves every
 field: the gradient components and the structure entries form one SeriesStack,
 so each right-hand side is one pass over their terms.  Runs are short and
 audited by conservation checks, so no structure-preserving integrator is needed.
+An integration is one Trajectory of arrays, one row per accepted solver step.
 
 The stepper is scipy's ``solve_ivp``, imported on first use: the module
 attribute ``solve_ivp`` loads ``scipy.integrate`` the first time it is read,
@@ -28,7 +29,7 @@ from .bracket import ExtendedPoint, StructureMatrix
 from .errors import ParameterError, StiffnessError
 from .jsonio import fmt_float, safe_number
 from .kolmogorov import ChiRecord, apply_displacements, composed_displacements, linear_frequencies
-from .series import FourierTaylorSeries, SeriesStack, WeightedNormParams
+from .series import FourierTaylorSeries, SeriesStack
 
 
 def __getattr__(name):
@@ -51,10 +52,13 @@ def thread_cap() -> int:
 
 
 @dataclass
-class TrajectorySample:
-    t: float
-    point: ExtendedPoint
-    torus_error: float
+class Trajectory:
+    """One integration, one row per accepted solver step: the times t, the
+    states (y, x, eta, xi), torus_error |y| and the wrapped phase_drift."""
+
+    t: np.ndarray
+    states: np.ndarray
+    torus_error: np.ndarray
     phase_drift: np.ndarray
 
 
@@ -125,10 +129,10 @@ def integrate(
     t_end: float,
     tol: float,
     omega: Optional[np.ndarray] = None,
-) -> List[TrajectorySample]:
+) -> Trajectory:
     """Integrate the extended system from ``start`` for t in [0, t_end].
 
-    One sample per accepted solver step.  torus_error is |y|, the Euclidean
+    One row per accepted solver step.  torus_error is |y|, the Euclidean
     distance from the expansion torus y = 0; phase_drift is x(t) - x(0) -
     omega t wrapped to (-pi, pi].  When omega is not supplied it is recovered
     from the linear action part of H.
@@ -139,28 +143,17 @@ def integrate(
         omega = S.B0 @ linear_frequencies(H)
     v0 = _state_vector(start, m, n)
     sol = _solve(grad.field, v0, t_end, tol, tol * 1e-2)
-    samples = []
-    x0 = v0[m : m + n]
-    for t, v in zip(sol.t, sol.y.T):
-        point = ExtendedPoint(v[:m].copy(), v[m : m + n].copy(), v[m + n], v[m + n + 1])
-        err = float(np.linalg.norm(v[:m]))
-        drift = _wrap_angles(v[m : m + n] - x0 - omega * t)
-        samples.append(TrajectorySample(float(t), point, err, drift))
-    return samples
+    states = sol.y.T
+    # one norm per row: a vectorized norm may round differently for m >= 2
+    torus_error = np.array([np.linalg.norm(v[:m]) for v in states])
+    drift = _wrap_angles(states[:, m : m + n] - v0[m : m + n] - sol.t[:, None] * omega)
+    return Trajectory(sol.t, states, torus_error, drift)
 
 
-def write_trajectory(samples: List[TrajectorySample], path):
+def write_trajectory(traj: Trajectory, path):
     """Delimited text: t, y..., x..., eta, xi, torus_error, drift... per step."""
-    lines = []
-    for s in samples:
-        vals = (
-            [s.t]
-            + [float(v) for v in np.real(s.point.y)]
-            + [float(v) for v in np.real(s.point.x)]
-            + [float(np.real(s.point.eta)), float(s.point.xi), s.torus_error]
-            + [float(v) for v in s.phase_drift]
-        )
-        lines.append(",".join(fmt_float(float(v)) for v in vals))
+    table = np.column_stack([traj.t, traj.states, traj.torus_error, traj.phase_drift])
+    lines = [",".join(fmt_float(float(v)) for v in row) for row in table]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -177,8 +170,8 @@ class AngleReport:
     improvement: float
     xi_shift: float
     # the two trajectories behind the numbers; not part of the JSON report
-    naive: List[TrajectorySample] = field(default_factory=list, repr=False)
-    mapped: List[TrajectorySample] = field(default_factory=list, repr=False)
+    naive: Trajectory = field(repr=False)
+    mapped: Trajectory = field(repr=False)
 
     def as_dict(self):
         return {
@@ -199,10 +192,10 @@ class PersistenceReport:
     t_end: float
     tol: float
     settle_from: float
-    angles: List[AngleReport] = field(default_factory=list)
-    min_improvement: float = 0.0
-    threshold: float = 10.0
-    passed: bool = False
+    angles: List[AngleReport]
+    min_improvement: float
+    threshold: float
+    passed: bool
 
     def as_dict(self):
         return {
@@ -216,9 +209,9 @@ class PersistenceReport:
         }
 
 
-def _settled(samples, t_from):
-    tail = [s.torus_error for s in samples if s.t >= t_from]
-    return max(tail) if tail else samples[-1].torus_error
+def _settled(traj, t_from):
+    tail = traj.torus_error[traj.t >= t_from]
+    return float(tail.max() if tail.size else traj.torus_error[-1])
 
 
 def torus_persistence_report(
@@ -268,14 +261,10 @@ def torus_persistence_report(
             x0=[float(v) for v in x0],
             naive_settled=ns,
             mapped_settled=ms,
-            naive_sup=max(s.torus_error for s in naive),
-            mapped_sup=max(s.torus_error for s in mapped),
-            naive_drift_sup=max(
-                float(np.abs(s.phase_drift).max()) for s in naive
-            ),
-            mapped_drift_sup=max(
-                float(np.abs(s.phase_drift).max()) for s in mapped
-            ),
+            naive_sup=float(naive.torus_error.max()),
+            mapped_sup=float(mapped.torus_error.max()),
+            naive_drift_sup=float(np.abs(naive.phase_drift).max()),
+            mapped_drift_sup=float(np.abs(mapped.phase_drift).max()),
             improvement=improvement,
             xi_shift=xi_shift,
             naive=naive,
@@ -283,35 +272,35 @@ def torus_persistence_report(
         )
 
     angles = [one_angle(i) for i in range(n_angles)]
-    report = PersistenceReport(
-        t_end=t_end, tol=tol, settle_from=settle_from, threshold=threshold
+    min_improvement = min(a.improvement for a in angles)
+    return PersistenceReport(
+        t_end=t_end,
+        tol=tol,
+        settle_from=settle_from,
+        angles=angles,
+        min_improvement=min_improvement,
+        threshold=threshold,
+        passed=min_improvement >= threshold,
     )
-    report.angles = angles
-    report.min_improvement = min(a.improvement for a in angles)
-    report.passed = report.min_improvement >= threshold
-    return report
 
 
 def lie_vs_flow_check(
-    chi: FourierTaylorSeries,
+    record: ChiRecord,
     S: StructureMatrix,
     point: ExtendedPoint,
     tol: float = 1e-12,
-    params=None,
 ) -> float:
-    """Distance between exp(L_chi) applied as a series and the time-1 flow.
+    """Distance between exp(L_chi) of a stored generator, applied as a series
+    (guarded and summed at the record's own rho, sigma), and the time-1 flow.
 
     The flow realizing the transform is zdot = {chi, z} = -B(z) chi_z, the
     Hamiltonian field of -chi; integrating it to t = 1 from the point must
     land where the series map sends the point.  Returns the max coordinate
     distance.
     """
-    if params is None:
-        params = WeightedNormParams(1.0, 1.0)
     m, n = S.m, S.n
-    flow = _GradientCache(-chi, S).field
+    flow = _GradientCache(-record.chi, S).field
     end = _solve(flow, _state_vector(point, m, n), 1.0, tol, tol).y[:, -1]
-    record = ChiRecord(0, chi, params.rho, params.sigma, 0.0)
     mapped = apply_displacements(composed_displacements([record], S), point)
     series_end = list(mapped.y) + list(mapped.x) + [mapped.eta, mapped.xi]
     return float(max([0.0] + [abs(v - e) for v, e in zip(series_end, end)]))

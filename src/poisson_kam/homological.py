@@ -62,8 +62,9 @@ def lattice_divisors(omega, K_max):
 def diophantine_profile(omega, tau, K_max) -> float:
     """Effective Diophantine constant min |k.omega| |k|^tau over 0 < |k| <= K_max.
 
-    Raises ParameterError when K_max < 1, and ResonanceError when some k.omega
-    vanishes (to floating precision) inside the scanned range.
+    Raises ParameterError when K_max < 1 or |k|^tau overflows, and
+    ResonanceError when some k.omega vanishes (to floating precision) inside
+    the scanned range.
     """
     omega = np.asarray(omega, dtype=float)
     if K_max < 1:
@@ -77,7 +78,10 @@ def diophantine_profile(omega, tau, K_max) -> float:
             raise ResonanceError(
                 "resonance k=%s: |k.omega| = %.3g" % (list(k), dot)
             )
-        best = min(best, dot * norm1 ** tau)
+        try:
+            best = min(best, dot * norm1 ** tau)
+        except OverflowError as exc:
+            raise ParameterError("|k|^tau overflows at |k| = %d, tau = %r" % (norm1, tau)) from exc
     return float(best)
 
 

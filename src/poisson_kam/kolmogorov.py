@@ -8,6 +8,11 @@ u = (d, eps, zeta, upsilon, rho, sigma).  Control decisions use measured
 majorant norms; the printed theoretical constants (M0..M8, D) are evaluated
 alongside as a diagnostics ledger because they are far too pessimistic to
 drive desk-scale runs.
+
+A RunSetup is the one source of a run's inputs: run(setup) reads its budget
+from setup.options, and normalization_step(setup, decomp, u, j) reads the
+structure, frequencies, ledger, options and eps0 rating from it.  eps is
+max(eps_parts), and _shrink is the one (rho, sigma, upsilon) recursion.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .bracket import (
     lie_transform,
     poisson_bracket,
 )
-from .errors import ProblemFormatError, StepRefusedError
+from .errors import ParameterError, ProblemFormatError, StepRefusedError
 from .homological import FrequencyData, build_E, lattice_divisors, solve_S, solve_T
 from .series import (
     FourierTaylorSeries,
@@ -70,16 +75,6 @@ class HamiltonianDecomposition:
             raise ProblemFormatError("Hamiltonian must carry eta with coefficient 1")
         return cls(omega_tilde, *taylor_split(_rest(full, omega_tilde)), full)
 
-    def h_part(self) -> FourierTaylorSeries:
-        """omega~.y + (1/2) C y.y + R (the integrable block, eta excluded)."""
-        return _by_degree(_rest(self.full, self.omega_tilde))[1] + _omega_y(
-            self.full, self.omega_tilde
-        )
-
-    def g_part(self) -> FourierTaylorSeries:
-        """A + B.y (the unwanted block)."""
-        return _by_degree(_rest(self.full, self.omega_tilde))[0]
-
     def reassembled(self) -> FourierTaylorSeries:
         return (
             _eta_series(self.full)
@@ -87,8 +82,9 @@ class HamiltonianDecomposition:
             + reassemble_taylor(self.A, self.B, self.C, self.R)
         )
 
-    def measured_eps(self, params: WeightedNormParams) -> float:
-        return max(
+    def eps_parts(self, params: WeightedNormParams):
+        """(||A||, sum_i ||B_i||) at params; eps is their max."""
+        return (
             weighted_norm(self.A, params).K,
             sum(weighted_norm(b, params).K for b in self.B),
         )
@@ -162,18 +158,20 @@ class IterationParams:
     sigma: float
     a: float
     tau: float
-    gamma: float
 
     def norm_params(self) -> WeightedNormParams:
         return WeightedNormParams(self.rho, self.sigma)
 
     def validate(self, omega_abs: float):
         if not (0 < self.d <= 1 / 6 + 1e-15):
-            raise ValueError("d must lie in (0, 1/6]")
+            raise ParameterError("d must lie in (0, 1/6]")
         if not (0 < self.upsilon < 1):
-            raise ValueError("upsilon must lie in (0, 1)")
+            raise ParameterError("upsilon must lie in (0, 1)")
         if abs(4 * omega_abs * self.zeta - self.d * self.sigma) > 1e-12 * self.sigma:
-            raise ValueError("zeta violates 4|omega| zeta = d sigma")
+            raise ParameterError(
+                "zeta = %r violates 4|omega| zeta = d sigma at |omega| = %r"
+                % (self.zeta, omega_abs)
+            )
 
     def as_dict(self):
         return {
@@ -333,7 +331,10 @@ def constants_ledger(
     Theta2: Optional[float] = None,
     M_h: float = 1.0,
 ) -> ConstantsLedger:
-    """Evaluate M0..M8 and D exactly as printed, at (rho*, sigma*) = u0/4."""
+    """Evaluate M0..M8 and D exactly as printed, at (rho*, sigma*) = u0/4.
+
+    Raises ParameterError when a constant overflows or is not finite.
+    """
     a, tau = u0.a, u0.tau
     rho_star, sigma_star = u0.rho / 4.0, u0.sigma / 4.0
     upsilon_star = u0.upsilon / 2.0
@@ -348,25 +349,31 @@ def constants_ledger(
     b0_norm = n * m * float(np.abs(S.B0).max(initial=0.0))
     b1w = np.einsum("lij,i->lj", S.B1, np.asarray(freq.omega_tilde, dtype=float))
     b1w_norm = n * m * float(np.abs(b1w).max(initial=0.0))
-    M0 = Theta1 * (2.0 / sigma_star) ** (2 * tau)
-    M1 = n * Theta2 * (2.0 / sigma_star) ** (2 * tau + 1)
-    M2 = 1.0 + M1 * (b0_norm + b1w_norm)
-    M3 = m * M2 * Theta1 * (2.0 / sigma_star) ** (2 * tau)
-    M4 = m * n * M2 * Theta2 * (2.0 / sigma_star) ** (2 * tau + 1)
-    M5 = M0 + M3
-    M6 = M1 + M4
-    M7 = (
-        16.0
-        * M_B
-        * M5
-        * (1.0 + 8.0 * E_SQ * M_B * M_h * M5 + E_SQ * M5)
-        * (rho_star * sigma_star) ** -4
-    )
-    M8 = 32.0 * m * M_B * M_h * M5 * (rho_star ** 2 * sigma_star) ** -2
-    D = 32.0 * E_SQ * omega_abs * M_B * (rho_star * sigma_star) ** -2 * max(M6, M7, M8)
+    try:
+        M0 = Theta1 * (2.0 / sigma_star) ** (2 * tau)
+        M1 = n * Theta2 * (2.0 / sigma_star) ** (2 * tau + 1)
+        M2 = 1.0 + M1 * (b0_norm + b1w_norm)
+        M3 = m * M2 * Theta1 * (2.0 / sigma_star) ** (2 * tau)
+        M4 = m * n * M2 * Theta2 * (2.0 / sigma_star) ** (2 * tau + 1)
+        M5 = M0 + M3
+        M6 = M1 + M4
+        M7 = (
+            16.0
+            * M_B
+            * M5
+            * (1.0 + 8.0 * E_SQ * M_B * M_h * M5 + E_SQ * M5)
+            * (rho_star * sigma_star) ** -4
+        )
+        M8 = 32.0 * m * M_B * M_h * M5 * (rho_star ** 2 * sigma_star) ** -2
+        D = 32.0 * E_SQ * omega_abs * M_B * (rho_star * sigma_star) ** -2 * max(M6, M7, M8)
+        eps_threshold = a ** 4 / (D * 12.0 ** (8.0 * (tau + 1.0)))
+    except OverflowError as exc:
+        raise ParameterError(
+            "constants ledger overflows at rho* = %r, sigma* = %r, tau = %r"
+            % (rho_star, sigma_star, tau)
+        ) from exc
     gamma = gamma_rho_sigma(S, params0)
-    eps_threshold = a ** 4 / (D * 12.0 ** (8.0 * (tau + 1.0)))
-    return ConstantsLedger(
+    ledger = ConstantsLedger(
         Theta1=Theta1,
         Theta2=Theta2,
         M0=M0,
@@ -388,12 +395,16 @@ def constants_ledger(
         omega_abs=omega_abs,
         eps_threshold=eps_threshold,
     )
+    bad = [k for k, v in ledger.as_dict().items() if not math.isfinite(v)]
+    if bad:
+        raise ParameterError("constants ledger entries not finite: %s" % ", ".join(bad))
+    return ledger
 
 
 # ---------------------------------------------------------------- initialization
 
 
-def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, options=None):
+def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, options):
     """Shift the expansion point to the torus, assemble H = eta + omega~.y +
     h(y* + .)|_{|alpha| >= 2} + eps f(y* + .), with omega~ the real parts of the
     linear coefficients of h(y* + .) and its constant dropped, split it, and set
@@ -401,9 +412,9 @@ def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, op
 
     Rejects series whose decay rate or truncation disagrees with (a, trunc),
     perturbations that violate the decay hypothesis (any p = 0 term) and
-    resonant frequencies (via the Diophantine scan at the truncation).
+    resonant frequencies (via the Diophantine scan at the truncation), and
+    raises ParameterError when eps0 or a ledger constant is not finite.
     """
-    options = options or RunOptions()
     if not (0.0 < a < 1.0):
         raise ProblemFormatError("decay rate a must lie in (0, 1)")
     if any((s.decay_rate, s.trunc) != (a, tuple(trunc)) for s in (h, f, S)):
@@ -437,18 +448,21 @@ def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, op
     d0 = 1.0 / 6.0
     u0 = IterationParams(
         d=d0,
-        eps=decomp.measured_eps(params0),
+        eps=max(decomp.eps_parts(params0)),
         zeta=d0 * sigma0 / (4.0 * omega_abs),
         upsilon=upsilon_hyp / 2.0,
         rho=rho0,
         sigma=sigma0,
         a=a,
         tau=tau,
-        gamma=freq.gamma,
     )
     u0.validate(omega_abs)
     M_f = weighted_norm(f_shift, WeightedNormParams(rho, sigma / 2.0)).K
     eps0_rating = h.m * eps_scalar * M_f / rho0
+    if not (math.isfinite(eps0_rating) and math.isfinite(u0.eps)):
+        raise ParameterError(
+            "eps0 is not finite: rating %r, measured %r" % (eps0_rating, u0.eps)
+        )
     M_h_meas = weighted_norm(full.eta_free_part(), params0).K
     ledger = constants_ledger(
         S_shifted, u0, freq, options.theta1, options.theta2, M_h=M_h_meas
@@ -484,43 +498,49 @@ def _schedule_d(j, ledger, eps0_rating, upsilon, a, tau, d_floor):
     return min(1.0 / 6.0, max(base * profile, d_floor))
 
 
-def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, eps0_rating=None):
-    """One Kolmogorov step: solve for chi = S + T.y, transform, re-split.
+def _shrink(d, tau, rho, sigma, upsilon):
+    """One step of the printed recursion: (rho, sigma) <- (1 - 3d)(rho, sigma),
+    upsilon <- (1 - d^{4 tau + 3}) upsilon."""
+    return (
+        (1.0 - 3.0 * d) * rho,
+        (1.0 - 3.0 * d) * sigma,
+        (1.0 - d ** (4.0 * tau + 3.0)) * upsilon,
+    )
+
+
+def normalization_step(setup: RunSetup, decomp, u, step_index):
+    """One Kolmogorov step on decomp at u: solve for chi = S + T.y,
+    transform, re-split.  The structure, frequencies, ledger, options and
+    eps0 rating come from setup.
 
     Returns (new_decomposition, chi_record, u_next, trace_row).  Raises
     StepRefusedError in strict mode when any printed smallness condition
     fails, and lie_transform raises LieDivergenceError (a StepRefusedError)
-    when the measured Lie contraction exceeds 1/2.
+    when the measured Lie contraction exceeds 1/2.  Raises ParameterError
+    when a denominator of the smallness verdicts underflows to 0.
     """
-    options = options or RunOptions()
+    S, freq, ledger, options = setup.structure, setup.freq, setup.ledger, setup.options
     a, tau = u.a, u.tau
     params = u.norm_params()
-    epsA = weighted_norm(decomp.A, params)
-    epsB = sum(weighted_norm(b, params).K for b in decomp.B)
-    eps = max(epsA.K, epsB)
-    zeta = u.d * u.sigma / (4.0 * ledger.omega_abs)
-    v_picc = (
-        eps * ledger.D / (a ** 4 * u.upsilon ** 2 * u.d ** (8.0 * (tau + 1.0)))
-        <= 0.5
+    eps_A, eps_B = decomp.eps_parts(params)
+    eps = max(eps_A, eps_B)
+    zeta = u.zeta
+    picc_den = a ** 4 * u.upsilon ** 2 * u.d ** (8.0 * (tau + 1.0))
+    smallone_den = (
+        a ** 2
+        * u.upsilon
+        * u.d ** (4.0 * tau + 3.0)
+        * (ledger.rho_star * ledger.sigma_star) ** 2
     )
-    v_smallone = (
-        eps
-        * 8.0
-        * E_SQ
-        * ledger.M_B
-        * ledger.M5
-        / (
-            a ** 2
-            * u.upsilon
-            * u.d ** (4.0 * tau + 3.0)
-            * (ledger.rho_star * ledger.sigma_star) ** 2
+    smallv_den = a ** 2 * u.upsilon ** 2 * u.d ** (4.0 * tau + 5.0) * zeta
+    if not min(picc_den, smallone_den, smallv_den) > 0.0:
+        raise ParameterError(
+            "smallness verdicts undefined: a denominator underflows to 0 at "
+            "a = %r, d = %r, upsilon = %r" % (a, u.d, u.upsilon)
         )
-        <= 0.5
-    )
-    v_smallv = (
-        eps * ledger.M8 / (a ** 2 * u.upsilon ** 2 * u.d ** (4.0 * tau + 5.0) * zeta)
-        <= 0.5
-    )
+    v_picc = eps * ledger.D / picc_den <= 0.5
+    v_smallone = eps * 8.0 * E_SQ * ledger.M_B * ledger.M5 / smallone_den <= 0.5
+    v_smallv = eps * ledger.M8 / smallv_den <= 0.5
     if options.enforce_theoretical and not (v_picc and v_smallone and v_smallv):
         raise StepRefusedError(
             "theoretical smallness conditions fail at eps=%.3g" % eps
@@ -541,41 +561,29 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
         Hhat = Hhat.canonical_pruned(options.prune_rel)
     new_decomp = HamiltonianDecomposition.from_full(Hhat, decomp.omega_tilde)
 
-    # homological residual restricted to |alpha| <= 1 (should sit at rounding)
-    resid = chi.partial_xi() + decomp.g_part() + poisson_bracket(
-        chi, decomp.h_part(), S
-    )
+    # homological residual restricted to |alpha| <= 1 (should sit at rounding):
+    # chi_xi + g + {chi, h} with g = A + B.y and h = omega~.y + (1/2) C y.y + R
+    g, h = _by_degree(_rest(decomp.full, decomp.omega_tilde))
+    h = h + _omega_y(decomp.full, decomp.omega_tilde)
+    resid = chi.partial_xi() + g + poisson_bracket(chi, h, S)
     resid_low = weighted_norm(_by_degree(resid)[0], params).K
 
     d_next = _schedule_d(
-        step_index + 1,
-        ledger,
-        eps0_rating if eps0_rating is not None else eps,
-        u.upsilon,
-        a,
-        tau,
-        options.d_floor,
+        step_index + 1, ledger, setup.eps0_rating, u.upsilon, a, tau, options.d_floor
     )
-    rho_next = (1.0 - 3.0 * u.d) * u.rho
-    sigma_next = (1.0 - 3.0 * u.d) * u.sigma
-    upsilon_next = (1.0 - u.d ** (4.0 * tau + 3.0)) * u.upsilon
-    zeta_next = d_next * sigma_next / (4.0 * ledger.omega_abs)
+    rho_next, sigma_next, upsilon_next = _shrink(u.d, tau, u.rho, u.sigma, u.upsilon)
     params_next = WeightedNormParams(rho_next, sigma_next)
-    eps_next = new_decomp.measured_eps(params_next)
+    eps_next = max(new_decomp.eps_parts(params_next))
     u_next = IterationParams(
         d=d_next,
         eps=eps_next,
-        zeta=zeta_next,
+        zeta=d_next * sigma_next / (4.0 * ledger.omega_abs),
         upsilon=upsilon_next,
         rho=rho_next,
         sigma=sigma_next,
         a=a,
         tau=tau,
-        gamma=u.gamma,
     )
-    eps_theory_next = (
-        ledger.D / (a ** 4 * u.upsilon ** 2 * u.d ** (8.0 * (tau + 1.0)))
-    ) * eps ** 2
     minp = new_decomp.min_decay_index()
     trace_row = {
         "step": step_index,
@@ -585,8 +593,8 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
         "zeta": zeta,
         "upsilon": u.upsilon,
         "eps_in": eps,
-        "eps_A": epsA.K,
-        "eps_B": epsB,
+        "eps_A": eps_A,
+        "eps_B": eps_B,
         "min_p_in": decomp.min_decay_index() or 0,
         "chi_norm": weighted_norm(chi, params).K,
         "S_norm": weighted_norm(solS.phi, params).K,
@@ -601,7 +609,7 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
         "lie_discarded_mass": diag.discarded_mass,
         "hom_residual_low": resid_low,
         "eps_out": eps_next,
-        "eps_theory_next": eps_theory_next,
+        "eps_theory_next": ledger.D / picc_den * eps ** 2,
         "min_p_out": minp or 0,
         "c_op_bound": c_operator_bound(new_decomp.C, params_next),
         "verdict_piccolaunmezzo": v_picc,
@@ -612,62 +620,49 @@ def normalization_step(decomp, S, u, freq, ledger, options=None, step_index=0, e
     return new_decomp, chi_record, u_next, trace_row
 
 
-def run(setup, max_steps=None, target_eps=None) -> RunResult:
-    """Iterate normalization steps until eps <= target or the budget runs out.
+def run(setup: RunSetup) -> RunResult:
+    """Iterate normalization steps until eps <= target_eps or max_steps
+    steps have run, both read from setup.options.
 
-    Accepts a RunSetup or anything with an initialize() producing one (a
-    Problem).  Aborts with status "diverged" when eps grows two steps in a
-    row and with "refused" when a step declines its smallness precondition;
-    the trace is returned in every case.
+    Aborts with status "diverged" when eps grows two steps in a row and
+    with "refused" when a step declines its smallness precondition; the
+    trace is returned in every case.
     """
-    if not isinstance(setup, RunSetup):
-        setup = setup.initialize()
     options = setup.options
-    max_steps = options.max_steps if max_steps is None else max_steps
-    target_eps = options.target_eps if target_eps is None else target_eps
-    decomp, u, freq, S, ledger = (
-        setup.decomp,
-        setup.params,
-        setup.freq,
-        setup.structure,
-        setup.ledger,
-    )
+    decomp, u = setup.decomp, setup.params
     trace = NormalizationTrace()
     warnings = []
     if setup.empirical_mode:
         warnings.append(
             "eps0 rating %.6g exceeds the theoretical threshold %.6g; "
             "running in empirical mode (measured norms drive the iteration)"
-            % (setup.eps0_rating, ledger.eps_threshold)
+            % (setup.eps0_rating, setup.ledger.eps_threshold)
         )
     trace.header = {
         "eps0_rating": setup.eps0_rating,
         "eps0_measured": u.eps,
-        "eps_threshold": ledger.eps_threshold,
+        "eps_threshold": setup.ledger.eps_threshold,
         "empirical_mode": setup.empirical_mode,
-        "target_eps": target_eps,
-        "max_steps": max_steps,
+        "target_eps": options.target_eps,
+        "max_steps": options.max_steps,
         "u0": u.as_dict(),
-        "omega_tilde": [float(v) for v in freq.omega_tilde],
-        "omega": [float(v) for v in freq.omega],
-        "gamma_K": freq.gamma,
+        "omega_tilde": [float(v) for v in setup.freq.omega_tilde],
+        "omega": [float(v) for v in setup.freq.omega],
+        "gamma_K": setup.freq.gamma,
         "tau": u.tau,
         "a": u.a,
-        "constants": ledger.as_dict(),
+        "constants": setup.ledger.as_dict(),
         "warnings": warnings,
         "problem": setup.problem_echo,
     }
     chi_records = []
     stopped = None
     grew = 0
-    for j in range(max_steps):
-        if u.eps <= target_eps:
+    for j in range(options.max_steps):
+        if u.eps <= options.target_eps:
             break
         try:
-            decomp, chi_rec, u_next, row = normalization_step(
-                decomp, S, u, freq, ledger, options, step_index=j,
-                eps0_rating=setup.eps0_rating,
-            )
+            decomp, chi_rec, u_next, row = normalization_step(setup, decomp, u, j)
         except StepRefusedError as exc:
             warnings.append("step %d refused: %s" % (j, exc))
             stopped = "refused"
@@ -681,13 +676,13 @@ def run(setup, max_steps=None, target_eps=None) -> RunResult:
             )
         grew = grew + 1 if u_next.eps > u.eps else 0
         u = u_next
-        if u.eps > target_eps and grew >= 2:
+        if u.eps > options.target_eps and grew >= 2:
             warnings.append(
                 "eps grew twice in a row (%.3g); aborting as divergent" % u.eps
             )
             stopped = "diverged"
             break
-    status = stopped or ("converged" if u.eps <= target_eps else "max_steps")
+    status = stopped or ("converged" if u.eps <= options.target_eps else "max_steps")
     trace.header["status"] = status
     trace.header["eps_final"] = u.eps
     trace.header["steps_taken"] = len(trace.rows)
@@ -768,9 +763,7 @@ def _iterate_schedule(beta, tau, upsilon0, rho0, sigma0, omega_abs, j_end):
         rows.append(
             {"j": j, "d": d, "rho": rho, "sigma": sigma, "upsilon": ups, "zeta": zeta}
         )
-        rho *= 1.0 - 3.0 * d
-        sigma *= 1.0 - 3.0 * d
-        ups *= 1.0 - d ** (4.0 * tau + 3.0)
+        rho, sigma, ups = _shrink(d, tau, rho, sigma, ups)
     return rows, rho, sigma, ups
 
 

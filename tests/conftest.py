@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,13 @@ def eta(n=1, m=1, a=A_DEFAULT, trunc=TR_DEFAULT):
 
 def decay(p=1, n=1, m=1, a=A_DEFAULT, trunc=TR_DEFAULT, value=1.0):
     return mk([((0,) * n, (0,) * m, 0, p, value)], n, m, a, trunc)
+
+
+def with_budget(setup, max_steps, target_eps):
+    """setup with its run budget replaced; unlike Problem.initialize this
+    takes target_eps = 0, which runs every one of the max_steps steps."""
+    options = dataclasses.replace(setup.options, max_steps=max_steps, target_eps=target_eps)
+    return dataclasses.replace(setup, options=options)
 
 
 def _dyadic(rng, scale=16):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from poisson_kam import (
+    ChiRecord,
     ExtendedPoint,
     StructureMatrix,
     Truncation,
@@ -29,7 +30,7 @@ from poisson_kam.bracket import gamma_from_block_norms
 from poisson_kam.cli import main
 from poisson_kam.homological import FrequencyData
 
-from conftest import random_series, random_structure, rescaled_bracket_instance
+from conftest import random_series, random_structure, rescaled_bracket_instance, with_budget
 
 GOLDEN = (1.0 + 5 ** 0.5) / 2.0
 
@@ -194,7 +195,8 @@ def test_acceptance_04_lie_vs_flow():
             0.2 * rng.normal(size=m), rng.uniform(0, 2 * math.pi, size=n),
             0.1 * rng.normal(), abs(rng.normal()),
         )
-        dist = lie_vs_flow_check(chi, S, pt, tol=1e-12, params=params)
+        record = ChiRecord(0, chi, params.rho, params.sigma, 0.0)
+        dist = lie_vs_flow_check(record, S, pt, tol=1e-12)
         assert dist <= 1e-8
         checks += 1
     assert checks == 20
@@ -209,11 +211,11 @@ def test_acceptance_05_quadratic_convergence():
     eps1 = {}
     for eps in (1e-3, 5e-4):
         setup = benchmark_problem(epsilon=eps).initialize()
-        res = run(setup, max_steps=1, target_eps=0.0)
+        res = run(with_budget(setup, 1, 0.0))
         eps1[eps] = res.trace.rows[0]["eps_out"]
     ratio = eps1[5e-4] / eps1[1e-3]
     assert 0.2 <= ratio <= 0.3
-    res = run(benchmark_problem(epsilon=1e-3).initialize(), max_steps=5, target_eps=0.0)
+    res = run(with_budget(benchmark_problem(epsilon=1e-3).initialize(), 5, 0.0))
     eps_seq = res.trace.eps_sequence()
     assert len(eps_seq) == 6
     assert all(eps_seq[j + 1] < eps_seq[j] for j in range(5))
@@ -280,7 +282,7 @@ def test_acceptance_06_norm_bound_inequality():
 def test_acceptance_07_08_torus_persistence_and_time_triviality():
     t0 = time.time()
     setup = benchmark_problem(epsilon=1e-3).initialize()
-    res = run(setup, max_steps=6, target_eps=1e-9)
+    res = run(with_budget(setup, 6, 1e-9))
     assert res.status == "converged"
     report = torus_persistence_report(
         setup.decomp.full,

@@ -1,13 +1,22 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import poisson_kam
-from poisson_kam import benchmark_problem, two_dof_problem
+from poisson_kam import (
+    ExtendedPoint,
+    benchmark_problem,
+    lie_vs_flow_check,
+    rescaled_benchmark_problem,
+    run,
+    two_dof_problem,
+)
 from poisson_kam.cli import main
 
 
@@ -190,6 +199,12 @@ def test_verify_trajectories_match_report(bench_file, tmp_path):
             rows = (out / ("trajectory_%s_%02d.csv" % (tag, i))).read_text().split()
             errors = [float(row.split(",")[col]) for row in rows]
             assert max(errors) == angle[tag + "_sup"]
+    digests = {
+        "trajectory_naive_00.csv": "508a21350cc6da5f9d9a41d4bf44f74a05c88b726503c2119aeede4ff50af888",
+        "trajectory_mapped_01.csv": "20d7670df0489e6ff90eb1a263efc470ad0b1c197dce9ff0cbdda392d9ff224b",
+    }
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("angles", ["0", "-1"])
@@ -252,6 +267,29 @@ def test_lie_check_and_verify_guard_at_the_record_params(bench_file, tmp_path, c
         errors.append(capsys.readouterr().err)
     assert errors[0].startswith("refused: Lie contraction")
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: benchmark_problem(epsilon=1e-3), rescaled_benchmark_problem, two_dof_problem],
+    ids=["benchmark", "rescaled", "two_dof"],
+)
+def test_lie_check_matches_library(tmp_path, capsys, make):
+    # the command's distances are the library's, at the same point and tol
+    problem = make()
+    path = tmp_path / "p.json"
+    problem.save(path)
+    out = tmp_path / "run"
+    assert main(["normalize", "--problem", str(path), "--out", str(out)]) == 0
+    assert main(["lie-check", "--problem", str(path), "--out", str(out)]) == 0
+    rows = json.loads((out / "lie_check.json").read_text())["rows"]
+    setup = problem.initialize()
+    point = ExtendedPoint(np.zeros(problem.m), np.full(problem.n, 0.3), 0.0, 0.0)
+    expected = [
+        lie_vs_flow_check(rec, setup.structure, point, tol=1e-12)
+        for rec in run(setup).chi_records
+    ]
+    assert [row["distance"] for row in rows] == expected
 
 
 def _python_with_timeout(*args):
@@ -376,6 +414,27 @@ def test_bad_problem_scalar_exit_1(bench_file, tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tau", 400),
+        ("rho", 1e-300),
+        ("sigma", 1e-300),
+        ("epsilon", 1e300),
+        ("theta1", 1e300),
+        ("y_star", 1e-310),
+        ("a", 1e-300),
+    ],
+)
+def test_extreme_finite_scalar_exit_1(tmp_path, capsys, key, value):
+    # finite values that overflow or underflow inside the run end in error:
+    prob = tmp_path / "p.json"
+    benchmark_problem(**{"epsilon": 1e-3, key: value}).save(prob)
+    code = main(["normalize", "--problem", str(prob), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("part, value", [("re", float("nan")), ("im", float("inf"))])

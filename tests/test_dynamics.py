@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poisson_kam import (
+    ChiRecord,
     ExtendedPoint,
     StructureMatrix,
     benchmark_problem,
@@ -24,16 +25,22 @@ from conftest import (
     random_series,
     rescaled_bracket_instance,
     sinx,
+    with_budget,
     zeros,
 )
+
+
+def _at_unit_domain(chi):
+    """chi as a stored generator at (rho, sigma) = (1, 1)."""
+    return ChiRecord(0, chi, 1.0, 1.0, 0.0)
 
 
 def test_unperturbed_torus_is_invariant():
     setup = benchmark_problem(epsilon=0.0).initialize()
     start = ExtendedPoint(np.zeros(1), np.array([0.3]), 0.0, 0.0)
-    samples = integrate(setup.decomp.full, setup.structure, start, 20.0, 1e-10)
-    assert max(s.torus_error for s in samples) <= 1e-9
-    assert max(float(np.abs(s.phase_drift).max()) for s in samples) <= 1e-8
+    traj = integrate(setup.decomp.full, setup.structure, start, 20.0, 1e-10)
+    assert traj.torus_error.max() <= 1e-9
+    assert np.abs(traj.phase_drift).max() <= 1e-8
 
 
 def test_energy_conserved_autonomous():
@@ -42,20 +49,17 @@ def test_energy_conserved_autonomous():
     H = setup.decomp.full + cosx(trunc=setup.decomp.full.trunc).scale(1e-2)
     start = ExtendedPoint(np.array([0.1]), np.array([0.3]), 0.0, 0.0)
     tol = 1e-10
-    samples = integrate(H, setup.structure, start, 30.0, tol)
-    vals = [
-        H.evaluate(s.point.y, s.point.x, s.point.eta, s.point.xi).real
-        for s in samples
-    ]
+    traj = integrate(H, setup.structure, start, 30.0, tol)
+    # states are (y, x, eta, xi) with m = n = 1
+    vals = [H.evaluate(v[:1], v[1:2], v[2], v[3]).real for v in traj.states]
     assert max(vals) - min(vals) <= 10 * tol * max(1.0, abs(vals[0]))
 
 
 def test_time_coordinate_linear():
     setup = benchmark_problem(epsilon=1e-3).initialize()
     start = ExtendedPoint(np.zeros(1), np.array([1.0]), 0.0, 0.25)
-    samples = integrate(setup.decomp.full, setup.structure, start, 10.0, 1e-11)
-    for s in samples:
-        assert s.point.xi == pytest.approx(0.25 + s.t, abs=1e-9)
+    traj = integrate(setup.decomp.full, setup.structure, start, 10.0, 1e-11)
+    assert traj.states[:, -1] == pytest.approx(0.25 + traj.t, abs=1e-9)
 
 
 def _field_entry_by_entry(H, S, v):
@@ -91,11 +95,11 @@ def test_field_equals_entry_by_entry_formula(rng):
 def test_write_trajectory_format(tmp_path):
     setup = benchmark_problem(epsilon=0.0).initialize()
     start = ExtendedPoint(np.zeros(1), np.array([0.0]), 0.0, 0.0)
-    samples = integrate(setup.decomp.full, setup.structure, start, 1.0, 1e-9)
+    traj = integrate(setup.decomp.full, setup.structure, start, 1.0, 1e-9)
     path = tmp_path / "traj.csv"
-    write_trajectory(samples, path)
+    write_trajectory(traj, path)
     rows = path.read_text().strip().split("\n")
-    assert len(rows) == len(samples)
+    assert len(rows) == len(traj.t)
     # t, y, x, eta, xi, torus_error, drift for m = n = 1
     assert len(rows[0].split(",")) == 7
 
@@ -103,14 +107,14 @@ def test_write_trajectory_format(tmp_path):
 def test_lie_vs_flow_zero_chi():
     S = StructureMatrix.canonical(1, A_DEFAULT, TR_DEFAULT)
     pt = ExtendedPoint(np.array([0.1]), np.array([0.4]), 0.0, 0.2)
-    assert lie_vs_flow_check(zeros(), S, pt, tol=1e-12) <= 1e-12
+    assert lie_vs_flow_check(_at_unit_domain(zeros()), S, pt, tol=1e-12) <= 1e-12
 
 
 def test_lie_vs_flow_canonical_small():
     S = StructureMatrix.canonical(1, A_DEFAULT, TR_DEFAULT)
     chi = sinx().scale(1e-3)
     pt = ExtendedPoint(np.array([0.2]), np.array([0.7]), 0.1, 0.3)
-    assert lie_vs_flow_check(chi, S, pt, tol=1e-12) <= 1e-8
+    assert lie_vs_flow_check(_at_unit_domain(chi), S, pt, tol=1e-12) <= 1e-8
 
 
 def test_lie_vs_flow_tightens_when_halved(rng):
@@ -122,18 +126,18 @@ def test_lie_vs_flow_tightens_when_halved(rng):
     )
     chi = chi.scale(1e-3 / weighted_norm(chi, WeightedNormParams(1.0, 1.0)).K)
     pt = ExtendedPoint(np.array([0.15]), np.array([0.4, 1.2]), 0.0, 0.1)
-    d1 = lie_vs_flow_check(chi, S, pt, tol=1e-12)
-    d2 = lie_vs_flow_check(chi.scale(0.5), S, pt, tol=1e-12)
+    d1 = lie_vs_flow_check(_at_unit_domain(chi), S, pt, tol=1e-12)
+    d2 = lie_vs_flow_check(_at_unit_domain(chi.scale(0.5)), S, pt, tol=1e-12)
     assert d1 <= 1e-8
     assert d2 <= max(d1, 1e-12)
 
 
 def test_lie_vs_flow_for_run_generators(rng):
     setup = benchmark_problem(epsilon=1e-3).initialize()
-    res = run(setup, max_steps=2, target_eps=0.0)
+    res = run(with_budget(setup, 2, 0.0))
     pt = ExtendedPoint(np.zeros(1), np.array([0.9]), 0.0, 0.0)
     for rec in res.chi_records:
-        assert lie_vs_flow_check(rec.chi, setup.structure, pt, tol=1e-12) <= 1e-8
+        assert lie_vs_flow_check(rec, setup.structure, pt, tol=1e-12) <= 1e-8
 
 
 def test_persistence_zero_perturbation():
@@ -153,7 +157,7 @@ def test_persistence_zero_perturbation():
 
 def test_persistence_benchmark_improvement():
     setup = benchmark_problem(epsilon=1e-3).initialize()
-    res = run(setup, max_steps=4, target_eps=1e-9)
+    res = run(with_budget(setup, 4, 1e-9))
     rep = torus_persistence_report(
         setup.decomp.full,
         setup.structure,
@@ -173,8 +177,8 @@ def test_persistence_naive_error_scales_linearly():
     for eps in (1e-3, 5e-4):
         setup = benchmark_problem(epsilon=eps).initialize()
         start = ExtendedPoint(np.zeros(1), np.zeros(1), 0.0, 0.0)
-        samples = integrate(setup.decomp.full, setup.structure, start, 40.0, 1e-10)
-        settled[eps] = max(s.torus_error for s in samples if s.t >= 20.0)
+        traj = integrate(setup.decomp.full, setup.structure, start, 40.0, 1e-10)
+        settled[eps] = traj.torus_error[traj.t >= 20.0].max()
     assert settled[1e-3] / settled[5e-4] == pytest.approx(2.0, rel=0.2)
 
 
@@ -203,5 +207,5 @@ def test_solve_ivp_is_a_replaceable_module_attribute(monkeypatch):
     monkeypatch.setattr(dynamics, "solve_ivp", counting)
     setup = benchmark_problem(epsilon=0.0).initialize()
     start = ExtendedPoint(np.zeros(1), np.array([0.3]), 0.0, 0.0)
-    samples = integrate(setup.decomp.full, setup.structure, start, 1.0, 1e-8)
-    assert calls == ["DOP853"] and samples[-1].t == 1.0
+    traj = integrate(setup.decomp.full, setup.structure, start, 1.0, 1e-8)
+    assert calls == ["DOP853"] and traj.t[-1] == 1.0

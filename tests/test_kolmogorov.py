@@ -14,7 +14,7 @@ from poisson_kam import (
 )
 from poisson_kam.errors import ProblemFormatError, ResonanceError, StepRefusedError
 
-from conftest import A_DEFAULT, cosx, eta, mk, yi
+from conftest import A_DEFAULT, cosx, eta, mk, with_budget, yi
 
 
 def canonical_setup(epsilon=1e-3, **kw):
@@ -91,10 +91,7 @@ def test_init_rejects_resonant_frequency():
 
 def test_step_fixed_point_for_zero_perturbation():
     setup = canonical_setup(epsilon=0.0)
-    d, chi, u1, row = normalization_step(
-        setup.decomp, setup.structure, setup.params, setup.freq, setup.ledger,
-        setup.options, 0,
-    )
+    d, chi, u1, row = normalization_step(setup, setup.decomp, setup.params, 0)
     assert chi.chi.is_zero()
     assert d.full == setup.decomp.full
     assert row["eps_out"] == 0.0
@@ -110,10 +107,7 @@ def test_step_pure_time_source():
     from poisson_kam import HamiltonianDecomposition
 
     decomp = HamiltonianDecomposition.from_full(full, setup.decomp.omega_tilde)
-    d, chi, u1, row = normalization_step(
-        decomp, setup.structure, setup.params, setup.freq, setup.ledger,
-        setup.options, 0,
-    )
+    d, chi, u1, row = normalization_step(setup, decomp, setup.params, 0)
     # chi = S(xi) = c/a e^{-a xi}, no x dependence
     assert not chi.chi.kcols.any()
     assert chi.chi.coefficient((0,), (0,), 0, 1) == pytest.approx(c / A_DEFAULT)
@@ -124,9 +118,7 @@ def test_step_pure_time_source():
 def test_step_exactness_audit_and_invariant_slots():
     setup = canonical_setup(epsilon=1e-3)
     d0 = setup.decomp
-    d1, chi, u1, row = normalization_step(
-        d0, setup.structure, setup.params, setup.freq, setup.ledger, setup.options, 0
-    )
+    d1, chi, u1, row = normalization_step(setup, d0, setup.params, 0)
     # split/reassemble identity is exact
     assert d1.reassembled() == d1.full
     # eta and omega~.y slots bit-identical across the step
@@ -144,17 +136,14 @@ def test_step_exactness_audit_and_invariant_slots():
 def test_step_refuses_oversized_perturbation():
     setup = canonical_setup(epsilon=8e-3)
     with pytest.raises(StepRefusedError):
-        normalization_step(
-            setup.decomp, setup.structure, setup.params, setup.freq,
-            setup.ledger, setup.options, 0,
-        )
+        normalization_step(setup, setup.decomp, setup.params, 0)
 
 
 def test_step_quadratic_ratio():
     out = {}
     for eps in (1e-3, 5e-4):
         setup = canonical_setup(epsilon=eps)
-        res = run(setup, max_steps=1, target_eps=0.0)
+        res = run(with_budget(setup, 1, 0.0))
         out[eps] = res.trace.rows[0]["eps_out"]
     assert 0.2 <= out[5e-4] / out[1e-3] <= 0.3
 
@@ -169,7 +158,7 @@ def test_run_zero_perturbation_trivial():
 
 
 def test_run_benchmark_superlinear():
-    res = run(canonical_setup(epsilon=1e-3), max_steps=5, target_eps=0.0)
+    res = run(with_budget(canonical_setup(epsilon=1e-3), 5, 0.0))
     eps = res.trace.eps_sequence()
     assert all(eps[j + 1] < eps[j] for j in range(len(eps) - 1))
     # quadratic signature on the numerically meaningful segment
@@ -179,7 +168,7 @@ def test_run_benchmark_superlinear():
 
 
 def test_run_empirical_mode_flag():
-    res = run(canonical_setup(epsilon=1e-3), max_steps=1, target_eps=0.0)
+    res = run(with_budget(canonical_setup(epsilon=1e-3), 1, 0.0))
     assert res.trace.header["empirical_mode"] is True
     assert any("empirical" in w for w in res.trace.header["warnings"])
 
@@ -196,14 +185,14 @@ def test_run_flags_lie_series_stopped_by_cap():
 
 
 def test_run_decay_order_growth():
-    res = run(canonical_setup(epsilon=1e-3), max_steps=3, target_eps=0.0)
+    res = run(with_budget(canonical_setup(epsilon=1e-3), 3, 0.0))
     minps = [row["min_p_out"] for row in res.trace.rows]
     assert minps[0] >= 2
     assert all(minps[j + 1] >= minps[j] for j in range(len(minps) - 1))
 
 
 def test_run_parameter_monotonicity_and_c_bound():
-    res = run(canonical_setup(epsilon=1e-3), max_steps=4, target_eps=0.0)
+    res = run(with_budget(canonical_setup(epsilon=1e-3), 4, 0.0))
     rows = res.trace.rows
     for va, vb in zip(rows, rows[1:]):
         assert vb["rho"] < va["rho"]
@@ -260,7 +249,7 @@ def test_compose_map_empty_is_identity():
 
 def test_compose_map_displacement_bounds_and_xi():
     setup = canonical_setup(epsilon=1e-3)
-    res = run(setup, max_steps=2, target_eps=0.0)
+    res = run(with_budget(setup, 2, 0.0))
     pt = ExtendedPoint(np.zeros(1), np.array([0.4]), 0.0, 0.0)
     out = compose_map(res.chi_records, pt, setup.structure)
     assert out.xi == pt.xi  # exact, not approximate
@@ -290,25 +279,20 @@ def test_run_divergence_abort(monkeypatch):
     setup = canonical_setup(epsilon=1e-3)
     state = {"eps": setup.params.eps}
 
-    def fake_step(decomp, S, u, freq, ledger, options=None, step_index=0, eps0_rating=None):
+    def fake_step(setup, decomp, u, step_index):
         state["eps"] *= 3.0
         u_next = K.IterationParams(
             d=u.d, eps=state["eps"], zeta=u.zeta, upsilon=u.upsilon,
-            rho=u.rho, sigma=u.sigma, a=u.a, tau=u.tau, gamma=u.gamma,
+            rho=u.rho, sigma=u.sigma, a=u.a, tau=u.tau,
         )
         row = {"step": step_index, "eps_in": u.eps, "eps_out": state["eps"], "lie_converged": True}
         chi = K.ChiRecord(step_index, decomp.A, u.rho, u.sigma, u.d)
         return decomp, chi, u_next, row
 
     monkeypatch.setattr(K, "normalization_step", fake_step)
-    res = K.run(setup, max_steps=10, target_eps=0.0)
+    res = K.run(with_budget(setup, 10, 0.0))
     assert res.status == "diverged"
     assert len(res.trace.rows) == 2  # two consecutive growths, then abort
-
-
-def test_run_accepts_problem_directly():
-    res = run(benchmark_problem(epsilon=0.0))
-    assert res.status == "converged"
 
 
 def test_noncanonical_rescaled_run_quadratic():
@@ -317,7 +301,7 @@ def test_noncanonical_rescaled_run_quadratic():
     setup = rescaled_benchmark_problem().initialize()
     # first-order structure data is genuinely nonzero on this instance
     assert np.abs(setup.structure.B1).max() > 0
-    res = run(setup, max_steps=3, target_eps=0.0)
+    res = run(with_budget(setup, 3, 0.0))
     eps = res.trace.eps_sequence()
     assert all(eps[j + 1] < eps[j] for j in range(len(eps) - 1))
     assert math.log(eps[2]) / math.log(eps[1]) >= 1.7
@@ -333,7 +317,7 @@ def test_noncanonical_rescaled_persistence_and_flow():
     )
 
     setup = rescaled_benchmark_problem().initialize()
-    res = run(setup, max_steps=3, target_eps=1e-10)
+    res = run(with_budget(setup, 3, 1e-10))
     assert res.status == "converged"
     rep = torus_persistence_report(
         setup.decomp.full, setup.structure, res.chi_records,
@@ -343,7 +327,7 @@ def test_noncanonical_rescaled_persistence_and_flow():
     assert all(a.xi_shift == 0.0 for a in rep.angles)
     pt = ExtendedPoint(np.zeros(1), np.array([0.4, 1.1]), 0.0, 0.0)
     for rec in res.chi_records:
-        assert lie_vs_flow_check(rec.chi, setup.structure, pt, tol=1e-12) <= 1e-8
+        assert lie_vs_flow_check(rec, setup.structure, pt, tol=1e-12) <= 1e-8
 
 
 def test_init_rejects_bad_decay_rate():
@@ -404,7 +388,7 @@ def test_compose_map_matches_sequential_flows():
     from scipy.integrate import solve_ivp
 
     setup = canonical_setup(epsilon=1e-3)
-    res = run(setup, max_steps=2, target_eps=0.0)
+    res = run(with_budget(setup, 2, 0.0))
     S = setup.structure
     recs = res.chi_records
     pt = ExtendedPoint(np.array([0.05]), np.array([0.9]), 0.02, 0.4)
@@ -442,7 +426,7 @@ def test_compose_map_matches_sequential_flows():
 def test_strict_mode_refuses_desk_scale_runs():
     prob = benchmark_problem(epsilon=1e-3, enforce_theoretical=True)
     setup = prob.initialize()
-    res = run(setup, max_steps=2, target_eps=0.0)
+    res = run(with_budget(setup, 2, 0.0))
     assert res.status == "refused"
     assert any("smallness" in w for w in res.trace.header["warnings"])
 
@@ -451,7 +435,7 @@ def test_optional_prune_keeps_quadratic_decay():
     from poisson_kam import rescaled_benchmark_problem
 
     prob = rescaled_benchmark_problem(trunc=(12, 4, 12), prune_rel=1e-15)
-    res = run(prob, max_steps=2, target_eps=0.0)
+    res = run(with_budget(prob.initialize(), 2, 0.0))
     eps = res.trace.eps_sequence()
     assert eps[1] < 1e-3 * eps[0]
     assert eps[2] < 1e-5 * eps[1]
