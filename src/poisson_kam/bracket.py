@@ -19,6 +19,7 @@ counts the truncation discards of its own products.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -39,6 +40,9 @@ E_SQ = math.e ** 2
 # Lie series stopping: relative term tolerance and hard cap on the order.
 LIE_REL_TOL = 1e-14
 LIE_MAX_TERMS = 40
+
+# a structure whose relative Jacobi defect exceeds this is not Poisson
+JACOBI_REL_TOL = 1e-12
 
 
 @dataclass
@@ -87,6 +91,11 @@ class StructureMatrix:
                 s = self.B22[l][lp] + self.B22[lp][l]
                 if not s.is_zero():
                     raise StructureMismatchError("B22 must be skew-symmetric")
+        defect = self.jacobi_defect()
+        if defect > JACOBI_REL_TOL:
+            raise StructureMismatchError(
+                "structure matrix fails the Jacobi identity (relative defect %.3g)" % defect
+            )
         zero_a = (0,) * self.m
         self.B0 = np.zeros((self.n, self.m))
         self.B1 = np.zeros((self.n, self.m, self.m))
@@ -132,6 +141,34 @@ class StructureMatrix:
             [shift_action_expansion(e, y_star) for e in row] for row in self.B22
         ]
         return StructureMatrix(B12, B22)
+
+    # ---- the Jacobi identity ------------------------------------------------
+
+    def jacobi_defect(self) -> float:
+        """Largest relative Jacobi defect over the coordinate triples of (y, x):
+        the norm of {B^bc, z_a} + {B^ca, z_b} + {B^ab, z_c}, with B^ab = {z_a, z_b},
+        over the sum of its terms' norms, at (rho, sigma) = (1, 1).  Constant
+        blocks satisfy the identity, so 0 when no entry depends on y."""
+        entries = [e for row in self.B12 + self.B22 for e in row]
+        if not any(e.acols.any() for e in entries):
+            return 0.0
+        zero = entries[0]._like(None, None)
+        m, n = self.m, self.n
+        B = [[zero] * m + row for row in self.B12]
+        B += [[-self.B12[i][l] for i in range(m)] + self.B22[l] for l in range(n)]
+        coords = [("y", i) for i in range(m)] + [("x", l) for l in range(n)]
+        unit = WeightedNormParams(1.0, 1.0)
+        worst = 0.0
+        for a, b, c in itertools.combinations(range(m + n), 3):
+            terms = [
+                bracket_with_coordinate(B[q][r], coords[p], self)
+                for p, q, r in ((a, b, c), (b, c, a), (c, a, b))
+            ]
+            scale = sum(weighted_norm(t, unit).K for t in terms)
+            if scale > 0.0:
+                cyclic = weighted_norm(terms[0] + terms[1] + terms[2], unit).K
+                worst = max(worst, cyclic / scale)
+        return worst
 
     # ---- norms --------------------------------------------------------------
 

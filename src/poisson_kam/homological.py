@@ -8,7 +8,8 @@ and in the exponential-decay coefficient ring they decouple mode by mode:
 the term (k, alpha, p) of phi is psi_{k,alpha,p} / (i k.omega - p a).  The
 divisor never vanishes when omega is nonresonant and every k = 0 term of psi
 carries p >= 1; the decay shift -p a is what makes the aperiodic k = 0 modes
-solvable at all.
+solvable at all.  The solvers read a from the ring of psi (its decay_rate),
+so no caller can pass a rate that disagrees with the series.
 """
 
 from __future__ import annotations
@@ -120,10 +121,10 @@ def _residual(phi, psi, omega, params):
 def solve_scalar(
     psi: FourierTaylorSeries,
     freq: FrequencyData,
-    a: float,
     params: WeightedNormParams | None = None,
 ) -> HomologicalSolution:
-    """Solve phi_xi + omega . phi_x = psi exactly per mode.
+    """Solve phi_xi + omega . phi_x = psi exactly per mode, with the decay
+    rate a of psi's ring.
 
     Every psi term needs p >= 1 or k != 0; a k = 0, p = 0 term is secular and
     rejected.  The alpha index is a spectator (each action slice solves
@@ -143,7 +144,7 @@ def solve_scalar(
         raise SecularTermError(
             "unsolvable secular term(s) with k = 0, p = 0 in the source"
         )
-    divisors = 1j * kdots - ps * a
+    divisors = 1j * kdots - ps * psi.decay_rate
     mags = np.abs(divisors)
     if (mags < DIVISOR_FLOOR).any():
         worst = float(mags.min())
@@ -160,9 +161,9 @@ def solve_scalar(
     return HomologicalSolution(phi, float(mags.min()), res)
 
 
-def solve_S(A: FourierTaylorSeries, freq: FrequencyData, a: float, params=None):
+def solve_S(A: FourierTaylorSeries, freq: FrequencyData, params=None):
     """First generating-function equation: S_xi + S_omega + A = 0."""
-    return solve_scalar(-A, freq, a, params)
+    return solve_scalar(-A, freq, params)
 
 
 def build_E(S_mat, C, omega_tilde):
@@ -191,7 +192,7 @@ def build_E(S_mat, C, omega_tilde):
     return E
 
 
-def solve_T(B_vec, S_series, E, freq: FrequencyData, a: float, params=None):
+def solve_T(B_vec, S_series, E, freq: FrequencyData, params=None):
     """Second equation, componentwise: T_j = solve(-(S_x E + B)_j).
 
     Each component has exactly the same per-mode form as the first equation.
@@ -205,5 +206,5 @@ def solve_T(B_vec, S_series, E, freq: FrequencyData, a: float, params=None):
         for l in range(n):
             if not (Sx[l].is_zero() or E[l][j].is_zero()):
                 rhs = rhs + Sx[l] * E[l][j]
-        out.append(solve_scalar(-rhs, freq, a, params))
+        out.append(solve_scalar(-rhs, freq, params))
     return out

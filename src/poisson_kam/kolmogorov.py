@@ -9,10 +9,14 @@ majorant norms; the printed theoretical constants (M0..M8, D) are evaluated
 alongside as a diagnostics ledger because they are far too pessimistic to
 drive desk-scale runs.
 
-A RunSetup is the one source of a run's inputs: run(setup) reads its budget
-from setup.options, and normalization_step(setup, decomp, u, j) reads the
-structure, frequencies, ledger, options and eps0 rating from it.  eps is
-max(eps_parts), and _shrink is the one (rho, sigma, upsilon) recursion.
+A RunSetup is the one source of a run's inputs: init_from_problem(problem,
+options) builds it from a validated Problem, run(setup) reads its budget from
+setup.options, and normalization_step(setup, decomp, u, j) reads the
+structure, frequencies, ledger, options and eps0 rating from it.  The
+problem's constants have one source each: the decay rate a is the series
+ring's decay_rate and tau is freq.tau; IterationParams is u and nothing
+else.  eps is max(eps_parts), and _shrink is the one (rho, sigma, upsilon)
+recursion.
 """
 
 from __future__ import annotations
@@ -148,7 +152,7 @@ def _by_degree(f):
 
 @dataclass
 class IterationParams:
-    """Parameter vector u_j plus the decay/Diophantine data it travels with."""
+    """The parameter vector u_j = (d, eps, zeta, upsilon, rho, sigma)."""
 
     d: float
     eps: float
@@ -156,8 +160,6 @@ class IterationParams:
     upsilon: float
     rho: float
     sigma: float
-    a: float
-    tau: float
 
     def norm_params(self) -> WeightedNormParams:
         return WeightedNormParams(self.rho, self.sigma)
@@ -287,7 +289,7 @@ class RunSetup:
     eps0_rating: float
     empirical_mode: bool
     options: RunOptions
-    problem_echo: dict = field(default_factory=dict)
+    problem_echo: dict
 
 
 @dataclass
@@ -331,11 +333,12 @@ def constants_ledger(
     Theta2: Optional[float] = None,
     M_h: float = 1.0,
 ) -> ConstantsLedger:
-    """Evaluate M0..M8 and D exactly as printed, at (rho*, sigma*) = u0/4.
+    """Evaluate M0..M8 and D exactly as printed, at (rho*, sigma*) = u0/4,
+    with a the decay rate of S's ring and tau that of freq.
 
     Raises ParameterError when a constant overflows or is not finite.
     """
-    a, tau = u0.a, u0.tau
+    a, tau = S.decay_rate, freq.tau
     rho_star, sigma_star = u0.rho / 4.0, u0.sigma / 4.0
     upsilon_star = u0.upsilon / 2.0
     if Theta1 is None or Theta2 is None:
@@ -404,31 +407,21 @@ def constants_ledger(
 # ---------------------------------------------------------------- initialization
 
 
-def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, options):
-    """Shift the expansion point to the torus, assemble H = eta + omega~.y +
-    h(y* + .)|_{|alpha| >= 2} + eps f(y* + .), with omega~ the real parts of the
-    linear coefficients of h(y* + .) and its constant dropped, split it, and set
-    the step-0 parameter vector (rho0, sigma0) = (rho, sigma)/2, d0 = 1/6.
+def init_from_problem(problem, options: RunOptions) -> RunSetup:
+    """Shift the expansion point of a Problem to the torus, assemble
+    H = eta + omega~.y + h(y* + .)|_{|alpha| >= 2} + eps f(y* + .), with omega~
+    the real parts of the linear coefficients of h(y* + .) and its constant
+    dropped, split it, and set the step-0 parameter vector
+    (rho0, sigma0) = (rho, sigma)/2, d0 = 1/6, from the problem's options.
 
-    Rejects series whose decay rate or truncation disagrees with (a, trunc),
-    perturbations that violate the decay hypothesis (any p = 0 term) and
-    resonant frequencies (via the Diophantine scan at the truncation), and
-    raises ParameterError when eps0 or a ledger constant is not finite.
+    The problem was validated when it was built.  Rejects resonant
+    frequencies (via the Diophantine scan at the truncation) and raises
+    ParameterError when eps0 or a ledger constant is not finite.
     """
-    if not (0.0 < a < 1.0):
-        raise ProblemFormatError("decay rate a must lie in (0, 1)")
-    if any((s.decay_rate, s.trunc) != (a, tuple(trunc)) for s in (h, f, S)):
-        raise ProblemFormatError("decay rate or truncation disagrees with the series ring")
-    if f.ecol.any():
-        raise ProblemFormatError("perturbation must not depend on eta")
-    if not f.is_zero() and int(f.pcol.min()) < 1:
-        raise ProblemFormatError(
-            "perturbation has a non-decaying term (p = 0); decay hypothesis violated"
-        )
-    if not h.is_action_only():
-        raise ProblemFormatError("integrable part h must depend on y only")
-    y_star = np.asarray(y_star, dtype=float).reshape(h.m)
-    S_shifted = S.shifted(y_star)
+    h, f, eps_scalar = problem.h, problem.f, problem.epsilon
+    rho, sigma = problem.option("rho"), problem.option("sigma")
+    y_star = np.asarray(problem.y_star, dtype=float)
+    S_shifted = problem.structure.shifted(y_star)
     h_shift = shift_action_expansion(h, y_star)
     f_shift = shift_action_expansion(f, y_star)
     omega_tilde = linear_frequencies(h_shift)
@@ -439,7 +432,7 @@ def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, op
         + f_shift.scale(eps_scalar)
     )
     decomp = HamiltonianDecomposition.from_full(full, omega_tilde)
-    freq = FrequencyData.build(omega_tilde, S_shifted.B0, tau, trunc[0])
+    freq = FrequencyData.build(omega_tilde, S_shifted.B0, problem.tau, problem.trunc.K_max)
     omega_abs = float(np.abs(freq.omega).max())
     rho0, sigma0 = rho / 2.0, sigma / 2.0
     params0 = WeightedNormParams(rho0, sigma0)
@@ -453,8 +446,6 @@ def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, op
         upsilon=upsilon_hyp / 2.0,
         rho=rho0,
         sigma=sigma0,
-        a=a,
-        tau=tau,
     )
     u0.validate(omega_abs)
     M_f = weighted_norm(f_shift, WeightedNormParams(rho, sigma / 2.0)).K
@@ -477,6 +468,7 @@ def init_from_problem(h, f, S, y_star, eps_scalar, a, trunc, rho, sigma, tau, op
         eps0_rating=eps0_rating,
         empirical_mode=empirical,
         options=options,
+        problem_echo=problem.echo(),
     )
 
 
@@ -520,7 +512,7 @@ def normalization_step(setup: RunSetup, decomp, u, step_index):
     when a denominator of the smallness verdicts underflows to 0.
     """
     S, freq, ledger, options = setup.structure, setup.freq, setup.ledger, setup.options
-    a, tau = u.a, u.tau
+    a, tau = S.decay_rate, freq.tau
     params = u.norm_params()
     eps_A, eps_B = decomp.eps_parts(params)
     eps = max(eps_A, eps_B)
@@ -546,9 +538,9 @@ def normalization_step(setup: RunSetup, decomp, u, step_index):
             "theoretical smallness conditions fail at eps=%.3g" % eps
         )
 
-    solS = solve_S(decomp.A, freq, a, params)
+    solS = solve_S(decomp.A, freq, params)
     E = build_E(S, decomp.C, decomp.omega_tilde)
-    solT = solve_T(decomp.B, solS.phi, E, freq, a, params)
+    solT = solve_T(decomp.B, solS.phi, E, freq, params)
     chi = solS.phi
     for j, sol in enumerate(solT):
         chi = chi + sol.phi.mul_y(j)
@@ -581,8 +573,6 @@ def normalization_step(setup: RunSetup, decomp, u, step_index):
         upsilon=upsilon_next,
         rho=rho_next,
         sigma=sigma_next,
-        a=a,
-        tau=tau,
     )
     minp = new_decomp.min_decay_index()
     trace_row = {
@@ -649,8 +639,8 @@ def run(setup: RunSetup) -> RunResult:
         "omega_tilde": [float(v) for v in setup.freq.omega_tilde],
         "omega": [float(v) for v in setup.freq.omega],
         "gamma_K": setup.freq.gamma,
-        "tau": u.tau,
-        "a": u.a,
+        "tau": setup.freq.tau,
+        "a": setup.structure.decay_rate,
         "constants": setup.ledger.as_dict(),
         "warnings": warnings,
         "problem": setup.problem_echo,

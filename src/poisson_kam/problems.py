@@ -4,12 +4,18 @@ A problem bundles the integrable part h(y), the decaying perturbation f, the
 structure matrix blocks, the expansion point y*, the decay rate a, the
 perturbation scale epsilon, the Diophantine exponent tau and the truncation
 orders, plus free-form options (norm radii, step budgets, tolerances).
+
+A Problem is immutable and is the one place its data is checked: a Problem
+that exists has passed __post_init__, and init_from_problem(problem, options)
+reads it without checking it again.  The built-in problems are made by one
+builder, _built_in.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -57,7 +63,7 @@ def _integer_field(payload: dict, name: str) -> int:
         raise ProblemFormatError("%r must be an integer, got %r" % (name, value)) from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     n: int
     m: int
@@ -86,6 +92,14 @@ class Problem:
         rules += [
             ("truncation order " + k, v, ">= 1", v >= 1) for k, v in self.trunc._asdict().items()
         ]
+        # the majorant weights rho^|alpha| and exp(sigma |k|) must stay finite
+        rho, sigma, big = self.option("rho"), self.option("sigma"), math.log(sys.float_info.max)
+        rules += [
+            ("option 'rho'", rho, "such that rho^L_max is finite",
+             self.trunc.L_max * math.log(rho) < big),
+            ("option 'sigma'", sigma, "such that exp(sigma K_max) is finite",
+             sigma * self.trunc.K_max < big),
+        ]
         for name, value, rule, ok in rules:
             if not ok:
                 raise ProblemFormatError("%s must be %s, got %r" % (name, rule, value))
@@ -101,6 +115,14 @@ class Problem:
                 if g != w:
                     msg = "%s has %s = %r, but the problem states %r" % (part, name, g, w)
                     raise ProblemFormatError(msg)
+        if self.f.ecol.any():
+            raise ProblemFormatError("perturbation must not depend on eta")
+        if not self.f.is_zero() and int(self.f.pcol.min()) < 1:
+            raise ProblemFormatError(
+                "perturbation has a non-decaying term (p = 0); decay hypothesis violated"
+            )
+        if not self.h.is_action_only():
+            raise ProblemFormatError("integrable part h must depend on y only")
 
     def option(self, name, override=None):
         """The override, else the file value, else the default; None counts as
@@ -146,21 +168,7 @@ class Problem:
         )
 
     def initialize(self, **overrides) -> RunSetup:
-        setup = init_from_problem(
-            self.h,
-            self.f,
-            self.structure,
-            self.y_star,
-            self.epsilon,
-            self.a,
-            self.trunc,
-            rho=float(self.option("rho")),
-            sigma=float(self.option("sigma")),
-            tau=self.tau,
-            options=self.run_options(**overrides),
-        )
-        setup.problem_echo = self.echo()
-        return setup
+        return init_from_problem(self, self.run_options(**overrides))
 
     def echo(self) -> dict:
         return {
@@ -170,11 +178,7 @@ class Problem:
             "epsilon": self.epsilon,
             "tau": self.tau,
             "y_star": [float(v) for v in self.y_star],
-            "trunc": {
-                "K_max": self.trunc.K_max,
-                "L_max": self.trunc.L_max,
-                "P_max": self.trunc.P_max,
-            },
+            "trunc": self.trunc._asdict(),
             "options": {k: self.options[k] for k in sorted(self.options)},
         }
 
@@ -192,16 +196,8 @@ class Problem:
             trunc = Truncation(
                 *(_integer_field(payload["trunc"], name) for name in ("K_max", "L_max", "P_max"))
             )
-            h = FourierTaylorSeries.from_payload(payload["h"])
-            f = FourierTaylorSeries.from_payload(payload["f"])
-            B12 = [
-                [FourierTaylorSeries.from_payload(e) for e in row]
-                for row in payload["B12"]
-            ]
-            B22 = [
-                [FourierTaylorSeries.from_payload(e) for e in row]
-                for row in payload["B22"]
-            ]
+            series = FourierTaylorSeries.from_payload
+            B12, B22 = ([[series(e) for e in row] for row in payload[k]] for k in ("B12", "B22"))
             return cls(
                 n=_integer_field(payload, "n"),
                 m=_integer_field(payload, "m"),
@@ -210,8 +206,8 @@ class Problem:
                 tau=float(payload["tau"]),
                 y_star=np.asarray(payload["y_star"], dtype=float),
                 trunc=trunc,
-                h=h,
-                f=f,
+                h=series(payload["h"]),
+                f=series(payload["f"]),
                 structure=StructureMatrix(B12, B22),
                 options=dict(payload.get("options", {})),
             )
@@ -236,6 +232,32 @@ class Problem:
         return cls.from_payload(payload)
 
 
+def _two_mode_forcing(m):
+    """The terms of f = exp(-a xi) [cos x1 + cos(x1 + x2) / 2] with m actions."""
+    z = (0,) * m
+    return [((1, 0), z, 0, 1, 0.5), ((-1, 0), z, 0, 1, 0.5),
+            ((1, 1), z, 0, 1, 0.25), ((-1, -1), z, 0, 1, 0.25)]
+
+
+def _built_in(S, h_terms, f_terms, epsilon, tau, y_star, rho, sigma, options) -> Problem:
+    """A built-in Problem: h and f from their terms in the ring (n, m, a,
+    trunc) of the structure S, with the norm radii among the options."""
+    ring = (S.n, S.m, S.decay_rate, S.trunc)
+    return Problem(
+        n=S.n,
+        m=S.m,
+        a=S.decay_rate,
+        epsilon=epsilon,
+        tau=tau,
+        y_star=np.asarray(y_star, dtype=float),
+        trunc=S.trunc,
+        h=FourierTaylorSeries.from_terms(*ring, h_terms),
+        f=FourierTaylorSeries.from_terms(*ring, f_terms),
+        structure=S,
+        options={"rho": rho, "sigma": sigma, **options},
+    )
+
+
 def benchmark_problem(
     epsilon=1e-3,
     a=0.5,
@@ -247,32 +269,11 @@ def benchmark_problem(
     **options,
 ) -> Problem:
     """Canonical one-degree benchmark: h = y^2/2, f = exp(-a xi) cos x."""
-    trunc = Truncation(*trunc)
-    h = FourierTaylorSeries.from_terms(
-        1, 1, a, trunc, [((0,), (2,), 0, 0, 0.5)]
-    )
-    f = FourierTaylorSeries.from_terms(
-        1,
-        1,
-        a,
-        trunc,
+    return _built_in(
+        StructureMatrix.canonical(1, a, trunc),
+        [((0,), (2,), 0, 0, 0.5)],
         [((1,), (0,), 0, 1, 0.5), ((-1,), (0,), 0, 1, 0.5)],
-    )
-    S = StructureMatrix.canonical(1, a, trunc)
-    opts = {"rho": rho, "sigma": sigma}
-    opts.update(options)
-    return Problem(
-        n=1,
-        m=1,
-        a=a,
-        epsilon=epsilon,
-        tau=tau,
-        y_star=np.array([float(y_star)]),
-        trunc=trunc,
-        h=h,
-        f=f,
-        structure=S,
-        options=opts,
+        epsilon, tau, [y_star], rho, sigma, options,
     )
 
 
@@ -296,7 +297,6 @@ def rescaled_benchmark_problem(
     Diophantine, and the first-order block B1 is nonzero, exercising the
     full E-matrix path.
     """
-    trunc = Truncation(*trunc)
     n, m = 2, 1
     beta = 1.0 / GOLDEN
 
@@ -311,30 +311,9 @@ def rescaled_benchmark_problem(
     S = StructureMatrix(
         [[entry(1.0), entry(beta)]], [[zero, b22], [b22.scale(-1.0), zero]]
     )
-    h = FourierTaylorSeries.from_terms(n, m, a, trunc, [((0, 0), (2,), 0, 0, 0.5)])
-    f = FourierTaylorSeries.from_terms(
-        n, m, a, trunc,
-        [
-            ((1, 0), (0,), 0, 1, 0.5),
-            ((-1, 0), (0,), 0, 1, 0.5),
-            ((1, 1), (0,), 0, 1, 0.25),
-            ((-1, -1), (0,), 0, 1, 0.25),
-        ],
-    )
-    opts = {"rho": rho, "sigma": sigma}
-    opts.update(options)
-    return Problem(
-        n=n,
-        m=m,
-        a=a,
-        epsilon=epsilon,
-        tau=tau,
-        y_star=np.array([float(y_star)]),
-        trunc=trunc,
-        h=h,
-        f=f,
-        structure=S,
-        options=opts,
+    return _built_in(
+        S, [((0, 0), (2,), 0, 0, 0.5)], _two_mode_forcing(m),
+        epsilon, tau, [y_star], rho, sigma, options,
     )
 
 
@@ -349,39 +328,8 @@ def two_dof_problem(
     **options,
 ) -> Problem:
     """Canonical two-degree problem with y* chosen so omega is as given."""
-    trunc = Truncation(*trunc)
-    h = FourierTaylorSeries.from_terms(
-        2,
-        2,
-        a,
-        trunc,
+    return _built_in(
+        StructureMatrix.canonical(2, a, trunc),
         [((0, 0), (2, 0), 0, 0, 0.5), ((0, 0), (0, 2), 0, 0, 0.5)],
-    )
-    f = FourierTaylorSeries.from_terms(
-        2,
-        2,
-        a,
-        trunc,
-        [
-            ((1, 0), (0, 0), 0, 1, 0.5),
-            ((-1, 0), (0, 0), 0, 1, 0.5),
-            ((1, 1), (0, 0), 0, 1, 0.25),
-            ((-1, -1), (0, 0), 0, 1, 0.25),
-        ],
-    )
-    S = StructureMatrix.canonical(2, a, trunc)
-    opts = {"rho": rho, "sigma": sigma}
-    opts.update(options)
-    return Problem(
-        n=2,
-        m=2,
-        a=a,
-        epsilon=epsilon,
-        tau=tau,
-        y_star=np.asarray(omega, dtype=float),
-        trunc=trunc,
-        h=h,
-        f=f,
-        structure=S,
-        options=opts,
+        _two_mode_forcing(2), epsilon, tau, omega, rho, sigma, options,
     )

@@ -129,6 +129,16 @@ def rescaled_bracket_instance(a=A_DEFAULT, trunc=TR_DEFAULT, beta=0.25):
     return StructureMatrix(B12, B22)
 
 
+def non_poisson_b12(trunc=TR_DEFAULT):
+    """B12 = (-(1+y), -1) for m = 1, n = 2.  With any constant skew B22 the
+    cyclic Jacobi sum of (y, x1, x2) is {B^{y x1}, x2} = 1 alone, so the
+    structure is not Poisson: its relative Jacobi defect is 1."""
+    return [[
+        mk([((0, 0), (0,), 0, 0, -1.0), ((0, 0), (1,), 0, 0, -1.0)], n=2, m=1, trunc=trunc),
+        mk([((0, 0), (0,), 0, 0, -1.0)], n=2, m=1, trunc=trunc),
+    ]]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

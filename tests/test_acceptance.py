@@ -152,7 +152,6 @@ def test_acceptance_03_homological_residuals():
     t0 = time.time()
     rng = np.random.default_rng(303)
     params = WeightedNormParams(1.0, 1.0)
-    a = 0.5
     for trial in range(100):
         scale = 0.5 + 1.5 * rng.random()
         omega = scale * np.array([1.0, GOLDEN])
@@ -161,7 +160,7 @@ def test_acceptance_03_homological_residuals():
             rng, n=2, m=2, nterms=8, decaying_only=True, k_budget=8, l_budget=2,
             p_budget=3, trunc=Truncation(8, 4, 4),
         )
-        sol = solve_scalar(psi, freq, a, params)
+        sol = solve_scalar(psi, freq, params)
         bound = 1e-12 * weighted_norm(psi, params).K
         assert sol.residual_norm <= bound
     _report(3, "homological residuals (100 sources)", t0, 30)

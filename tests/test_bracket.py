@@ -31,6 +31,7 @@ from conftest import (
     cosx,
     eta,
     mk,
+    non_poisson_b12,
     random_series,
     random_structure,
     rescaled_bracket_instance,
@@ -179,6 +180,18 @@ def test_jacobi_y_dependent_instance(rng):
     cyc = jacobi_cyclic(F, G, H, S)
     scale = max(weighted_norm(poisson_bracket(F, G, S), PARAMS).K, 1.0)
     assert weighted_norm(cyc, PARAMS).K <= 1e-12 * scale
+
+
+def test_jacobi_defect_of_poisson_structures():
+    assert rescaled_benchmark_problem().structure.jacobi_defect() == 0.0
+    assert rescaled_bracket_instance().jacobi_defect() <= 1e-12
+    assert CANON.jacobi_defect() == 0.0
+
+
+def test_non_poisson_structure_rejected():
+    S = rescaled_benchmark_problem().structure
+    with pytest.raises(StructureMismatchError, match="Jacobi"):
+        StructureMatrix(non_poisson_b12(S.trunc), S.B22)
 
 
 def test_frequency_identity(rng):

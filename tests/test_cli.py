@@ -19,6 +19,8 @@ from poisson_kam import (
 )
 from poisson_kam.cli import main
 
+from conftest import non_poisson_b12
+
 
 @pytest.fixture
 def bench_file(tmp_path):
@@ -399,6 +401,8 @@ def test_bad_option_flag_exit_1(bench_run, tmp_path, key, args):
         ("n", True),
         ("trunc.P_max", 16.7),
         ("trunc.K_max", float("inf")),
+        ("options.rho", 1e300),
+        ("options.sigma", 1e3),
     ],
 )
 def test_bad_problem_scalar_exit_1(bench_file, tmp_path, capsys, key, value):
@@ -413,6 +417,19 @@ def test_bad_problem_scalar_exit_1(bench_file, tmp_path, capsys, key, value):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_poisson_structure_exit_1(tmp_path, capsys):
+    problem = rescaled_benchmark_problem()
+    payload = problem.to_payload()
+    payload["B12"] = [[e.to_payload() for e in row] for row in non_poisson_b12(problem.trunc)]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = main(["normalize", "--problem", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Jacobi" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -61,7 +61,7 @@ def test_profile_resonant_pair():
 def test_solve_explicit_mode_division():
     # psi = e^{-a xi} e^{ix}, omega = 1, a = 1/2: coefficient 1/(i - 1/2)
     psi = mk([((1,), (0,), 0, 1, 1.0)])
-    sol = solve_scalar(psi, freq_1d(), A_DEFAULT)
+    sol = solve_scalar(psi, freq_1d())
     c = sol.phi.coefficient((1,), (0,), 0, 1)
     assert c == pytest.approx(complex(-0.4, -0.8))
     assert sol.min_divisor == pytest.approx(abs(1j - 0.5))
@@ -72,7 +72,7 @@ def test_solve_backward_ode_oracle():
     # backward from large xi where the decaying solution is negligible
     a, omega = A_DEFAULT, 1.0
     psi = mk([((1,), (0,), 0, 1, 1.0)])
-    sol = solve_scalar(psi, freq_1d(omega), a)
+    sol = solve_scalar(psi, freq_1d(omega))
 
     def rhs(xi, u):
         val = np.exp(-a * xi)  # psi mode amplitude at time xi
@@ -89,38 +89,36 @@ def test_solve_backward_ode_oracle():
 def test_solve_pure_decay():
     # psi = e^{-a xi}: phi = -e^{-a xi}/a
     psi = decay(p=1)
-    sol = solve_scalar(psi, freq_1d(), A_DEFAULT)
+    sol = solve_scalar(psi, freq_1d())
     assert sol.phi == psi.scale(-1.0 / A_DEFAULT)
 
 
 def test_solve_secular_rejected():
     psi = mk([((0,), (0,), 0, 0, 1.0)])
     with pytest.raises(SecularTermError):
-        solve_scalar(psi, freq_1d(), A_DEFAULT)
+        solve_scalar(psi, freq_1d())
 
 
 def test_solve_linearity(rng):
     f = freq_1d()
     p1 = random_series(rng, nterms=5, dyadic=True, decaying_only=True, k_budget=3, p_budget=2)
     p2 = random_series(rng, nterms=5, dyadic=True, decaying_only=True, k_budget=3, p_budget=2)
-    lhs = solve_scalar(p1.scale(2.0) + p2.scale(-0.5), f, A_DEFAULT).phi
-    rhs = solve_scalar(p1, f, A_DEFAULT).phi.scale(2.0) + solve_scalar(
-        p2, f, A_DEFAULT
-    ).phi.scale(-0.5)
+    lhs = solve_scalar(p1.scale(2.0) + p2.scale(-0.5), f).phi
+    rhs = solve_scalar(p1, f).phi.scale(2.0) + solve_scalar(p2, f).phi.scale(-0.5)
     assert lhs == rhs
 
 
 def test_solve_preserves_decay_support(rng):
     f = freq_1d()
     psi = random_series(rng, nterms=8, decaying_only=True, k_budget=3, p_budget=3)
-    phi = solve_scalar(psi, f, A_DEFAULT).phi
+    phi = solve_scalar(psi, f).phi
     assert sorted(set(psi.pcol.tolist())) == sorted(set(phi.pcol.tolist()))
 
 
 def test_divisor_floor(rng):
     f = freq_2d((1.0, GOLDEN), tau=1.0, K_max=6)
     psi = random_series(rng, n=2, m=1, nterms=10, decaying_only=True, k_budget=6, p_budget=3)
-    sol = solve_scalar(psi, f, A_DEFAULT)
+    sol = solve_scalar(psi, f)
     floor = min(A_DEFAULT, f.gamma * 6.0 ** -f.tau)
     assert sol.min_divisor >= floor * (1 - 1e-12)
 
@@ -129,13 +127,13 @@ def test_divisor_floor(rng):
 
 
 def test_solve_S_zero():
-    sol = solve_S(zeros(), freq_1d(), A_DEFAULT)
+    sol = solve_S(zeros(), freq_1d())
     assert sol.phi.is_zero()
 
 
 def test_solve_S_decaying_cos():
     A = cosx(p=1)
-    sol = solve_S(A, freq_1d(), A_DEFAULT)
+    sol = solve_S(A, freq_1d())
     cp = sol.phi.coefficient((1,), (0,), 0, 1)
     cm = sol.phi.coefficient((-1,), (0,), 0, 1)
     assert cp == pytest.approx(-0.5 / (1j - 0.5))
@@ -189,11 +187,11 @@ def test_solve_T_trivial_and_decoupled(rng):
     f = freq_1d()
     S = StructureMatrix.canonical(1, A_DEFAULT, TR_DEFAULT)
     E = [[zeros()]]
-    sols = solve_T([zeros()], zeros(), E, f, A_DEFAULT)
+    sols = solve_T([zeros()], zeros(), E, f)
     assert sols[0].phi.is_zero()
     B = [random_series(rng, nterms=4, decaying_only=True, k_budget=3, p_budget=2)]
-    sols = solve_T(B, zeros(), E, f, A_DEFAULT)
-    assert sols[0].phi == solve_scalar(-B[0], f, A_DEFAULT).phi
+    sols = solve_T(B, zeros(), E, f)
+    assert sols[0].phi == solve_scalar(-B[0], f).phi
 
 
 def test_system_residuals_small_instance(rng):
@@ -203,9 +201,9 @@ def test_system_residuals_small_instance(rng):
     A = random_series(rng, nterms=5, real=True, decaying_only=True, l_budget=0, k_budget=2, p_budget=2)
     B = [random_series(rng, nterms=5, real=True, decaying_only=True, l_budget=0, k_budget=2, p_budget=2)]
     C = [[mk([((0,), (0,), 0, 0, 1.0)])]]
-    solS = solve_S(A, f, A_DEFAULT)
+    solS = solve_S(A, f)
     E = build_E(S, C, [1.0])
-    solT = solve_T(B, solS.phi, E, f, A_DEFAULT)
+    solT = solve_T(B, solS.phi, E, f)
     omega = f.omega
     r1 = solS.phi.partial_xi() + solS.phi.directional_x(omega) + A
     assert weighted_norm(r1, PARAMS).K <= 1e-12 * max(weighted_norm(A, PARAMS).K, 1e-30)
@@ -226,4 +224,4 @@ def test_near_resonance_guard():
     )
     psi = mk([((1,), (0,), 0, 0, 1.0)])
     with pytest.raises(NearResonanceError):
-        solve_scalar(psi, freq, A_DEFAULT)
+        solve_scalar(psi, freq)

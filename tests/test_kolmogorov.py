@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,16 +68,20 @@ def test_init_finite_difference_oracle():
 def test_init_rejects_eta_dependence():
     prob = benchmark_problem()
     bad_f = eta(trunc=prob.trunc) + cosx(p=1, trunc=prob.trunc)
-    prob.f = bad_f
-    with pytest.raises(ProblemFormatError):
-        prob.initialize()
+    with pytest.raises(ProblemFormatError, match="must not depend on eta"):
+        dataclasses.replace(prob, f=bad_f)
 
 
 def test_init_rejects_non_decaying_perturbation():
     prob = benchmark_problem()
-    prob.f = cosx(p=0, trunc=prob.trunc)
-    with pytest.raises(ProblemFormatError):
-        prob.initialize()
+    with pytest.raises(ProblemFormatError, match="non-decaying term"):
+        dataclasses.replace(prob, f=cosx(p=0, trunc=prob.trunc))
+
+
+def test_init_rejects_angle_dependent_h():
+    prob = benchmark_problem()
+    with pytest.raises(ProblemFormatError, match="depend on y only"):
+        dataclasses.replace(prob, h=prob.h + cosx(trunc=prob.trunc))
 
 
 def test_init_rejects_resonant_frequency():
@@ -230,7 +235,7 @@ def test_ledger_explicit_thetas():
     led = constants_ledger(
         setup.structure, setup.params, setup.freq, Theta1=2.0, Theta2=5.0, M_h=1.0
     )
-    tau = setup.params.tau
+    tau = setup.freq.tau
     sigma_star = setup.params.sigma / 4.0
     assert led.M0 == pytest.approx(2.0 * (2.0 / sigma_star) ** (2 * tau))
     assert led.M1 == pytest.approx(1 * 5.0 * (2.0 / sigma_star) ** (2 * tau + 1))
@@ -283,7 +288,7 @@ def test_run_divergence_abort(monkeypatch):
         state["eps"] *= 3.0
         u_next = K.IterationParams(
             d=u.d, eps=state["eps"], zeta=u.zeta, upsilon=u.upsilon,
-            rho=u.rho, sigma=u.sigma, a=u.a, tau=u.tau,
+            rho=u.rho, sigma=u.sigma,
         )
         row = {"step": step_index, "eps_in": u.eps, "eps_out": state["eps"], "lie_converged": True}
         chi = K.ChiRecord(step_index, decomp.A, u.rho, u.sigma, u.d)
@@ -332,9 +337,8 @@ def test_noncanonical_rescaled_persistence_and_flow():
 
 def test_init_rejects_bad_decay_rate():
     prob = benchmark_problem()
-    prob.a = 1.5
     with pytest.raises(ProblemFormatError):
-        prob.initialize()
+        dataclasses.replace(prob, a=1.5)
 
 
 def test_problem_payload_roundtrip(tmp_path):

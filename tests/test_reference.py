@@ -3,7 +3,8 @@
 read only): the eps sequence and the sha256 of the serialized normal form of
 every workload, and for the two that verify the sha256 of the persistence
 report at seed 0 with 8 angles.  The exact text of trace.jsonl and
-generators.json is pinned here as well."""
+generators.json is pinned here as well, and so is the saved file of every
+built-in problem."""
 
 import hashlib
 import importlib.util
@@ -19,6 +20,7 @@ from poisson_kam import (
     rescaled_benchmark_problem,
     run,
     torus_persistence_report,
+    two_dof_problem,
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -34,6 +36,13 @@ GENERATORS_SHA256 = {
     "cli_benchmark": "e3ec94f4d974f46cc6e24631df2f52ebda751738c88768eda146accf990bd945",
     "verify_rescaled": "4d836c6506e614582a923fd98dd6087e523c27e1d153a2ad636af0be294ce949",
     "normalize_3dof": "7aa48499c2cc05982e019b916e3b0b4b151025faba866c9f2eb0b8145c76a75a",
+}
+
+# sha256 of the problem file each built-in problem saves
+PROBLEM_FILE_SHA256 = {
+    "benchmark": "45fe475fed1564f9b6a8325e3cd90b1d7cd8bd6b5e2460dfe1534a1d168998f5",
+    "rescaled": "57ac07e529dad527908fadc8ee4d637d9e944fc0b035aa2e34fee5b6d2a1ebef",
+    "two_dof": "939fb112f473d7d690f018522b03dce84d02c9655c78f8b94fe70d53d1b04af6",
 }
 
 
@@ -85,3 +94,16 @@ def test_normalize_matches_reference(workload, make):
         omega=setup.freq.omega,
     )
     assert _sha256(report.as_dict()) == ref["verify"]["report_sha256"]
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("benchmark", lambda: benchmark_problem(epsilon=1e-3)),
+        ("rescaled", rescaled_benchmark_problem),
+        ("two_dof", two_dof_problem),
+    ],
+)
+def test_built_in_problem_file_pinned(name, make):
+    text = jsonio.dumps(make().to_payload()) + "\n"
+    assert _text_sha256(text) == PROBLEM_FILE_SHA256[name]
