@@ -329,16 +329,12 @@ def lie_transform(
 
 
 def lie_coordinate_displacement(
-    chi: FourierTaylorSeries,
-    coord,
-    S: StructureMatrix,
-    params: WeightedNormParams,
-    tol: float = LIE_REL_TOL,
-    cap: int = LIE_MAX_TERMS,
+    chi: FourierTaylorSeries, coord, S: StructureMatrix, params: WeightedNormParams
 ):
-    """exp(L_chi) z_c - z_c as a series (zero series for coord = "xi").
+    """exp(L_chi) z_c - z_c as a series (zero series for coord = "xi"),
+    summed to LIE_REL_TOL with at most LIE_MAX_TERMS terms.
 
     Refuses exactly as lie_transform does.
     """
     first = lambda: bracket_with_coordinate(chi, coord, S)
-    return _lie_sum(chi, first, chi._like(None, None), S, params, tol, cap)
+    return _lie_sum(chi, first, chi._like(None, None), S, params, LIE_REL_TOL, LIE_MAX_TERMS)

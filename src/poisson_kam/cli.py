@@ -175,12 +175,11 @@ def cmd_lie_check(args) -> int:
     point = ExtendedPoint(
         np.zeros(problem.m), np.full(problem.n, 0.3), 0.0, 0.0
     )
-    tol = 1e-12 if args.tol is None else args.tol
     rows = []
     ok = True
     for rec in chi_records:
-        dist = lie_vs_flow_check(rec, setup.structure, point, tol=tol)
-        bound = max(10.0 * tol, 1e-8)
+        dist = lie_vs_flow_check(rec, setup.structure, point, tol=args.tol)
+        bound = max(10.0 * args.tol, 1e-8)
         rows.append({"step": rec.step, "distance": dist, "bound": bound})
         ok = ok and dist <= bound
     _write(out / "lie_check.json", {"rows": rows, "passed": ok})
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lie-check", help="series transform vs numerical flow")
     common(p, True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_lie_check)
     return parser
 

@@ -9,17 +9,16 @@ so each right-hand side is one pass over their terms.  Runs are short and
 audited by conservation checks, so no structure-preserving integrator is needed.
 An integration is one Trajectory of arrays, one row per accepted solver step.
 
-The stepper is scipy's ``solve_ivp``, imported on first use: the module
-attribute ``solve_ivp`` loads ``scipy.integrate`` the first time it is read,
+The stepper is scipy's ``solve_ivp``, reached through this module's
+function ``solve_ivp``, which imports ``scipy.integrate`` only when called,
 so importing the package, normalizing and the other scan-only commands never
-load scipy.  ``_solve`` calls the solver through that attribute, so a
-replacement set on the module (a counting wrapper, say) is what runs.
+load scipy.  ``_solve`` looks that name up at call time, so a replacement set
+on the module (a counting wrapper, say) is what runs.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -32,16 +31,12 @@ from .kolmogorov import ChiRecord, apply_displacements, composed_displacements, 
 from .series import FourierTaylorSeries, SeriesStack
 
 
-def __getattr__(name):
-    """``solve_ivp``, imported from scipy.integrate on first access and kept
-    in the module globals; scipy costs most of the package's import time and
-    only integration needs it."""
-    if name != "solve_ivp":
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported here because scipy costs most of
+    the package's import time and only integration needs it."""
     from scipy.integrate import solve_ivp
 
-    globals()["solve_ivp"] = solve_ivp
-    return solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def thread_cap() -> int:
@@ -115,8 +110,7 @@ def _solve(fun, v0, t_end, tol, atol):
     for name, value in (("tol", tol), ("t_end", t_end)):
         if not (math.isfinite(value) and value > 0):
             raise ParameterError("%r must be finite and > 0, got %r" % (name, value))
-    solver = sys.modules[__name__].solve_ivp
-    sol = solver(fun, (0.0, float(t_end)), v0, method="DOP853", rtol=tol, atol=atol)
+    sol = solve_ivp(fun, (0.0, float(t_end)), v0, method="DOP853", rtol=tol, atol=atol)
     if not sol.success:
         raise StiffnessError("integrator failed: %s" % sol.message)
     return sol
@@ -288,7 +282,7 @@ def lie_vs_flow_check(
     record: ChiRecord,
     S: StructureMatrix,
     point: ExtendedPoint,
-    tol: float = 1e-12,
+    tol: float,
 ) -> float:
     """Distance between exp(L_chi) of a stored generator, applied as a series
     (guarded and summed at the record's own rho, sigma), and the time-1 flow.

@@ -15,6 +15,7 @@ so no caller can pass a rate that disagrees with the series.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,9 @@ def lattice_divisors(omega, K_max):
 def diophantine_profile(omega, tau, K_max) -> float:
     """Effective Diophantine constant min |k.omega| |k|^tau over 0 < |k| <= K_max.
 
-    Raises ParameterError when K_max < 1 or |k|^tau overflows, and
-    ResonanceError when some k.omega vanishes (to floating precision) inside
-    the scanned range.
+    Raises ParameterError when K_max < 1, K_max max|omega| (a bound on every
+    |k.omega|) is not finite or |k|^tau overflows, and ResonanceError when
+    some k.omega vanishes (to floating precision) inside the scanned range.
     """
     omega = np.asarray(omega, dtype=float)
     if K_max < 1:
@@ -73,6 +74,8 @@ def diophantine_profile(omega, tau, K_max) -> float:
     if not np.any(omega):
         raise ResonanceError("zero frequency vector")
     scale = float(np.abs(omega).max())
+    if not math.isfinite(K_max * scale):
+        raise ParameterError("K_max max|omega| is not finite: max|omega| = %r" % scale)
     best = np.inf
     for k, norm1, dot in lattice_divisors(omega, K_max):
         if dot <= 1e-13 * scale * norm1:

@@ -329,12 +329,13 @@ def constants_ledger(
     S: StructureMatrix,
     u0: IterationParams,
     freq: FrequencyData,
-    Theta1: Optional[float] = None,
-    Theta2: Optional[float] = None,
-    M_h: float = 1.0,
+    Theta1: Optional[float],
+    Theta2: Optional[float],
+    M_h: float,
 ) -> ConstantsLedger:
     """Evaluate M0..M8 and D exactly as printed, at (rho*, sigma*) = u0/4,
-    with a the decay rate of S's ring and tau that of freq.
+    with a the decay rate of S's ring and tau that of freq; a Theta given as
+    None is the measured one.
 
     Raises ParameterError when a constant overflows or is not finite.
     """
@@ -420,10 +421,9 @@ def init_from_problem(problem, options: RunOptions) -> RunSetup:
     """
     h, f, eps_scalar = problem.h, problem.f, problem.epsilon
     rho, sigma = problem.option("rho"), problem.option("sigma")
-    y_star = np.asarray(problem.y_star, dtype=float)
-    S_shifted = problem.structure.shifted(y_star)
-    h_shift = shift_action_expansion(h, y_star)
-    f_shift = shift_action_expansion(f, y_star)
+    S_shifted = problem.structure.shifted(problem.y_star)
+    h_shift = shift_action_expansion(h, problem.y_star)
+    f_shift = shift_action_expansion(f, problem.y_star)
     omega_tilde = linear_frequencies(h_shift)
     full = (
         _eta_series(h_shift)
@@ -739,17 +739,17 @@ class ScheduleAudit:
     d_max_tail: float
 
 
-def _iterate_schedule(beta, tau, upsilon0, rho0, sigma0, omega_abs, j_end):
+def _iterate_schedule(beta, tau, upsilon0, rho0, sigma0):
     rho, sigma, ups = rho0, sigma0, upsilon0
     rows = []
-    for j in range(j_end + 1):
+    for j in range(4001):
         if j == 0:
             d = 1.0 / 6.0
         else:
             d = beta * ups ** (-1.0 / (4.0 * (tau + 1.0))) * (j + 2) ** 2 / (j + 1) ** 4
         if 3.0 * d >= 1.0:
             return None
-        zeta = d * sigma / (4.0 * omega_abs)
+        zeta = d * sigma / 4.0
         rows.append(
             {"j": j, "d": d, "rho": rho, "sigma": sigma, "upsilon": ups, "zeta": zeta}
         )
@@ -757,23 +757,17 @@ def _iterate_schedule(beta, tau, upsilon0, rho0, sigma0, omega_abs, j_end):
     return rows, rho, sigma, ups
 
 
-def schedule_audit(
-    tau,
-    upsilon0=0.5,
-    rho0=1.0,
-    sigma0=1.0,
-    omega_abs=1.0,
-    j_end=200,
-    j_limit=4000,
-) -> ScheduleAudit:
-    """Iterate the printed parameter recursion with the free (symbolic) eps0
-    prefactor calibrated so the domain radii converge to exactly a quarter of
-    their starting values; upsilon barely moves and is checked against its
-    floor upsilon0/2 rather than any limit claim."""
+def schedule_audit(tau, upsilon0, rho0=1.0, sigma0=1.0) -> ScheduleAudit:
+    """Iterate the printed parameter recursion, at |omega| = 1, with the free
+    (symbolic) eps0 prefactor calibrated so the domain radii converge to
+    exactly a quarter of their starting values; upsilon barely moves and is
+    checked against its floor upsilon0/2 rather than any limit claim.  The
+    limits are taken after 4000 steps and the rows j = 0..200 are kept.  The
+    calibration bisects until the midpoint of the bracket is one of its ends."""
     target = rho0 / 4.0
 
     def limit(beta):
-        out = _iterate_schedule(beta, tau, upsilon0, rho0, sigma0, omega_abs, j_limit)
+        out = _iterate_schedule(beta, tau, upsilon0, rho0, sigma0)
         return None if out is None else out[1]
 
     lo, hi = 0.0, 0.05
@@ -787,19 +781,19 @@ def schedule_audit(
             raise RuntimeError("schedule calibration failed to bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         val = limit(mid)
         if val is None or val < target:
             hi = mid
         else:
             lo = mid
     beta = lo
-    rows, rho_lim, sigma_lim, ups_lim = _iterate_schedule(
-        beta, tau, upsilon0, rho0, sigma0, omega_abs, j_limit
-    )
+    rows, rho_lim, sigma_lim, ups_lim = _iterate_schedule(beta, tau, upsilon0, rho0, sigma0)
     d_tail = max(r["d"] for r in rows[1:])
     return ScheduleAudit(
         beta=beta,
-        rows=rows[: j_end + 1],
+        rows=rows[:201],
         rho_limit=rho_lim,
         sigma_limit=sigma_lim,
         upsilon_limit=ups_lim,

@@ -18,6 +18,8 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -75,12 +77,16 @@ class Problem:
     h: FourierTaylorSeries
     f: FourierTaylorSeries
     structure: StructureMatrix
-    options: dict = field(default_factory=dict)
+    options: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        # stored read-only, so a built Problem stays as checked
+        object.__setattr__(self, "options", MappingProxyType(dict(self.options)))
+        y_star = np.array(self.y_star, dtype=float)
+        y_star.setflags(write=False)
+        object.__setattr__(self, "y_star", y_star)
         for name in self.options:
             self.option(name)
-        y_star = np.asarray(self.y_star, dtype=float)
         fin = math.isfinite
         rules = [
             ("epsilon", self.epsilon, "finite and >= 0", fin(self.epsilon) and self.epsilon >= 0),
@@ -204,7 +210,7 @@ class Problem:
                 a=float(payload["a"]),
                 epsilon=float(payload["epsilon"]),
                 tau=float(payload["tau"]),
-                y_star=np.asarray(payload["y_star"], dtype=float),
+                y_star=payload["y_star"],
                 trunc=trunc,
                 h=series(payload["h"]),
                 f=series(payload["f"]),
@@ -239,9 +245,10 @@ def _two_mode_forcing(m):
             ((1, 1), z, 0, 1, 0.25), ((-1, -1), z, 0, 1, 0.25)]
 
 
-def _built_in(S, h_terms, f_terms, epsilon, tau, y_star, rho, sigma, options) -> Problem:
+def _built_in(S, h_terms, f_terms, epsilon, tau, y_star, options) -> Problem:
     """A built-in Problem: h and f from their terms in the ring (n, m, a,
-    trunc) of the structure S, with the norm radii among the options."""
+    trunc) of the structure S.  The norm radii are always among the options,
+    at their defaults unless the options set them."""
     ring = (S.n, S.m, S.decay_rate, S.trunc)
     return Problem(
         n=S.n,
@@ -249,55 +256,37 @@ def _built_in(S, h_terms, f_terms, epsilon, tau, y_star, rho, sigma, options) ->
         a=S.decay_rate,
         epsilon=epsilon,
         tau=tau,
-        y_star=np.asarray(y_star, dtype=float),
+        y_star=y_star,
         trunc=S.trunc,
         h=FourierTaylorSeries.from_terms(*ring, h_terms),
         f=FourierTaylorSeries.from_terms(*ring, f_terms),
         structure=S,
-        options={"rho": rho, "sigma": sigma, **options},
+        options={"rho": _OPTION_DEFAULTS["rho"], "sigma": _OPTION_DEFAULTS["sigma"], **options},
     )
 
 
-def benchmark_problem(
-    epsilon=1e-3,
-    a=0.5,
-    y_star=1.0,
-    tau=1.0,
-    trunc=(16, 4, 16),
-    rho=0.5,
-    sigma=1.0,
-    **options,
-) -> Problem:
-    """Canonical one-degree benchmark: h = y^2/2, f = exp(-a xi) cos x."""
+def benchmark_problem(epsilon=1e-3, a=0.5, y_star=1.0, tau=1.0, **options) -> Problem:
+    """Canonical one-degree benchmark: h = y^2/2, f = exp(-a xi) cos x, at
+    truncation (K, L, P) = (16, 4, 16)."""
     return _built_in(
-        StructureMatrix.canonical(1, a, trunc),
+        StructureMatrix.canonical(1, a, (16, 4, 16)),
         [((0,), (2,), 0, 0, 0.5)],
         [((1,), (0,), 0, 1, 0.5), ((-1,), (0,), 0, 1, 0.5)],
-        epsilon, tau, [y_star], rho, sigma, options,
+        epsilon, tau, [y_star], options,
     )
 
 
-def rescaled_benchmark_problem(
-    epsilon=3e-4,
-    a=0.5,
-    y_star=1.0,
-    tau=1.2,
-    trunc=(8, 3, 6),
-    rho=0.5,
-    sigma=1.0,
-    slope=0.3,
-    skew=0.2,
-    **options,
-) -> Problem:
+def rescaled_benchmark_problem(trunc=(8, 3, 6), **options) -> Problem:
     """Genuinely non-canonical instance: one action, two angles,
-    B12(y) = -((1-slope) + slope*y) (1, 1/phi) and a constant skew B22.
+    B12(y) = -((1-slope) + slope*y) (1, 1/phi) with slope 0.3 and a constant
+    skew B22 of 0.2, at epsilon 3e-4, a 1/2, y* 1 and tau 1.2.
 
     B12 keeps a constant direction, so the bracket satisfies Jacobi for any
     action profile; B12(y*) = -(1, 1/phi) makes the torus frequency
     Diophantine, and the first-order block B1 is nonzero, exercising the
     full E-matrix path.
     """
-    n, m = 2, 1
+    n, m, a, slope = 2, 1, 0.5, 0.3
     beta = 1.0 / GOLDEN
 
     def entry(c):
@@ -307,29 +296,21 @@ def rescaled_benchmark_problem(
         )
 
     zero = FourierTaylorSeries.zeros(n, m, a, trunc)
-    b22 = FourierTaylorSeries.constant(skew, zero)
+    b22 = FourierTaylorSeries.constant(0.2, zero)
     S = StructureMatrix(
         [[entry(1.0), entry(beta)]], [[zero, b22], [b22.scale(-1.0), zero]]
     )
     return _built_in(
         S, [((0, 0), (2,), 0, 0, 0.5)], _two_mode_forcing(m),
-        epsilon, tau, [y_star], rho, sigma, options,
+        3e-4, 1.2, [1.0], options,
     )
 
 
-def two_dof_problem(
-    omega=(1.0, GOLDEN),
-    epsilon=1e-4,
-    a=0.5,
-    tau=1.2,
-    trunc=(10, 4, 10),
-    rho=0.5,
-    sigma=1.0,
-    **options,
-) -> Problem:
-    """Canonical two-degree problem with y* chosen so omega is as given."""
+def two_dof_problem(omega=(1.0, GOLDEN), **options) -> Problem:
+    """Canonical two-degree problem with y* chosen so omega is as given, at
+    epsilon 1e-4, a 1/2, tau 1.2 and truncation (K, L, P) = (10, 4, 10)."""
     return _built_in(
-        StructureMatrix.canonical(2, a, trunc),
+        StructureMatrix.canonical(2, 0.5, (10, 4, 10)),
         [((0, 0), (2, 0), 0, 0, 0.5), ((0, 0), (0, 2), 0, 0, 0.5)],
-        _two_mode_forcing(2), epsilon, tau, omega, rho, sigma, options,
+        _two_mode_forcing(2), 1e-4, 1.2, omega, options,
     )

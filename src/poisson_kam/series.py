@@ -333,8 +333,8 @@ class FourierTaylorSeries:
         """Smallest p in the support, or None for the zero series."""
         return int(self.pcol.min()) if len(self.coeffs) else None
 
-    def dominant_min_decay_index(self, rel: float = 1e-9):
-        """Smallest p among terms of relative size >= rel.
+    def dominant_min_decay_index(self):
+        """Smallest p among terms of size at least 1e-9 of the largest.
 
         Exact cancellations leave rounding dust ~1e-16 of the cancelled
         magnitude at the old keys; the decay-order bookkeeping of the scheme
@@ -342,7 +342,7 @@ class FourierTaylorSeries:
         """
         if self.is_zero():
             return None
-        big = np.abs(self.coeffs) >= rel * self.max_abs_coeff()
+        big = np.abs(self.coeffs) >= 1e-9 * self.max_abs_coeff()
         return int(self.pcol[big].min())
 
     def coefficient(self, k, alpha, e, p) -> complex:
@@ -548,7 +548,7 @@ class FourierTaylorSeries:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FourierTaylorSeries":
-        trunc = (payload["K_max"], payload["L_max"], payload["P_max"])
+        trunc = tuple(_term_index(payload[k]) for k in ("K_max", "L_max", "P_max"))
         terms = [
             (t["k"], t["alpha"], t["e"], t["p"], complex(t["re"], t["im"]))
             for t in payload["terms"]

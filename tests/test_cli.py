@@ -1,10 +1,17 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -499,6 +506,75 @@ def test_unreadable_path_exit_1(bench_file, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot ") and str(bad) in err
     assert not (out / "trace.jsonl").exists()
+
+
+_BASE_PAYLOAD = benchmark_problem(epsilon=1e-3).to_payload()
+_DELETE = "<delete>"
+
+
+def _fuzz_paths():
+    """Every field the fuzz mutates: the top-level keys, the trunc and
+    options entries, the header of each series and its first term."""
+    paths = [(k,) for k in _BASE_PAYLOAD]
+    paths += [(k, e) for k in ("trunc", "options") for e in _BASE_PAYLOAD[k]]
+    for series in [("h",), ("f",), ("B12", 0, 0), ("B22", 0, 0)]:
+        paths += [series + (k,) for k in ("n", "m", "a", "K_max", "L_max", "P_max")]
+        node = _BASE_PAYLOAD
+        for key in series:
+            node = node[key]
+        if node["terms"]:
+            paths += [series + ("terms", 0)]
+            paths += [series + ("terms", 0, k) for k in node["terms"][0]]
+    return paths
+
+
+# each command with the exit codes its docstring documents
+_FUZZ_COMMANDS = [
+    (("normalize", "--max-steps", "1"), {0, 1, 2, 3, 4}),
+    (("constants",), {0, 1, 2}),
+    (("check-diophantine", "--k-max", "4"), {0, 1, 2}),
+]
+_FUZZ_VALUES = [
+    _DELETE, None, True, False, 0, -1, 1.5, -0.0, 1e308, -1e308, 1e-320,
+    float("nan"), float("inf"), float("-inf"), "x", [], {}, 10 ** 30,
+]
+
+
+@hypothesis.settings(derandomize=True, deadline=None)
+@hypothesis.example(path=("f", "K_max"), value=float("inf"), command=_FUZZ_COMMANDS[0])
+@hypothesis.example(
+    path=("B12", 0, 0, "terms", 0, "re"), value=-1e308, command=_FUZZ_COMMANDS[1]
+)
+@hypothesis.given(
+    path=st.sampled_from(_fuzz_paths()),
+    value=st.sampled_from(_FUZZ_VALUES),
+    command=st.sampled_from(_FUZZ_COMMANDS),
+)
+def test_mutated_problem_file_ends_in_a_documented_exit(path, value, command):
+    """One field of a valid problem file deleted or set to an odd value: the
+    run ends in a documented exit code and at most one diagnostic line,
+    never a traceback or a warning."""
+    payload = copy.deepcopy(_BASE_PAYLOAD)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    if value == _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    argv, codes = command
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problem = Path(tmp) / "p.json"
+        problem.write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--problem", str(problem), "--out", str(Path(tmp) / "o")])
+    assert code in codes
+    lines = err.getvalue().splitlines()
+    assert not lines or (
+        len(lines) == 1 and lines[0].startswith(("error:", "refused:", "resonance:"))
+    )
 
 
 def test_scan_commands_never_load_scipy(bench_file, tmp_path):

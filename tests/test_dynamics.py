@@ -191,13 +191,16 @@ def test_persistence_rejects_no_angles():
 
 
 def test_solve_ivp_is_a_replaceable_module_attribute(monkeypatch):
-    """integrate reaches the solver through dynamics.solve_ivp, which is
-    scipy's; a replacement set there is what runs."""
+    """integrate reaches the solver through dynamics.solve_ivp, which
+    delegates to scipy's; a replacement set there is what runs."""
     import scipy.integrate
 
     from poisson_kam import dynamics
 
-    assert dynamics.solve_ivp is scipy.integrate.solve_ivp
+    args = (lambda t, v: -v, (0.0, 1.0), [1.0, 2.0])
+    ours = dynamics.solve_ivp(*args, method="DOP853", rtol=1e-10, atol=1e-12)
+    theirs = scipy.integrate.solve_ivp(*args, method="DOP853", rtol=1e-10, atol=1e-12)
+    assert np.array_equal(ours.t, theirs.t) and np.array_equal(ours.y, theirs.y)
     calls = []
 
     def counting(*args, **kwargs):

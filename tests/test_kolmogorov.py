@@ -341,6 +341,22 @@ def test_init_rejects_bad_decay_rate():
         dataclasses.replace(prob, a=1.5)
 
 
+def test_built_problem_is_read_only():
+    """A built Problem cannot be changed past its checks, not even through
+    the array or the dict its caller passed in."""
+    y_star = np.array([1.0])
+    options = {"rho": 0.5}
+    prob = dataclasses.replace(benchmark_problem(), y_star=y_star, options=options)
+    with pytest.raises(TypeError):
+        prob.options["rho"] = 1e300
+    with pytest.raises(ValueError):
+        prob.y_star[0] = math.nan
+    y_star[0] = math.nan
+    options["rho"] = 1e300
+    assert prob.y_star.tolist() == [1.0] and prob.option("rho") == 0.5
+    assert dataclasses.replace(prob, epsilon=0.0).echo()["options"] == {"rho": 0.5}
+
+
 def test_problem_payload_roundtrip(tmp_path):
     from poisson_kam import Problem, rescaled_benchmark_problem
 

@@ -3,8 +3,9 @@
 read only): the eps sequence and the sha256 of the serialized normal form of
 every workload, and for the two that verify the sha256 of the persistence
 report at seed 0 with 8 angles.  The exact text of trace.jsonl and
-generators.json is pinned here as well, and so is the saved file of every
-built-in problem."""
+generators.json is pinned here as well, and so are the saved file of every
+built-in problem and the files lie-check, constants and check-diophantine
+write for it."""
 
 import hashlib
 import importlib.util
@@ -44,6 +45,31 @@ PROBLEM_FILE_SHA256 = {
     "rescaled": "57ac07e529dad527908fadc8ee4d637d9e944fc0b035aa2e34fee5b6d2a1ebef",
     "two_dof": "939fb112f473d7d690f018522b03dce84d02c9655c78f8b94fe70d53d1b04af6",
 }
+
+# sha256 of the files lie-check, constants and check-diophantine --k-max 6
+# write for each built-in problem after a normalize run
+CLI_FILE_SHA256 = {
+    "benchmark": {
+        "lie_check.json": "c1b0648ec7650e900b022fa0b10a4c04f79367aa7ff14c22e7028174dd46b476",
+        "constants.json": "bae599d22e3ff35abbb1a6f0257cf80a51bc2e5648734a213c4a7385519b28e7",
+        "diophantine.json": "0781ecf153e71bf9307b7606a08dd8a3171d57cd435fd22c6d2a927ed6f4b573",
+    },
+    "rescaled": {
+        "lie_check.json": "e3aa92761312f1851516363999caee6c8cc7c9e1b931a1f43304babc8f69cb89",
+        "constants.json": "39ff4cb1b0f75b5ed20dcc8e19b10861c83d0649540169ae43459c413a3d9bc0",
+        "diophantine.json": "5faf3d940584064e86348ba59910b4b18b6937c1b67904b88cbf99cd5b7051f0",
+    },
+    "two_dof": {
+        "lie_check.json": "e23f8431fc057a3bd97d6fba24f8ce82ab07f68625ebd5d44ad01fb1b39e51ac",
+        "constants.json": "c667edb6e653681d981be0722c5c952f7b20ce538f11dc6da31a950d2dd7f160",
+        "diophantine.json": "4ed9a1033230e3b67544893f9205d4b9488e485679996d22ad197d942c8c260a",
+    },
+}
+BUILT_IN = [
+    ("benchmark", lambda: benchmark_problem(epsilon=1e-3)),
+    ("rescaled", rescaled_benchmark_problem),
+    ("two_dof", two_dof_problem),
+]
 
 
 def _stress_problem(seed):
@@ -96,14 +122,20 @@ def test_normalize_matches_reference(workload, make):
     assert _sha256(report.as_dict()) == ref["verify"]["report_sha256"]
 
 
-@pytest.mark.parametrize(
-    "name, make",
-    [
-        ("benchmark", lambda: benchmark_problem(epsilon=1e-3)),
-        ("rescaled", rescaled_benchmark_problem),
-        ("two_dof", two_dof_problem),
-    ],
-)
+@pytest.mark.parametrize("name, make", BUILT_IN)
 def test_built_in_problem_file_pinned(name, make):
     text = jsonio.dumps(make().to_payload()) + "\n"
     assert _text_sha256(text) == PROBLEM_FILE_SHA256[name]
+
+
+@pytest.mark.parametrize("name, make", BUILT_IN)
+def test_cli_files_pinned(name, make, tmp_path, capsys):
+    problem, out = tmp_path / "p.json", tmp_path / "run"
+    make().save(problem)
+    args = ["--problem", str(problem), "--out", str(out)]
+    assert cli.main(["normalize", *args]) == 0
+    assert cli.main(["lie-check", *args]) == 0
+    assert cli.main(["constants", *args]) == 0
+    assert cli.main(["check-diophantine", *args, "--k-max", "6"]) == 0
+    for file, sha in CLI_FILE_SHA256[name].items():
+        assert _text_sha256((out / file).read_text()) == sha
