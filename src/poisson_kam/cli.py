@@ -90,7 +90,8 @@ def cmd_normalize(args) -> int:
 def cmd_verify(args) -> int:
     """Exit 0 iff the settled-action improvement meets the threshold; 2 when
     the run exists but misses it; 1 when normalize outputs are absent or
-    malformed or --angles is below 1."""
+    malformed, --angles is below 1 or the integrator fails (its step falls
+    below the float spacing)."""
     if args.angles < 1:
         raise ParameterError("--angles must be at least 1, got %d" % args.angles)
     out = Path(args.out)
@@ -167,7 +168,7 @@ def cmd_lie_check(args) -> int:
     """Check series transform vs time-1 flow for every stored generator.
     Exit 0 when all distances are within tolerance, 2 when one misses it or a
     stored generator fails the contraction guard, 1 when normalize outputs
-    are absent or malformed."""
+    are absent or malformed or the integrator fails."""
     out = Path(args.out)
     chi_records = _load_generators(out)
     problem = Problem.load(args.problem)

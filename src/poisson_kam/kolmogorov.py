@@ -714,7 +714,8 @@ def apply_displacements(disp, point: ExtendedPoint) -> ExtendedPoint:
     live = [c for c, d in disp.items() if d is not None]
     vals = []
     if live:
-        vals = SeriesStack([disp[c] for c in live]).evaluate(point.y, point.x, point.eta, point.xi)
+        point_batch = ([point.y], [point.x], [point.eta], [point.xi])
+        vals = SeriesStack([disp[c] for c in live]).evaluate(*point_batch)[0]
     at = dict(zip(live, map(complex, vals)))
     y = np.array([v + at.get(("y", i), 0.0) for i, v in enumerate(point.y)])
     x = np.array([v + at.get(("x", l), 0.0) for l, v in enumerate(point.x)])

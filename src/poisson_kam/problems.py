@@ -27,7 +27,7 @@ from . import jsonio
 from .bracket import StructureMatrix
 from .errors import ProblemFormatError, StructureMismatchError
 from .kolmogorov import RunOptions, RunSetup, init_from_problem
-from .series import FourierTaylorSeries, Truncation, _term_index
+from .series import FourierTaylorSeries, Truncation, _order, _term_index
 
 GOLDEN = (1.0 + 5 ** 0.5) / 2.0
 
@@ -200,7 +200,10 @@ class Problem:
     def from_payload(cls, payload: dict) -> "Problem":
         try:
             trunc = Truncation(
-                *(_integer_field(payload["trunc"], name) for name in ("K_max", "L_max", "P_max"))
+                *(
+                    _order(_integer_field(payload["trunc"], name), name)
+                    for name in ("K_max", "L_max", "P_max")
+                )
             )
             series = FourierTaylorSeries.from_payload
             B12, B22 = ([[series(e) for e in row] for row in payload[k]] for k in ("B12", "B22"))

@@ -38,8 +38,9 @@ per class, |c_f| times the mass of the second factor's classes out of reach.
 taylor_split reads the Taylor blocks off by selecting on |alpha| and
 differentiating in y, so it is exact.
 
-Evaluation at a point is written once, in SeriesStack, which values the terms
-of several series in one pass; FourierTaylorSeries.evaluate is its one-series case.
+Evaluation is written once, in SeriesStack, which values the terms of several
+series at a batch of points in one pass; FourierTaylorSeries.evaluate is its
+one-series, one-point case.
 """
 
 from __future__ import annotations
@@ -208,6 +209,22 @@ def _term_index(v) -> int:
     if isinstance(v, (bool, np.bool_)) or (isinstance(v, float) and not v.is_integer()):
         raise StructureMismatchError("term index must be an integer, got %r" % (v,))
     return int(v)
+
+
+# The largest series order (K_max, L_max, P_max) a file may give.  Keys are
+# int32, and a product forms the sum of two keys and its |k|_1 in int32
+# before it truncates, so orders up to (2^31 - 1) // 2 keep those in range.
+MAX_ORDER = 2**30 - 1
+
+
+def _order(v, name) -> int:
+    """The series order ``name`` read from a file: an integer term index (see
+    _term_index) no larger than MAX_ORDER.  The refusal names the bound, not
+    the value, which may have hundreds of digits."""
+    k = _term_index(v)
+    if k > MAX_ORDER:
+        raise StructureMismatchError("series order %s must be at most %d" % (name, MAX_ORDER))
+    return k
 
 
 class FourierTaylorSeries:
@@ -481,7 +498,8 @@ class FourierTaylorSeries:
 
     def evaluate(self, y, x, eta=0.0, xi=0.0) -> complex:
         """Pointwise value; the universal oracle for the algebra tests."""
-        return complex(SeriesStack([self]).evaluate(y, x, eta, xi)[0])
+        point = (np.reshape(y, (1, self.m)), np.reshape(x, (1, self.n)), [eta], [xi])
+        return complex(SeriesStack([self]).evaluate(*point)[0, 0])
 
     # ---- structure edits --------------------------------------------------
 
@@ -548,7 +566,7 @@ class FourierTaylorSeries:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FourierTaylorSeries":
-        trunc = tuple(_term_index(payload[k]) for k in ("K_max", "L_max", "P_max"))
+        trunc = tuple(_order(payload[k], k) for k in ("K_max", "L_max", "P_max"))
         terms = [
             (t["k"], t["alpha"], t["e"], t["p"], complex(t["re"], t["im"]))
             for t in payload["terms"]
@@ -557,10 +575,11 @@ class FourierTaylorSeries:
 
 
 class SeriesStack:
-    """Several series of one ring, evaluated together at one point: every
-    term is valued in one pass, and each series is summed over its own slice
-    with .sum(), numpy's pairwise sum as on a standalone array, so part j
-    reads parts[j].evaluate(...) bit for bit."""
+    """Several series of one ring, evaluated together at a batch of points:
+    every term is valued at every point in one pass, and each series is
+    summed over its own slice with .sum(axis=1), numpy's pairwise sum along
+    a contiguous row as on a standalone array, so entry (i, j) reads
+    parts[j].evaluate(point i) bit for bit, whatever the other points."""
 
     def __init__(self, parts):
         rings = {(p.n, p.m, p.decay_rate) for p in parts}
@@ -575,22 +594,31 @@ class SeriesStack:
         # a series with an eta term raises every one of its terms to eta**e
         self.eta_rows = np.repeat([p.ecol.any() for p in parts], sizes)
 
-    def evaluate(self, y, x, eta=0.0, xi=0.0) -> np.ndarray:
-        """The complex value of every part at one point, in part order."""
-        if not len(self.coeffs):
-            return np.zeros(len(self.bounds), dtype=np.complex128)
+    def evaluate(self, y, x, eta, xi) -> np.ndarray:
+        """The complex value of every part at P points, shape (P, parts), in
+        part order: y is (P, m), x is (P, n), eta and xi are (P,)."""
         n, m, keys, rows = self.n, self.m, self.keys, self.eta_rows
-        y = np.asarray(y, dtype=np.complex128).reshape(m)
-        x = np.asarray(x, dtype=np.complex128).reshape(n)
-        # k.x row by row: a matrix product sends a one-row key matrix through
-        # a fused dot, so a term's phase would depend on the rows beside it
-        vals = self.coeffs * np.exp(1j * (keys[:, :n] * x).sum(axis=1))
+        x = np.asarray(x, dtype=np.complex128).reshape(-1, n)
+        P = len(x)
+        if not len(self.coeffs):
+            return np.zeros((P, len(self.bounds)), dtype=np.complex128)
+        y = np.asarray(y, dtype=np.complex128).reshape(P, m)
+        # k.x summed per term: a matrix product sends a one-row key matrix
+        # through a fused dot, so a term's phase would depend on the rows
+        # beside it.  coeffs goes in as a (1, T) row: numpy rounds the
+        # complex product of a (1,) and a (1, 1) array unlike any other
+        # shape, which would single out a one-term series at one point
+        vals = self.coeffs[None, :] * np.exp(1j * (keys[None, :, :n] * x[:, None, :]).sum(axis=-1))
         if m:
-            vals = vals * np.prod(np.power(y[None, :], keys[:, n : n + m]), axis=1)
+            vals = vals * np.prod(np.power(y[:, None, :], keys[None, :, n : n + m]), axis=-1)
         if rows.any():
-            vals[rows] = vals[rows] * np.power(complex(eta), keys[rows, n + m])
-        vals = vals * np.exp(-self.decay_rate * complex(xi) * keys[:, n + m + 1])
-        return np.array([vals[a:b].sum() for a, b in self.bounds])
+            eta = np.asarray(eta, dtype=np.complex128).reshape(P, 1)
+            vals[:, rows] = vals[:, rows] * np.power(eta, keys[rows, n + m])
+        # the decay exponent -a xi per point in Python complex arithmetic,
+        # as a lone point has always formed it
+        rate = np.array([-self.decay_rate * complex(v) for v in np.ravel(xi)])
+        vals = vals * np.exp(rate[:, None] * keys[:, n + m + 1])
+        return np.stack([vals[:, a:b].sum(axis=1) for a, b in self.bounds], axis=1)
 
 
 def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylorSeries:

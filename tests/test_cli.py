@@ -542,6 +542,7 @@ _FUZZ_VALUES = [
 
 @hypothesis.settings(derandomize=True, deadline=None)
 @hypothesis.example(path=("f", "K_max"), value=float("inf"), command=_FUZZ_COMMANDS[0])
+@hypothesis.example(path=("f", "K_max"), value=1e308, command=_FUZZ_COMMANDS[0])
 @hypothesis.example(
     path=("B12", 0, 0, "terms", 0, "re"), value=-1e308, command=_FUZZ_COMMANDS[1]
 )
@@ -552,8 +553,8 @@ _FUZZ_VALUES = [
 )
 def test_mutated_problem_file_ends_in_a_documented_exit(path, value, command):
     """One field of a valid problem file deleted or set to an odd value: the
-    run ends in a documented exit code and at most one diagnostic line,
-    never a traceback or a warning."""
+    run ends in a documented exit code and at most one short diagnostic
+    line, never a traceback or a warning."""
     payload = copy.deepcopy(_BASE_PAYLOAD)
     node = payload
     for key in path[:-1]:
@@ -575,11 +576,30 @@ def test_mutated_problem_file_ends_in_a_documented_exit(path, value, command):
     assert not lines or (
         len(lines) == 1 and lines[0].startswith(("error:", "refused:", "resonance:"))
     )
+    assert len(err.getvalue()) <= 200
 
 
-def test_scan_commands_never_load_scipy(bench_file, tmp_path):
-    """Only integration needs scipy; a fresh process that normalizes, writes
-    the constants and scans the divisors must not import it."""
+@pytest.mark.parametrize(
+    "path, value",
+    [(("f", "K_max"), 1e308), (("trunc", "L_max"), 10**400), (("B12", 0, 0, "P_max"), 2**31)],
+)
+def test_huge_series_order_exit_1_with_a_short_message(bench_file, tmp_path, capsys, path, value):
+    payload = json.loads(bench_file.read_text())
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bench_file.write_text(json.dumps(payload))
+    code = main(["normalize", "--problem", str(bench_file), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: series order %s must be at most 1073741823\n" % path[-1]
+
+
+def test_commands_never_load_scipy(bench_file, tmp_path):
+    """The package runs on numpy alone: a fresh process that normalizes,
+    verifies, checks the Lie series, writes the constants and scans the
+    divisors must not import scipy."""
     script = (
         "import json, sys\n"
         "from poisson_kam.cli import main\n"
@@ -587,10 +607,34 @@ def test_scan_commands_never_load_scipy(bench_file, tmp_path):
         "    assert main(argv) == 0, argv\n"
         "    assert 'scipy' not in sys.modules, argv\n"
     )
+    out = str(tmp_path / "run")
     runs = [
-        [command, "--problem", str(bench_file), "--out", str(tmp_path / command)]
-        for command in ("normalize", "constants", "check-diophantine")
+        [command, "--problem", str(bench_file), "--out", out, *extra]
+        for command, extra in (
+            ("normalize", []),
+            ("verify", ["--angles", "2", "--t-end", "20"]),
+            ("lie-check", []),
+            ("constants", []),
+            ("check-diophantine", []),
+        )
     ]
     proc = _python_with_timeout("-c", script, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "normalize" / "normal_form.json").exists()
+    for name in ("normal_form.json", "persistence_report.json", "lie_check.json"):
+        assert (tmp_path / "run" / name).exists()
+
+
+def test_verify_integrator_failure_exit_1(bench_file, tmp_path, capsys, monkeypatch):
+    """A field that blows up in finite time ends verify in StiffnessError:
+    exit 1 with one error line and no report."""
+    from poisson_kam import dynamics
+
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "generators.json").write_text('{"chi": []}')
+    monkeypatch.setattr(dynamics._GradientCache, "field", lambda self, V: V * V + 1.0)
+    code = main(["verify", "--problem", str(bench_file), "--out", str(out), "--angles", "2"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: integrator failed")
+    assert not (out / "persistence_report.json").exists()

@@ -13,10 +13,11 @@ from poisson_kam import (
     rescaled_benchmark_problem,
     run,
     torus_persistence_report,
+    two_dof_problem,
     write_trajectory,
 )
-from poisson_kam.dynamics import _GradientCache
-from poisson_kam.errors import PoissonKamError
+from poisson_kam.dynamics import _dop853, _GradientCache, _state_vector
+from poisson_kam.errors import ParameterError, PoissonKamError, StiffnessError
 
 from conftest import (
     A_DEFAULT,
@@ -38,7 +39,7 @@ def _at_unit_domain(chi):
 def test_unperturbed_torus_is_invariant():
     setup = benchmark_problem(epsilon=0.0).initialize()
     start = ExtendedPoint(np.zeros(1), np.array([0.3]), 0.0, 0.0)
-    traj = integrate(setup.decomp.full, setup.structure, start, 20.0, 1e-10)
+    traj = integrate(setup.decomp.full, setup.structure, [start], 20.0, 1e-10)[0]
     assert traj.torus_error.max() <= 1e-9
     assert np.abs(traj.phase_drift).max() <= 1e-8
 
@@ -49,7 +50,7 @@ def test_energy_conserved_autonomous():
     H = setup.decomp.full + cosx(trunc=setup.decomp.full.trunc).scale(1e-2)
     start = ExtendedPoint(np.array([0.1]), np.array([0.3]), 0.0, 0.0)
     tol = 1e-10
-    traj = integrate(H, setup.structure, start, 30.0, tol)
+    traj = integrate(H, setup.structure, [start], 30.0, tol)[0]
     # states are (y, x, eta, xi) with m = n = 1
     vals = [H.evaluate(v[:1], v[1:2], v[2], v[3]).real for v in traj.states]
     assert max(vals) - min(vals) <= 10 * tol * max(1.0, abs(vals[0]))
@@ -58,7 +59,7 @@ def test_energy_conserved_autonomous():
 def test_time_coordinate_linear():
     setup = benchmark_problem(epsilon=1e-3).initialize()
     start = ExtendedPoint(np.zeros(1), np.array([1.0]), 0.0, 0.25)
-    traj = integrate(setup.decomp.full, setup.structure, start, 10.0, 1e-11)
+    traj = integrate(setup.decomp.full, setup.structure, [start], 10.0, 1e-11)[0]
     assert traj.states[:, -1] == pytest.approx(0.25 + traj.t, abs=1e-9)
 
 
@@ -85,17 +86,23 @@ def test_field_equals_entry_by_entry_formula(rng):
     assert any(e.acols.any() for row in S.B12 for e in row)
     assert any(e.is_zero() for row in S.B22 for e in row)
     field = _GradientCache(H, S).field
-    for _ in range(20):
-        v = np.concatenate(
+    V = np.array([
+        np.concatenate(
             [0.1 * rng.normal(size=S.m), rng.uniform(-7.0, 7.0, S.n), [0.0, rng.uniform(0, 50)]]
         )
-        assert (field(0.0, v) == _field_entry_by_entry(H, S, v)).all()
+        for _ in range(20)
+    ])
+    batch = field(V)
+    assert batch.shape == V.shape
+    for v, got in zip(V, batch):
+        assert (got == _field_entry_by_entry(H, S, v)).all()
+        assert (field(v[None, :])[0] == got).all()
 
 
 def test_write_trajectory_format(tmp_path):
     setup = benchmark_problem(epsilon=0.0).initialize()
     start = ExtendedPoint(np.zeros(1), np.array([0.0]), 0.0, 0.0)
-    traj = integrate(setup.decomp.full, setup.structure, start, 1.0, 1e-9)
+    traj = integrate(setup.decomp.full, setup.structure, [start], 1.0, 1e-9)[0]
     path = tmp_path / "traj.csv"
     write_trajectory(traj, path)
     rows = path.read_text().strip().split("\n")
@@ -177,7 +184,7 @@ def test_persistence_naive_error_scales_linearly():
     for eps in (1e-3, 5e-4):
         setup = benchmark_problem(epsilon=eps).initialize()
         start = ExtendedPoint(np.zeros(1), np.zeros(1), 0.0, 0.0)
-        traj = integrate(setup.decomp.full, setup.structure, start, 40.0, 1e-10)
+        traj = integrate(setup.decomp.full, setup.structure, [start], 40.0, 1e-10)[0]
         settled[eps] = traj.torus_error[traj.t >= 20.0].max()
     assert settled[1e-3] / settled[5e-4] == pytest.approx(2.0, rel=0.2)
 
@@ -190,25 +197,105 @@ def test_persistence_rejects_no_angles():
         )
 
 
-def test_solve_ivp_is_a_replaceable_module_attribute(monkeypatch):
-    """integrate reaches the solver through dynamics.solve_ivp, which
-    delegates to scipy's; a replacement set there is what runs."""
-    import scipy.integrate
+# ---- the DOP853 stepper against scipy's ------------------------------------
+
+
+def test_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
 
     from poisson_kam import dynamics
 
-    args = (lambda t, v: -v, (0.0, 1.0), [1.0, 2.0])
-    ours = dynamics.solve_ivp(*args, method="DOP853", rtol=1e-10, atol=1e-12)
-    theirs = scipy.integrate.solve_ivp(*args, method="DOP853", rtol=1e-10, atol=1e-12)
-    assert np.array_equal(ours.t, theirs.t) and np.array_equal(ours.y, theirs.y)
-    calls = []
+    N = ref.N_STAGES
+    assert np.array_equal(dynamics._A, ref.A[:N, :N])
+    for ours, theirs in ((dynamics._B, ref.B), (dynamics._E3, ref.E3), (dynamics._E5, ref.E5)):
+        assert np.array_equal(ours, theirs)
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return scipy.integrate.solve_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "solve_ivp", counting)
-    setup = benchmark_problem(epsilon=0.0).initialize()
-    start = ExtendedPoint(np.zeros(1), np.array([0.3]), 0.0, 0.0)
-    traj = integrate(setup.decomp.full, setup.structure, start, 1.0, 1e-8)
-    assert calls == ["DOP853"] and traj.t[-1] == 1.0
+def _scipy_row(H, S, start, t_end, tol):
+    """scipy's DOP853 from one start, on the package's field, as integrate
+    calls it: rtol = tol, atol = tol / 100."""
+    from scipy.integrate import solve_ivp
+
+    field = _GradientCache(H, S).field
+    v0 = _state_vector(start, S.m, S.n)
+    return solve_ivp(
+        lambda t, v: field(v[None, :])[0],
+        (0.0, t_end),
+        v0,
+        method="DOP853",
+        rtol=tol,
+        atol=tol * 1e-2,
+    )
+
+
+def _spread_starts(rng, S, count):
+    """Torus and off-torus starts at spread angles and times, so the
+    trajectories need different numbers of steps."""
+    return [
+        ExtendedPoint(
+            rng.uniform(-0.05, 0.05, S.m) * (i % 3),
+            rng.uniform(-np.pi, np.pi, S.n),
+            0.0,
+            rng.uniform(0.0, 4.0) * (i % 2),
+        )
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "factory", [benchmark_problem, rescaled_benchmark_problem, two_dof_problem]
+)
+def test_batch_equals_scipy_per_trajectory(rng, factory):
+    setup = factory().initialize()
+    H, S = setup.decomp.full, setup.structure
+    starts = _spread_starts(rng, S, 16)
+    t_end, tol = 6.0, 1e-10
+    trajs = integrate(H, S, starts, t_end, tol)
+    assert len({traj.accepted_steps for traj in trajs}) > 1
+    for start, traj in zip(starts, trajs):
+        sol = _scipy_row(H, S, start, t_end, tol)
+        assert np.array_equal(traj.t, sol.t)
+        assert np.array_equal(traj.states, sol.y.T)
+
+
+def test_solver_work_matches_scipy(rng):
+    """Trajectory.nfev and accepted_steps count what scipy's solver counts
+    for the same start, rejected steps included."""
+    setup = two_dof_problem().initialize()
+    H, S = setup.decomp.full, setup.structure
+    starts = _spread_starts(rng, S, 4)
+    trajs = integrate(H, S, starts, 6.0, 1e-10)
+    # two right-hand sides pick the first step, then 12 per attempted step
+    assert any(traj.nfev > 2 + 12 * traj.accepted_steps for traj in trajs)
+    for start, traj in zip(starts, trajs):
+        sol = _scipy_row(H, S, start, 6.0, 1e-10)
+        assert (traj.nfev, traj.accepted_steps) == (sol.nfev, len(sol.t) - 1)
+
+
+def test_one_start_equals_its_row_of_a_batch(rng):
+    setup = two_dof_problem().initialize()
+    H, S = setup.decomp.full, setup.structure
+    starts = _spread_starts(rng, S, 5)
+    batch = integrate(H, S, starts, 5.0, 1e-9)
+    for start, row in zip(starts, batch):
+        (alone,) = integrate(H, S, [start], 5.0, 1e-9)
+        for name in ("t", "states", "torus_error", "phase_drift"):
+            assert np.array_equal(getattr(alone, name), getattr(row, name))
+        assert (alone.nfev, alone.accepted_steps) == (row.nfev, row.accepted_steps)
+
+
+def test_blow_up_raises_stiffness_error():
+    # v' = v^2 from v = 1 reaches infinity at t = 1
+    with pytest.raises(StiffnessError, match="float spacing"):
+        _dop853(lambda V: V * V, np.ones((2, 1)), 2.0, 1e-10, 1e-12)
+
+
+@pytest.mark.parametrize("tol, t_end", [(0.0, 1.0), (math.nan, 1.0), (1e-8, -1.0), (1e-8, math.inf)])
+def test_stepper_rejects_bad_tol_and_t_end(tol, t_end):
+    with pytest.raises(ParameterError):
+        _dop853(lambda V: -V, np.ones((1, 2)), t_end, tol, tol)
+
+
+def test_stepper_rejects_a_non_finite_start():
+    with pytest.raises(ParameterError):
+        _dop853(lambda V: -V, np.array([[1.0, 0.0], [math.nan, 1.0]]), 1.0, 1e-8, 1e-8)

@@ -160,7 +160,8 @@ def test_eval_decaying_cos():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_series_stack_matches_each_part(rng, n):
     # every part of a stack evaluates bit for bit as it does alone, whatever
-    # its neighbours: the empty part, the eta part and the one-term part too.
+    # its neighbours and the other points of the batch: the empty part, the
+    # eta part and the one-term part too.
     # The one-term k = (1, 3) rounds k.x differently under a fused dot, which
     # a matrix product takes for a single row; the > 8-term part sums
     # differently under a sequential reduceat.
@@ -175,14 +176,16 @@ def test_series_stack_matches_each_part(rng, n):
     ]
     assert parts[0].num_terms > 8
     assert parts[2].ecol.any() and not parts[2].ecol.all()
-    stack = SeriesStack(parts)
+    points = []
     for _ in range(10):
         y, x, et, xi = rand_point(rng, n, m)
-        for point in ((y, x, et, xi), (y.real, x.real, 0.0, xi.real)):
-            got = stack.evaluate(*point)
-            assert got.shape == (len(parts),)
-            assert [complex(v) for v in got] == [part.evaluate(*point) for part in parts]
-    assert (SeriesStack(parts[1:2]).evaluate(y, x) == 0).all()
+        points += [(y, x, et, xi), (y.real, x.real, 0.0, xi.real)]
+    # one batch of all points: row i is point i, whatever the other points
+    got = SeriesStack(parts).evaluate(*(np.array(c) for c in zip(*points)))
+    assert got.shape == (len(points), len(parts))
+    for point, row in zip(points, got):
+        assert [complex(v) for v in row] == [part.evaluate(*point) for part in parts]
+    assert (SeriesStack(parts[1:2]).evaluate([y], [x], [0.0], [0.0]) == 0).all()
 
 
 def test_series_stack_rejects_mixed_rings():
