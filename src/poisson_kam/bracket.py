@@ -11,8 +11,9 @@ conventions are pinned by the identities L_chi eta = chi_xi, L_chi xi = 0 and
 L_chi y = -chi_x B12^T, which the tests assert literally.
 
 The formula is written once, in _bracket, which takes G's partial
-derivatives: poisson_bracket passes a series G's, and bracket_with_coordinate
-the unit partial of a coordinate.  The Lie series is written once too, in
+derivatives and the structure blocks: poisson_bracket passes a series G's,
+bracket_with_coordinate the unit partial of a coordinate, and
+low_degree_bracket G's partials and the blocks cut to |alpha| <= 1.  The Lie series is written once too, in
 _lie_sum, which also holds the contraction guard that refuses a step and
 counts the truncation discards of its own products.
 """
@@ -193,25 +194,27 @@ class StructureMatrix:
 # ---- the bracket ---------------------------------------------------------------
 
 
-def _bracket(F, Gy, Gx, Geta, Gxi, S: StructureMatrix) -> FourierTaylorSeries:
+def _bracket(F, Gy, Gx, Geta, Gxi, B12, B22) -> FourierTaylorSeries:
     """{F, G} from G's partials: each a series, None where it vanishes, or
-    the int 1 where it is the constant one (series * 1 is an exact scale).
-    The loop order and the (F_d * b) * G_d grouping fix every rounding."""
+    the int 1 where it is the constant one (series * 1 is an exact scale),
+    and the structure blocks B12 (m x n) and B22 (n x n).  The loop order
+    and the (F_d * b) * G_d grouping fix every rounding."""
+    m, n = len(B12), len(B22)
     total = F._like(None, None)
-    Fy = [F.partial_y(i) for i in range(S.m)]
-    Fx = [F.partial_x(l) for l in range(S.n)]
-    for i in range(S.m):
-        for l in range(S.n):
-            b = S.B12[i][l]
+    Fy = [F.partial_y(i) for i in range(m)]
+    Fx = [F.partial_x(l) for l in range(n)]
+    for i in range(m):
+        for l in range(n):
+            b = B12[i][l]
             if b.is_zero():
                 continue
             if not (Fy[i].is_zero() or Gx[l] is None):
                 total = total + Fy[i] * b * Gx[l]
             if not (Fx[l].is_zero() or Gy[i] is None):
                 total = total - Fx[l] * b * Gy[i]
-    for l in range(S.n):
-        for lp in range(S.n):
-            b = S.B22[l][lp]
+    for l in range(n):
+        for lp in range(n):
+            b = B22[l][lp]
             if not (b.is_zero() or Fx[l].is_zero() or Gx[lp] is None):
                 total = total + Fx[l] * b * Gx[lp]
     if Geta is not None:
@@ -228,7 +231,38 @@ def poisson_bracket(F: FourierTaylorSeries, G: FourierTaylorSeries, S: Structure
     nz = lambda d: None if d.is_zero() else d
     Gy = [nz(G.partial_y(i)) for i in range(S.m)]
     Gx = [nz(G.partial_x(l)) for l in range(S.n)]
-    return _bracket(F, Gy, Gx, nz(G.partial_eta()), nz(G.partial_xi()), S)
+    return _bracket(F, Gy, Gx, nz(G.partial_eta()), nz(G.partial_xi()), S.B12, S.B22)
+
+
+def low_degree_bracket(chi: FourierTaylorSeries, G: FourierTaylorSeries, S: StructureMatrix):
+    """The |alpha| <= 1 terms of {chi, G}, for a chi of degree at most 1 in
+    y, as a series of the ring cut to |alpha| <= 1: bit for bit the low
+    terms of poisson_bracket(chi, G, S).
+
+    A low term of a product comes only from low terms of its factors, and
+    the cut ring forms them from the same pairs in the same order, so the
+    one formula runs there on chi, the structure entries and G's partials,
+    each cut.  G's partials are taken before the cut (d/dy lowers the
+    degree), from G's terms of degree <= 2, the only ones with low partials.
+    The products drop their other pairs unrecorded: nothing read from the
+    result is lost."""
+    chi._check_compatible(G)
+    if chi.acols.sum(axis=1).max(initial=0) > 1:
+        raise ValueError("low_degree_bracket needs a chi of degree at most 1 in y")
+    K, L, P = chi.trunc
+    low = (K, min(L, 1), P)
+    G = G.cut((K, min(L, 2), P))
+
+    def cut(d):
+        d = d.cut(low)
+        return None if d.is_zero() else d
+
+    Gy = [cut(G.partial_y(i)) for i in range(S.m)]
+    Gx = [cut(G.partial_x(l)) for l in range(S.n)]
+    B12 = [[b.cut(low) for b in row] for row in S.B12]
+    B22 = [[b.cut(low) for b in row] for row in S.B22]
+    with discards(detached=True):
+        return _bracket(chi.cut(low), Gy, Gx, cut(G.partial_eta()), cut(G.partial_xi()), B12, B22)
 
 
 def bracket_with_coordinate(F: FourierTaylorSeries, coord, S: StructureMatrix):
@@ -241,7 +275,7 @@ def bracket_with_coordinate(F: FourierTaylorSeries, coord, S: StructureMatrix):
         raise ValueError("unknown coordinate %r" % (coord,))
     unit = lambda k, size: [1 if kind == k and j == idx else None for j in range(size)]
     one = lambda k: 1 if kind == k else None
-    return _bracket(F, unit("y", S.m), unit("x", S.n), one("eta"), one("xi"), S)
+    return _bracket(F, unit("y", S.m), unit("x", S.n), one("eta"), one("xi"), S.B12, S.B22)
 
 
 # ---- convergence-controlled Lie transform ---------------------------------------

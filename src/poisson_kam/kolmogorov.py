@@ -35,7 +35,7 @@ from .bracket import (
     gamma_rho_sigma,
     lie_coordinate_displacement,
     lie_transform,
-    poisson_bracket,
+    low_degree_bracket,
 )
 from .errors import ParameterError, ProblemFormatError, StepRefusedError
 from .homological import FrequencyData, build_E, lattice_divisors, solve_S, solve_T
@@ -554,11 +554,14 @@ def normalization_step(setup: RunSetup, decomp, u, step_index):
     new_decomp = HamiltonianDecomposition.from_full(Hhat, decomp.omega_tilde)
 
     # homological residual restricted to |alpha| <= 1 (should sit at rounding):
-    # chi_xi + g + {chi, h} with g = A + B.y and h = omega~.y + (1/2) C y.y + R
+    # chi_xi + g + {chi, h} with g = A + B.y and h = omega~.y + (1/2) C y.y + R,
+    # summed on the ring cut to |alpha| <= 1, where each term is bit for bit
+    # that of the full-order sum; the bracket's products record no discard
     g, h = _by_degree(_rest(decomp.full, decomp.omega_tilde))
     h = h + _omega_y(decomp.full, decomp.omega_tilde)
-    resid = chi.partial_xi() + g + poisson_bracket(chi, h, S)
-    resid_low = weighted_norm(_by_degree(resid)[0], params).K
+    low = low_degree_bracket(chi, h, S)
+    resid = chi.partial_xi().cut(low.trunc) + g.cut(low.trunc) + low
+    resid_low = weighted_norm(resid, params).K
 
     d_next = _schedule_d(
         step_index + 1, ledger, setup.eps0_rating, u.upsilon, a, tau, options.d_floor

@@ -22,9 +22,12 @@ so the rows within reach of a first-factor row are one contiguous run per
 |alpha| level, and every run is expanded in one vectorized pass, so no N*M
 array is built.  |k|_1 is summed for those pairs only.  Each key row packs
 into one int64 code, and packing is linear, so a product's code is a sum of
-its factors' codes; the kept codes are merged with a stable sort/reduceat
-pass (the same one that canonicalizes any key rows), and only the merged
-codes are unpacked into keys.  Lattices too wide for 62 bits merge summed
+its factors' codes; the kept codes are merged by one sort/reduceat pass,
+_merge_codes, which also canonicalizes any key rows, and only the merged
+codes are unpacked into keys.  The merge tags each code with its row index
+in the low bits and sorts the tagged codes in place: no two are equal, so
+that order is the stable one, and only codes too wide to take the tag go
+through numpy's stable argsort.  Lattices too wide for 62 bits merge summed
 key rows instead.  Pairs are taken first-factor-row by row, and the stable
 merge keeps that order, so every coefficient is bit-identical to summing all
 N*M pairs in row-major order.  The packing codec is built once per ring.
@@ -116,10 +119,11 @@ _open_tracker = contextvars.ContextVar("open_tracker", default=discard_tracker)
 
 
 @contextlib.contextmanager
-def discards():
+def discards(detached=False):
     """A fresh tracker for the discards made inside the block, in this
-    context only; each is also recorded by the enclosing tracker."""
-    tracker = TruncationTracker(_open_tracker.get())
+    context only; each is also recorded by the enclosing tracker, unless
+    detached (for a diagnostic's products, whose drops cost no result)."""
+    tracker = TruncationTracker(None if detached else _open_tracker.get())
     token = _open_tracker.set(tracker)
     try:
         yield tracker
@@ -171,11 +175,27 @@ def _unpack(codes, codec):
 
 
 def _merge_codes(codes, coeffs):
-    """Stable-sort by code and sum the coefficients of equal codes, real and
-    imaginary parts separately.  Returns the unique codes, the index of the
-    first row of each, and the sums."""
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
+    """Stable-sort a non-empty int64 code array and sum the coefficients of
+    equal codes, real and imaginary parts separately.  Returns the unique
+    codes, the index of the first row of each, and the sums.
+
+    Each code is shifted left by s = len(codes).bit_length() bits and tagged
+    with its row index in the freed bits, so the tagged keys are unique and
+    numpy's in-place sort, stable or not, puts them in the stable order of
+    the codes; the row order and the codes are read back by mask and shift.
+    Codes that overflow int64 once shifted take the stable argsort."""
+    s = len(codes).bit_length()
+    bound = 1 << (63 - s)
+    if -bound <= codes.min() and codes.max() < bound:
+        tagged = codes << s
+        tagged |= np.arange(len(codes))
+        tagged.sort()
+        order = tagged & ((1 << s) - 1)
+        tagged >>= s
+        codes = tagged
+    else:
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
     coeffs = coeffs[order]
     boundary = np.empty(len(codes), dtype=bool)
     boundary[0] = True
@@ -494,6 +514,21 @@ class FourierTaylorSeries:
         _open_tracker.get().record(float(np.abs(self.coeffs[~keep]).sum()))
         return self._like(keys[keep], self.coeffs[keep])
 
+    def cut(self, trunc) -> "FourierTaylorSeries":
+        """The terms within the orders trunc, as a series of that ring.  The
+        canonical order is lexicographic in the key rows in every ring, so
+        the kept rows stay canonical; a selection records no discard."""
+        trunc = Truncation(*trunc)
+        keep = (
+            (np.abs(self.kcols).sum(axis=1) <= trunc.K_max)
+            & (self.acols.sum(axis=1) <= trunc.L_max)
+            & (self.pcol <= trunc.P_max)
+        )
+        return FourierTaylorSeries(
+            self.n, self.m, self.decay_rate, trunc, self.keys[keep], self.coeffs[keep],
+            _canonical=True,
+        )
+
     # ---- evaluation ------------------------------------------------------
 
     def evaluate(self, y, x, eta=0.0, xi=0.0) -> complex:
@@ -695,8 +730,13 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
         out_rows.append(f_rows[i] + g_rows[j])
         out_coeffs.append(f.coeffs[i] * g_coeffs[j])
         start = stop
-    rows = np.concatenate(out_rows)
-    coeffs = np.concatenate(out_coeffs)
+    # one chunk is taken as it is; the chunks are let go before the merge,
+    # whose peak then holds one copy of the kept pairs
+    if len(out_rows) == 1:
+        (rows,), (coeffs,) = out_rows, out_coeffs
+    else:
+        rows, coeffs = np.concatenate(out_rows), np.concatenate(out_coeffs)
+    del out_rows, out_coeffs
     if len(coeffs) == 0:
         return f._like(None, None)
     if codec is None:

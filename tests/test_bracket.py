@@ -358,3 +358,63 @@ def test_lie_discards_do_not_depend_on_earlier_runs():
         masses(rescaled_benchmark_problem(trunc=(6, 2, 4)))
     assert masses(rescaled_benchmark_problem()) == before
     assert before[0] == 9.545548661988989e-08
+
+
+# ---- poisson_bracket against an exact symbolic bracket ---------------------------
+
+
+def _symbolic(sp, f, y, x, eta_, xi):
+    """f as an exact sympy expression, each coefficient the rational its float is."""
+    a = sp.Rational(f.decay_rate)
+    total = sp.Integer(0)
+    for k, alpha, e, p, c in f.terms():
+        term = (sp.Rational(c.real) + sp.I * sp.Rational(c.imag)) * eta_**e
+        term *= sp.exp(sp.I * sum(kl * xl for kl, xl in zip(k, x)) - p * a * xi)
+        for yi_, ai in zip(y, alpha):
+            term *= yi_**ai
+        total += term
+    return total
+
+
+def test_poisson_bracket_matches_the_exact_symbolic_bracket(rng):
+    # on dyadic coefficients every float operation of the bracket is exact,
+    # so it must equal grad(F)^T B grad(G) over (y, x, eta, xi) with B the
+    # block structure matrix extended by {xi, eta} = 1, computed by sympy
+    sp = pytest.importorskip("sympy")
+    cases = [
+        CANON,
+        StructureMatrix.canonical(2, A_DEFAULT, TR_DEFAULT),
+        rescaled_bracket_instance(),
+        random_structure(rng, n=2, m=2),
+    ]
+    for S in cases:
+        n, m = S.n, S.m
+        y = sp.symbols("y0:%d" % m)
+        x = sp.symbols("x0:%d" % n)
+        eta_, xi = sp.symbols("eta xi")
+        coords = list(y) + list(x) + [eta_, xi]
+        sym = lambda f: _symbolic(sp, f, y, x, eta_, xi)
+        B = sp.zeros(m + n + 2, m + n + 2)
+        for i in range(m):
+            for l in range(n):
+                B[i, m + l] = sym(S.B12[i][l])
+                B[m + l, i] = -B[i, m + l]
+        for l in range(n):
+            for lp in range(n):
+                B[m + l, m + lp] = sym(S.B22[l][lp])
+        B[m + n + 1, m + n] = 1
+        B[m + n, m + n + 1] = -1
+        # eta on one side at a time: a product of two eta terms is refused
+        for eta_in_F in (True, False):
+            budgets = dict(nterms=4, dyadic=True, k_budget=2, p_budget=1)
+            F = random_series(rng, n=n, m=m, l_budget=1, with_eta=eta_in_F, **budgets)
+            G = random_series(rng, n=n, m=m, l_budget=2, with_eta=not eta_in_F, **budgets)
+            assert (F if eta_in_F else G).ecol.any()
+            with discards() as lost:
+                bracket = poisson_bracket(F, G, S)
+            assert lost.total_mass == 0.0
+            grad_F = sp.Matrix([sp.diff(sym(F), z) for z in coords])
+            grad_G = sp.Matrix([sp.diff(sym(G), z) for z in coords])
+            exact = (grad_F.T * B * grad_G)[0, 0]
+            assert sp.expand(sym(bracket) - exact) == 0
+            assert not bracket.is_zero()

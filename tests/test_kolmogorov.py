@@ -6,14 +6,25 @@ import pytest
 
 from poisson_kam import (
     ExtendedPoint,
+    FourierTaylorSeries,
+    Problem,
+    StructureMatrix,
+    Truncation,
     benchmark_problem,
     compose_map,
     constants_ledger,
+    discards,
+    kolmogorov,
     normalization_step,
+    poisson_bracket,
+    rescaled_benchmark_problem,
     run,
     schedule_audit,
+    two_dof_problem,
 )
+from poisson_kam.bracket import low_degree_bracket
 from poisson_kam.errors import ProblemFormatError, ResonanceError, StepRefusedError
+from poisson_kam.problems import GOLDEN
 
 from conftest import A_DEFAULT, cosx, eta, mk, with_budget, yi
 
@@ -461,3 +472,67 @@ def test_optional_prune_keeps_quadratic_decay():
     assert eps[2] < 1e-5 * eps[1]
     # pruned supports stay lean on the wide lattice
     assert res.normal_form.full.num_terms < 500
+
+
+# ---- the homological residual on |alpha| <= 1 ----------------------------------
+
+
+def _three_dof_problem():
+    """Canonical 3-DOF problem: h = |y|^2/2 around y* = omega with omega =
+    (1, phi, 1 + sqrt 2), and f = exp(-a xi) [cos(x1 + 1) + cos(x1 + x2 + 2)/2
+    + cos(x2 + x3 + 3)/2], at truncation (6, 3, 6)."""
+    a, trunc = 0.5, Truncation(6, 3, 6)
+    z = (0, 0, 0)
+    h = [(z, tuple(2 * (j == i) for j in range(3)), 0, 0, 0.5) for i in range(3)]
+    f = []
+    for k, amp, theta in (((1, 0, 0), 1.0, 1.0), ((1, 1, 0), 0.5, 2.0), ((0, 1, 1), 0.5, 3.0)):
+        half = 0.5 * amp * complex(math.cos(theta), math.sin(theta))
+        f += [(k, z, 0, 1, half), (tuple(-v for v in k), z, 0, 1, half.conjugate())]
+    return Problem(
+        n=3,
+        m=3,
+        a=a,
+        epsilon=1e-4,
+        tau=1.2,
+        y_star=np.array([1.0, GOLDEN, 1.0 + math.sqrt(2.0)]),
+        trunc=trunc,
+        h=FourierTaylorSeries.from_terms(3, 3, a, trunc, h),
+        f=FourierTaylorSeries.from_terms(3, 3, a, trunc, f),
+        structure=StructureMatrix.canonical(3, a, trunc),
+        options={"rho": 0.5, "sigma": 1.0},
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: benchmark_problem(epsilon=1e-3), rescaled_benchmark_problem, two_dof_problem,
+     _three_dof_problem],
+    ids=["benchmark", "rescaled", "two_dof", "three_dof"],
+)
+def test_residual_bracket_is_the_low_part_of_the_full_bracket(make, monkeypatch):
+    # per step, the cut-ring bracket is bit for bit the |alpha| <= 1 part of
+    # the full bracket, and forming it records no discard
+    steps = []
+
+    def spy(chi, h, S):
+        with discards() as lost:
+            low = low_degree_bracket(chi, h, S)
+        steps.append((low, poisson_bracket(chi, h, S), lost))
+        return low
+
+    monkeypatch.setattr(kolmogorov, "low_degree_bracket", spy)
+    result = run(make().initialize())
+    assert len(steps) == len(result.chi_records) > 0
+    for low, full, lost in steps:
+        ref = kolmogorov._by_degree(full)[0]
+        assert low.trunc == full.trunc._replace(L_max=1)
+        assert np.array_equal(low.keys, ref.keys)
+        assert np.array_equal(low.coeffs.view(np.uint64), ref.coeffs.view(np.uint64))
+        assert (lost.total_mass, lost.events) == (0.0, 0)
+    assert any(low.num_terms for low, _, _ in steps)
+
+
+def test_low_degree_bracket_needs_a_linear_generator():
+    F = mk([((1,), (2,), 0, 1, 1.0)])
+    with pytest.raises(ValueError, match="degree at most 1"):
+        low_degree_bracket(F, cosx(), StructureMatrix.canonical(1, A_DEFAULT, F.trunc))

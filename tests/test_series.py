@@ -571,3 +571,72 @@ def test_product_matches_all_pairs_oracle(operands):
             mp.setattr(series, "_MUL_CHUNK_PAIRS", chunk)
         for a, b in ((f, g), (g, f)):
             _assert_bit_identical(a, b)
+
+
+# ---- the merge against a stable-argsort reference ------------------------------
+
+
+def _stable_merge(codes, coeffs):
+    """The merge by numpy's stable argsort: unique codes, the first row of
+    each, and the real and imaginary sums in row order."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    c = coeffs[order]
+    summed = np.add.reduceat(c.real, starts) + 1j * np.add.reduceat(c.imag, starts)
+    return ordered[starts], order[starts], summed
+
+
+# bases of the code pool: small, negative, and near +-2^62, where shifting
+# the codes left by the bit length of the row count overflows int64
+_CODE_BASE = st.sampled_from([0, -(1 << 40), 1 << 52, (1 << 62) - 64, -(1 << 62)])
+_PART = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e16, -1e16, 0.0, -0.0]))
+
+
+@st.composite
+def _codes(draw):
+    """(codes, coeffs): 1 to 300 int64 codes drawn from at most 12 values
+    near one base, so most repeat, with parts whose sum depends on the order."""
+    base = draw(_CODE_BASE)
+    pool = draw(st.lists(st.integers(0, 63), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=300))
+    codes = np.array([base + pool[i] for i in picks], dtype=np.int64)
+    parts = draw(st.lists(_PART, min_size=2 * len(picks), max_size=2 * len(picks)))
+    coeffs = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    return codes, coeffs
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(_codes())
+def test_merge_codes_is_the_stable_merge(case):
+    codes, coeffs = case
+    original = codes.copy()
+    got = series._merge_codes(codes, coeffs)
+    ref = _stable_merge(codes, coeffs)
+    assert (codes == original).all()
+    assert got[0].dtype == np.int64 and np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+    assert np.array_equal(_bits(got[2].real), _bits(ref[2].real))
+    assert np.array_equal(_bits(got[2].imag), _bits(ref[2].imag))
+
+
+def test_merge_codes_takes_the_stable_argsort_only_when_the_tag_overflows(monkeypatch):
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(
+        series.np, "argsort", lambda *a, **kw: calls.append(kw) or argsort(*a, **kw)
+    )
+    coeffs = np.ones(3, dtype=np.complex128)
+    # three rows take a 2-bit tag, so |code| must stay below 2^61
+    for code, stable in [((1 << 61) - 1, False), (-(1 << 61), False), (1 << 61, True),
+                         (-(1 << 61) - 1, True), ((1 << 63) - 1, True)]:
+        calls.clear()
+        codes = np.array([code, 0, code], dtype=np.int64)
+        merged, first, summed = series._merge_codes(codes, coeffs)
+        assert calls == ([{"kind": "stable"}] if stable else [])
+        assert sorted(merged.tolist()) == merged.tolist() == sorted({code, 0})
+        assert summed[merged.tolist().index(code)] == 2.0
