@@ -66,6 +66,15 @@ class StructureMatrix:
     """
 
     def __init__(self, B12, B22):
+        self._assemble(B12, B22)
+        defect = self.jacobi_defect()
+        if defect > JACOBI_REL_TOL:
+            raise StructureMismatchError(
+                "structure matrix fails the Jacobi identity (relative defect %.3g)" % defect
+            )
+
+    def _assemble(self, B12, B22):
+        """Check the blocks' shapes and entries and read off B0 and B1."""
         if not B12 or not B12[0] or any(len(row) != len(B12[0]) for row in B12):
             raise StructureMismatchError("B12 must be a non-empty m x n matrix")
         self.m = len(B12)
@@ -92,11 +101,6 @@ class StructureMatrix:
                 s = self.B22[l][lp] + self.B22[lp][l]
                 if not s.is_zero():
                     raise StructureMismatchError("B22 must be skew-symmetric")
-        defect = self.jacobi_defect()
-        if defect > JACOBI_REL_TOL:
-            raise StructureMismatchError(
-                "structure matrix fails the Jacobi identity (relative defect %.3g)" % defect
-            )
         zero_a = (0,) * self.m
         self.B0 = np.zeros((self.n, self.m))
         self.B1 = np.zeros((self.n, self.m, self.m))
@@ -132,7 +136,8 @@ class StructureMatrix:
         return cls(B12, B22)
 
     def shifted(self, y_star) -> "StructureMatrix":
-        """Re-expand all entries around y*."""
+        """Re-expand all entries around y*.  A shift of the actions keeps the
+        Jacobi identity, so the copy is not checked for it again."""
         from .series import shift_action_expansion
 
         B12 = [
@@ -141,7 +146,9 @@ class StructureMatrix:
         B22 = [
             [shift_action_expansion(e, y_star) for e in row] for row in self.B22
         ]
-        return StructureMatrix(B12, B22)
+        copy = object.__new__(StructureMatrix)
+        copy._assemble(B12, B22)
+        return copy
 
     # ---- the Jacobi identity ------------------------------------------------
 

@@ -2,11 +2,14 @@
 
 Reading uses the stdlib parser; writing is hand-rolled so that every float is
 rendered with ``%.17g``, which round-trips IEEE doubles bit-exactly and keeps
-output byte-identical across runs.
+output byte-identical across runs.  Each container's text is joined where it
+is built, so the writer holds the member texts of the containers it is inside,
+never a list of every token of the document.
 """
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 
 def fmt_float(x: float) -> str:
@@ -26,44 +29,35 @@ def safe_number(x: float):
     return x
 
 
-def _write(obj, parts):
+def _text(obj) -> str:
+    """The JSON text of obj; a container joins its members' texts where it is
+    built, so no more than one container's texts are held at a time."""
     if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(fmt_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _write(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(",")
-            _write(v, parts)
-        parts.append("]")
-    else:
-        raise TypeError("cannot serialize %r" % type(obj))
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        return "{%s}" % ",".join(
+            encode_basestring_ascii(str(k)) + ":" + _text(v) for k, v in obj.items()
+        )
+    if isinstance(obj, (list, tuple)):
+        return "[%s]" % ",".join(_text(v) for v in obj)
+    raise TypeError("cannot serialize %r" % type(obj))
 
 
 def dumps(obj) -> str:
     """Serialize to a single deterministic JSON line (no trailing newline)."""
-    parts = []
-    _write(obj, parts)
-    return "".join(parts)
+    # the recursion stays in _text, so a wrapper around dumps sees one call
+    # per document
+    return _text(obj)
 
 
 def loads(text: str):

@@ -22,15 +22,22 @@ so the rows within reach of a first-factor row are one contiguous run per
 |alpha| level, and every run is expanded in one vectorized pass, so no N*M
 array is built.  |k|_1 is summed for those pairs only.  Each key row packs
 into one int64 code, and packing is linear, so a product's code is a sum of
-its factors' codes; the kept codes are merged by one sort/reduceat pass,
-_merge_codes, which also canonicalizes any key rows, and only the merged
-codes are unpacked into keys.  The merge tags each code with its row index
-in the low bits and sorts the tagged codes in place: no two are equal, so
-that order is the stable one, and only codes too wide to take the tag go
-through numpy's stable argsort.  Lattices too wide for 62 bits merge summed
-key rows instead.  Pairs are taken first-factor-row by row, and the stable
-merge keeps that order, so every coefficient is bit-identical to summing all
-N*M pairs in row-major order.  The packing codec is built once per ring.
+its factors' codes.  A kept pair reaches the merge as its two int32 row
+indices and its code, 16 bytes: _merge_order sorts the codes, and only then
+is each coefficient formed, in merged order, as the product of the two
+factors' coefficients, and summed over its run of equal codes by reduceat;
+only the merged codes are unpacked into keys.  The merge tags each code with
+its row index in the low bits and sorts the tagged codes in place: no two
+are equal, so that order is the stable one, and only codes too wide to take
+the tag go through numpy's stable argsort.  Lattices too wide for 62 bits
+merge summed key rows instead.  Pairs are taken first-factor-row by row,
+and the stable merge keeps that order, so every coefficient is bit-identical
+to summing all N*M pairs in row-major order.  The packing codec is built
+once per ring.
+
+A sum of two series places one's terms among the other's by a binary search
+of their sorted codes (_merge_sorted) instead of sorting them; _merge_codes
+canonicalizes any other key rows.
 
 Mass discarded by the hard truncation is recorded on the innermost tracker
 opened by discards() in the current context, which passes it on outwards to
@@ -169,15 +176,19 @@ def _pack_codec(n, m, trunc):
     return codec
 
 
+def _pack(keys, codec):
+    """Packed int64 codes of key rows."""
+    return (keys.astype(np.int64) - codec.lo) @ codec.strides
+
+
 def _unpack(codes, codec):
     """Key rows (int32) of packed codes."""
     return (((codes[:, None] >> codec.shifts) & codec.masks) + codec.lo).astype(np.int32)
 
 
-def _merge_codes(codes, coeffs):
-    """Stable-sort a non-empty int64 code array and sum the coefficients of
-    equal codes, real and imaginary parts separately.  Returns the unique
-    codes, the index of the first row of each, and the sums.
+def _merge_order(codes):
+    """The stable sort of a non-empty int64 code array: the order that sorts
+    it, and where each run of equal codes starts in the sorted codes.
 
     Each code is shifted left by s = len(codes).bit_length() bits and tagged
     with its row index in the freed bits, so the tagged keys are unique and
@@ -192,19 +203,57 @@ def _merge_codes(codes, coeffs):
         tagged.sort()
         order = tagged & ((1 << s) - 1)
         tagged >>= s
-        codes = tagged
+        ordered = tagged
     else:
         order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-    coeffs = coeffs[order]
+        ordered = codes[order]
     boundary = np.empty(len(codes), dtype=bool)
     boundary[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    summed = np.add.reduceat(coeffs.real, starts) + 1j * np.add.reduceat(
-        coeffs.imag, starts
-    )
-    return codes[starts], order[starts], summed
+    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+    return order, np.flatnonzero(boundary)
+
+
+def _run_sums(coeffs, starts):
+    """The sum of each run of coeffs that begins at starts, real and
+    imaginary parts separately."""
+    return np.add.reduceat(coeffs.real, starts) + 1j * np.add.reduceat(coeffs.imag, starts)
+
+
+def _merge_codes(codes, coeffs):
+    """Stable-sort a non-empty int64 code array and sum the coefficients of
+    equal codes (see _merge_order).  Returns the unique codes, the index of
+    the first row of each, and the sums."""
+    order, starts = _merge_order(codes)
+    first = order[starts]
+    return codes[first], first, _run_sums(coeffs[order], starts)
+
+
+def _merge_sorted(f, g, codec):
+    """The keys and coefficients of f + g for canonical f and g: g's terms
+    are placed among f's by a binary search of their codes, and a key both
+    have is summed as f's coefficient plus g's, which is what reduceat gives
+    for a run of two rows; so the result is _merge_rows of the concatenated
+    rows bit for bit."""
+    # the codes less the constant lo @ strides, which keeps their order
+    a, b = f.keys @ codec.strides, g.keys @ codec.strides
+    pos = np.searchsorted(a, b, "right")
+    shared = pos > 0
+    shared[shared] = a[pos[shared] - 1] == b[shared]
+    new = np.flatnonzero(~shared)
+    # dest: the rows of f + g that g's new terms land on; src: each row of
+    # f + g as a row of the concatenation [f, g]
+    dest = pos[new] + np.arange(len(new))
+    from_f = np.ones(len(a) + len(new), dtype=bool)
+    from_f[dest] = False
+    src = np.empty(len(from_f), dtype=np.int64)
+    src[from_f] = np.arange(len(a))
+    src[dest] = len(a) + new
+    keys = np.concatenate([f.keys, g.keys]).take(src, axis=0)
+    coeffs = np.concatenate([f.coeffs, g.coeffs])[src]
+    coeffs[np.flatnonzero(from_f)[pos[shared] - 1]] += g.coeffs[shared]
+    # recombined from its parts as _run_sums does, which can change the
+    # sign of a zero part
+    return keys, coeffs.real + 1j * coeffs.imag
 
 
 def _merge_rows(keys, coeffs, codec):
@@ -212,8 +261,7 @@ def _merge_rows(keys, coeffs, codec):
     if len(coeffs) == 0:
         return keys, coeffs
     if codec is not None:
-        packed = (keys.astype(np.int64) - codec.lo) @ codec.strides
-        _, first, summed = _merge_codes(packed, coeffs)
+        _, first, summed = _merge_codes(_pack(keys, codec), coeffs)
         return keys[first], summed
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     summed = np.bincount(inverse, weights=coeffs.real, minlength=len(uniq)) + (
@@ -388,14 +436,9 @@ class FourierTaylorSeries:
         return complex(self.coeffs[hits[0]]) if len(hits) else 0j
 
     def terms(self):
-        for row, c in zip(self.keys, self.coeffs):
-            yield (
-                tuple(int(v) for v in row[: self.n]),
-                tuple(int(v) for v in row[self.n : self.n + self.m]),
-                int(row[self.n + self.m]),
-                int(row[self.n + self.m + 1]),
-                complex(c),
-            )
+        n, m = self.n, self.m
+        for row, c in zip(self.keys.tolist(), self.coeffs.tolist()):
+            yield tuple(row[:n]), tuple(row[n : n + m]), row[n + m], row[n + m + 1], c
 
     def _check_compatible(self, other: "FourierTaylorSeries"):
         if (
@@ -436,10 +479,13 @@ class FourierTaylorSeries:
         if isinstance(other, (int, float, complex)):
             other = FourierTaylorSeries.constant(other, self)
         self._check_compatible(other)
-        return self._like(
-            np.concatenate([self.keys, other.keys]),
-            np.concatenate([self.coeffs, other.coeffs]),
-        )
+        codec = _pack_codec(self.n, self.m, self.trunc)
+        if codec is None:
+            return self._like(
+                np.concatenate([self.keys, other.keys]),
+                np.concatenate([self.coeffs, other.coeffs]),
+            )
+        return self._like(*_merge_sorted(self, other, codec), canonical=True)
 
     __radd__ = __add__
 
@@ -577,18 +623,18 @@ class FourierTaylorSeries:
     # ---- serialization ----------------------------------------------------
 
     def to_payload(self) -> dict:
-        terms = []
-        for k, alpha, e, p, c in self.terms():
-            terms.append(
-                {
-                    "k": list(k),
-                    "alpha": list(alpha),
-                    "e": e,
-                    "p": p,
-                    "re": c.real,
-                    "im": c.imag,
-                }
-            )
+        n, m = self.n, self.m
+        terms = [
+            {
+                "k": row[:n],
+                "alpha": row[n : n + m],
+                "e": row[n + m],
+                "p": row[n + m + 1],
+                "re": c.real,
+                "im": c.imag,
+            }
+            for row, c in zip(self.keys.tolist(), self.coeffs.tolist())
+        ]
         return {
             "n": self.n,
             "m": self.m,
@@ -699,11 +745,11 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
     gk = np.ascontiguousarray(g_keys[:, :n].T)
     if codec is not None:
         f_rows = f.keys.astype(np.int64) @ codec.strides
-        g_rows = (g_keys.astype(np.int64) - codec.lo) @ codec.strides
+        g_rows = _pack(g_keys, codec)
     else:
         f_rows, g_rows = f.keys, g_keys
 
-    out_rows, out_coeffs = [], []
+    out_i, out_j, out_rows = [], [], []
     ends = np.cumsum(pairs)
     start = 0
     while start < f.num_terms:
@@ -721,28 +767,44 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
         for col in range(n):
             k_norm += np.abs(fk[col][i] + gk[col][j])
         lost = float(f_abs[start:stop] @ unreached[ra, rp])
-        far = k_norm > K
-        if far.any():
+        # the chunk's norms and masks are let go here, not kept through the
+        # merge
+        near = k_norm <= K
+        del k_norm
+        if not near.all():
+            far = ~near
             lost += float(np.abs(f.coeffs[i[far]] * g_coeffs[j[far]]).sum())
-            near = ~far
             i, j = i[near], j[near]
+            del far
+        del near
         _open_tracker.get().record(lost)
         out_rows.append(f_rows[i] + g_rows[j])
-        out_coeffs.append(f.coeffs[i] * g_coeffs[j])
+        out_i.append(i.astype(np.int32))
+        out_j.append(j.astype(np.int32))
         start = stop
-    # one chunk is taken as it is; the chunks are let go before the merge,
-    # whose peak then holds one copy of the kept pairs
-    if len(out_rows) == 1:
-        (rows,), (coeffs,) = out_rows, out_coeffs
+    # a kept pair is its two int32 row indices and its summed key row (code)
+    # until the merge, 16 bytes with a codec; one chunk is taken as it is
+    if len(out_i) == 1:
+        (i,), (j,), (rows,) = out_i, out_j, out_rows
     else:
-        rows, coeffs = np.concatenate(out_rows), np.concatenate(out_coeffs)
-    del out_rows, out_coeffs
-    if len(coeffs) == 0:
+        i, j, rows = (np.concatenate(out) for out in (out_i, out_j, out_rows))
+    del out_i, out_j, out_rows
+    if len(i) == 0:
         return f._like(None, None)
     if codec is None:
-        return f._like(rows, coeffs)
-    codes, _, summed = _merge_codes(rows, coeffs)
-    return f._like(_unpack(codes, codec), summed, canonical=True)
+        return f._like(rows, f.coeffs[i] * g_coeffs[j])
+    order, starts = _merge_order(rows)
+    codes = rows[order[starts]]
+    del rows
+    # the coefficients are formed in merged order, each the product of the
+    # same two factors, f first, as in pair order (a complex product can
+    # round differently with its operands swapped); take reads an int32
+    # index faster than a fancy index does
+    i, j = i[order], j[order]
+    del order
+    coeffs = f.coeffs.take(i) * g_coeffs.take(j)
+    del i, j
+    return f._like(_unpack(codes, codec), _run_sums(coeffs, starts), canonical=True)
 
 
 # ---- norms ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ def random_series(
             mk_ = tuple(-v for v in k)
             terms.append((mk_, alpha, e, p, c.conjugate()))
     return FourierTaylorSeries.from_terms(n, m, a, trunc, terms)
+
+
+def sampled_series(rng, n, m, trunc, nterms, k_budget=None):
+    """nterms distinct eta-free terms drawn at random from every key of the
+    ring with |k|_1 <= k_budget (default K_max), built in one pass."""
+    K, L, P = trunc
+    k_budget = K if k_budget is None else k_budget
+    ks = np.array(list(itertools.product(range(-k_budget, k_budget + 1), repeat=n)))
+    ks = ks[np.abs(ks).sum(axis=1) <= k_budget]
+    alphas = np.array(list(itertools.product(range(L + 1), repeat=m)))
+    alphas = alphas[alphas.sum(axis=1) <= L]
+    k_i, a_i, p = np.meshgrid(np.arange(len(ks)), np.arange(len(alphas)), np.arange(P + 1))
+    keys = np.column_stack([ks[k_i.ravel()], alphas[a_i.ravel()], 0 * p.ravel(), p.ravel()])
+    keys = keys[rng.choice(len(keys), nterms, replace=False)]
+    coeffs = rng.normal(size=nterms) + 1j * rng.normal(size=nterms)
+    return FourierTaylorSeries(n, m, A_DEFAULT, trunc, keys, coeffs)
 
 
 def random_structure(rng, n=1, m=1, a=A_DEFAULT, trunc=TR_DEFAULT, scale=1.0):

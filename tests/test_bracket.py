@@ -188,6 +188,16 @@ def test_jacobi_defect_of_poisson_structures():
     assert CANON.jacobi_defect() == 0.0
 
 
+def test_initialize_checks_the_jacobi_identity_once(monkeypatch):
+    # the structure is checked when the problem is built; its copy shifted
+    # to y* keeps the identity and is not checked again
+    calls = []
+    defect = StructureMatrix.jacobi_defect
+    monkeypatch.setattr(StructureMatrix, "jacobi_defect", lambda S: calls.append(S) or defect(S))
+    rescaled_benchmark_problem().initialize()
+    assert len(calls) == 1
+
+
 def test_non_poisson_structure_rejected():
     S = rescaled_benchmark_problem().structure
     with pytest.raises(StructureMismatchError, match="Jacobi"):

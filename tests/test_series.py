@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from poisson_kam.errors import (
 )
 from poisson_kam.series import SeriesStack
 
-from conftest import cosx, decay, eta, mk, random_series, yi, zeros
+from conftest import cosx, decay, eta, mk, random_series, sampled_series, yi, zeros
 
 
 def rand_point(rng, n, m):
@@ -573,6 +574,34 @@ def test_product_matches_all_pairs_oracle(operands):
             _assert_bit_identical(a, b)
 
 
+def test_product_transient_is_at_most_64_bytes_per_kept_pair():
+    """A 2174 x 3107 product in the 3-DOF ring, (8, 3, 8) with n = m = 3: the
+    factors' sizes in the largest product of the 3-DOF stress normalization.
+    A kept pair is two int32 row indices and an int64 code until the merge,
+    and its coefficient is formed after the sort, so the transient stays
+    near 50 bytes per kept pair; forming a complex coefficient per pair in
+    pair order and permuting it took about 80."""
+    rng = np.random.default_rng(5)
+    trunc = Truncation(8, 3, 8)
+    # |k|_1 <= 2 on both sides, so every pair within the |alpha| and p
+    # orders is kept, and the products share few keys
+    f = sampled_series(rng, 3, 3, trunc, 2174, k_budget=2)
+    g = sampled_series(rng, 3, 3, trunc, 3107, k_budget=2)
+    counts = np.zeros((trunc.L_max + 1, trunc.P_max + 1), dtype=np.int64)
+    np.add.at(counts, (g.acols.sum(axis=1), g.pcol), 1)
+    reach = counts.cumsum(axis=0).cumsum(axis=1)
+    kept = int(reach[trunc.L_max - f.acols.sum(axis=1), trunc.P_max - f.pcol].sum())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prod = series._series_mul(f, g)
+        transient = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert kept > 500_000 and prod.num_terms < kept // 10
+    assert transient < 64 * kept
+
+
 # ---- the merge against a stable-argsort reference ------------------------------
 
 
@@ -640,3 +669,21 @@ def test_merge_codes_takes_the_stable_argsort_only_when_the_tag_overflows(monkey
         assert calls == ([{"kind": "stable"}] if stable else [])
         assert sorted(merged.tolist()) == merged.tolist() == sorted({code, 0})
         assert summed[merged.tolist().index(code)] == 2.0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_operands())
+def test_sum_of_canonical_series_is_the_row_merge(operands):
+    """f + g merges the two sorted code runs instead of sorting them; keys
+    and coefficients, down to the signed zeros a negation leaves, are bit
+    for bit those of the constructor's merge of the concatenated rows, also
+    where the sum cancels and where the lattice does not pack."""
+    f, g, _ = operands
+    for a, b in ((f, g), (g, f), (f, -g), (-f, f), (f, f.scale(0))):
+        got = a + b
+        ref = FourierTaylorSeries(
+            a.n, a.m, a.decay_rate, a.trunc,
+            np.concatenate([a.keys, b.keys]), np.concatenate([a.coeffs, b.coeffs]),
+        )
+        assert np.array_equal(got.keys, ref.keys)
+        assert np.array_equal(_bits(got.coeffs), _bits(ref.coeffs))
