@@ -10,16 +10,22 @@ with B12 (m x n) and skew B22 (n x n) depending on the actions only.  Sign
 conventions are pinned by the identities L_chi eta = chi_xi, L_chi xi = 0 and
 L_chi y = -chi_x B12^T, which the tests assert literally.
 
-The formula is written once, in _bracket, which takes G's partial
-derivatives and the structure blocks: poisson_bracket passes a series G's,
-bracket_with_coordinate the unit partial of a coordinate, and
-low_degree_bracket G's partials and the blocks cut to |alpha| <= 1.  The Lie series is written once too, in
-_lie_sum, which also holds the contraction guard that refuses a step and
-counts the truncation discards of its own products.
+The formula is written once, in LieOperator, which holds chi's side of the
+bracket, L_chi = {chi, .}: chi's partials, the contraction 4 e^2 Gamma ||chi||
+with the guard that refuses a Lie series, and each product of a chi partial
+and a structure entry, formed on first use and charged to the discard
+tracker at every use.  apply takes G's partial derivatives; poisson_bracket
+passes a series G's, bracket_with_coordinate the unit partial of a
+coordinate, and low_degree_bracket G's partials to an operator on the ring
+cut to |alpha| <= 1, each a one-shot operator.  The Lie series is written
+once too, in LieOperator._lie_sum, which counts the truncation discards of
+its own products; a normalization step or a record of the composed map
+builds one operator and sums every one of its series with it.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,6 +37,7 @@ from .errors import LieDivergenceError, StructureMismatchError
 from .series import (
     FourierTaylorSeries,
     WeightedNormParams,
+    discard_log,
     discards,
     majorant_with_eta,
     weighted_norm,
@@ -140,14 +147,20 @@ class StructureMatrix:
         Jacobi identity, so the copy is not checked for it again."""
         from .series import shift_action_expansion
 
-        B12 = [
-            [shift_action_expansion(e, y_star) for e in row] for row in self.B12
-        ]
-        B22 = [
-            [shift_action_expansion(e, y_star) for e in row] for row in self.B22
-        ]
+        return self._entrywise(lambda e: shift_action_expansion(e, y_star))
+
+    def cut(self, trunc) -> "StructureMatrix":
+        """Every entry cut to the orders trunc: the structure of that ring,
+        for brackets formed there.  It is not checked for the Jacobi
+        identity, which only the full series need."""
+        return self._entrywise(lambda e: e.cut(trunc))
+
+    def _entrywise(self, fn) -> "StructureMatrix":
         copy = object.__new__(StructureMatrix)
-        copy._assemble(B12, B22)
+        copy._assemble(
+            [[fn(e) for e in row] for row in self.B12],
+            [[fn(e) for e in row] for row in self.B22],
+        )
         return copy
 
     # ---- the Jacobi identity ------------------------------------------------
@@ -201,44 +214,159 @@ class StructureMatrix:
 # ---- the bracket ---------------------------------------------------------------
 
 
-def _bracket(F, Gy, Gx, Geta, Gxi, B12, B22) -> FourierTaylorSeries:
-    """{F, G} from G's partials: each a series, None where it vanishes, or
-    the int 1 where it is the constant one (series * 1 is an exact scale),
-    and the structure blocks B12 (m x n) and B22 (n x n).  The loop order
-    and the (F_d * b) * G_d grouping fix every rounding."""
-    m, n = len(B12), len(B22)
-    total = F._like(None, None)
-    Fy = [F.partial_y(i) for i in range(m)]
-    Fx = [F.partial_x(l) for l in range(n)]
-    for i in range(m):
-        for l in range(n):
-            b = B12[i][l]
-            if b.is_zero():
-                continue
-            if not (Fy[i].is_zero() or Gx[l] is None):
-                total = total + Fy[i] * b * Gx[l]
-            if not (Fx[l].is_zero() or Gy[i] is None):
-                total = total - Fx[l] * b * Gy[i]
-    for l in range(n):
-        for lp in range(n):
-            b = B22[l][lp]
-            if not (b.is_zero() or Fx[l].is_zero() or Gx[lp] is None):
-                total = total + Fx[l] * b * Gx[lp]
-    if Geta is not None:
-        total = total + F.partial_xi() * Geta
-    Feta = F.partial_eta()
-    if not Feta.is_zero() and Gxi is not None:
-        total = total - Feta * Gxi
-    return total
+class LieOperator:
+    """L_chi = {chi, .} on the ring of the structure matrix S, with chi's
+    side of every bracket formed once.
+
+    It holds chi's partials, taken here only, and each product F_d * b of a
+    chi partial and a structure entry, formed on its first use and kept with
+    the masses its truncation dropped; a y or x partial is let go once it
+    has formed all its products.  Every use of a kept product records
+    those masses again on the open discard tracker, where the bracket would
+    have formed it, so a bracket's discards are what forming every product
+    afresh records.  Given params, the contraction 4 e^2 Gamma ||chi|| at
+    those (rho, sigma) is measured once, and a factor above 1/2 raises
+    LieDivergenceError (a StepRefusedError): the one place a Lie series
+    refuses.  A zero chi needs no guard; its contraction is 0.  The Lie sums
+    (transform, displacement) need params; a single bracket does not.
+
+    Build one operator per generator and let it go with the loop that
+    applies it, which frees its products.
+    """
+
+    def __init__(self, chi: FourierTaylorSeries, S: StructureMatrix, params=None):
+        self.contraction = 0.0
+        if params is not None and not chi.is_zero():
+            self.contraction = lie_contraction(chi, S, params)
+            if not self.contraction <= 0.5:
+                raise LieDivergenceError(
+                    "Lie contraction %.3g > 1/2; shrink the perturbation first"
+                    % self.contraction
+                )
+        self.chi, self.S, self.params = chi, S, params
+        self.Fxi = chi.partial_xi()
+        self.Feta = chi.partial_eta()
+        # chi's y and x partials are read only to form their products with
+        # the structure entries; each is let go after its last product, so
+        # the kept products take the partials' place in memory (pending:
+        # the products each partial has yet to form)
+        self._partials = {("y", i): chi.partial_y(i) for i in range(S.m)}
+        self._partials.update({("x", l): chi.partial_x(l) for l in range(S.n)})
+        self._nonzero = {d for d, part in self._partials.items() if not part.is_zero()}
+        self._pending = collections.Counter()
+        for i, l in itertools.product(range(S.m), range(S.n)):
+            if not S.B12[i][l].is_zero():
+                self._pending.update([("y", i), ("x", l)])
+        for l, lp in itertools.product(range(S.n), repeat=2):
+            if not S.B22[l][lp].is_zero():
+                self._pending[("x", l)] += 1
+        self._products = {}
+
+    def _times(self, d, entry, b):
+        """chi's partial d times the structure entry b at entry, kept from
+        its first use; each use records the masses its truncation dropped
+        on the open tracker."""
+        kept = self._products.get((d, entry))
+        if kept is None:
+            with discard_log() as masses:
+                product = self._partials[d] * b
+            kept = self._products[d, entry] = (product, masses)
+            self._pending[d] -= 1
+            if not self._pending[d]:
+                del self._partials[d]
+        product, masses = kept
+        masses.charge()
+        return product
+
+    def apply(self, Gy, Gx, Geta, Gxi) -> FourierTaylorSeries:
+        """{chi, G} from G's partials: each a series, None where it vanishes,
+        or the int 1 where it is the constant one (series * 1 is an exact
+        scale).  The loop order and the (F_d * b) * G_d grouping fix every
+        rounding."""
+        S, nonzero = self.S, self._nonzero
+        total = self.chi._like(None, None)
+        for i in range(S.m):
+            for l in range(S.n):
+                b = S.B12[i][l]
+                if b.is_zero():
+                    continue
+                if ("y", i) in nonzero and Gx[l] is not None:
+                    total = total + self._times(("y", i), (12, i, l), b) * Gx[l]
+                if ("x", l) in nonzero and Gy[i] is not None:
+                    total = total - self._times(("x", l), (12, i, l), b) * Gy[i]
+        for l in range(S.n):
+            for lp in range(S.n):
+                b = S.B22[l][lp]
+                if not b.is_zero() and ("x", l) in nonzero and Gx[lp] is not None:
+                    total = total + self._times(("x", l), (22, l, lp), b) * Gx[lp]
+        if Geta is not None:
+            total = total + self.Fxi * Geta
+        if not self.Feta.is_zero() and Gxi is not None:
+            total = total - self.Feta * Gxi
+        return total
+
+    def bracket(self, G: FourierTaylorSeries) -> FourierTaylorSeries:
+        """{chi, G} for a series G of the ring."""
+        self.chi._check_compatible(G)
+        nz = lambda d: None if d.is_zero() else d
+        Gy = [nz(G.partial_y(i)) for i in range(self.S.m)]
+        Gx = [nz(G.partial_x(l)) for l in range(self.S.n)]
+        return self.apply(Gy, Gx, nz(G.partial_eta()), nz(G.partial_xi()))
+
+    def coordinate_bracket(self, coord) -> FourierTaylorSeries:
+        """{chi, z_c} for a coordinate function z_c in {("y", i), ("x", l),
+        "eta", "xi"}, whose one nonzero partial is 1."""
+        m, n = self.S.m, self.S.n
+        kind, idx = (coord, None) if isinstance(coord, str) else coord
+        valid = {"y": range(m), "x": range(n), "eta": [None], "xi": [None]}
+        if idx not in valid.get(kind, []):
+            raise ValueError("unknown coordinate %r" % (coord,))
+        unit = lambda k, size: [1 if kind == k and j == idx else None for j in range(size)]
+        one = lambda k: 1 if kind == k else None
+        return self.apply(unit("y", m), unit("x", n), one("eta"), one("xi"))
+
+    def transform(self, F, tol=LIE_REL_TOL, cap=LIE_MAX_TERMS):
+        """exp(L_chi) F, summed until a term drops below tol relative to the
+        sum or cap terms have run."""
+        return self._lie_sum(lambda: self.bracket(F), F, tol, cap)
+
+    def displacement(self, coord):
+        """exp(L_chi) z_c - z_c (zero for coord = "xi"), summed to
+        LIE_REL_TOL with at most LIE_MAX_TERMS terms."""
+        first = lambda: self.coordinate_bracket(coord)
+        return self._lie_sum(first, self.chi._like(None, None), LIE_REL_TOL, LIE_MAX_TERMS)
+
+    def _lie_sum(self, first, base, tol, cap):
+        """base + sum_{s>=1} L_chi^s(seed)/s!, where first() is the s = 1
+        term: the one Lie series.  A zero chi returns base.  Under the
+        contraction guard the terms decay at least geometrically; the
+        diagnostics carry the geometric tail estimate and the mass
+        truncation dropped from the series' products, first() included."""
+        if self.chi.is_zero():
+            return base, LieDiagnostics(0.0, 0, 0.0, [], 0.0)
+        L, params = self.contraction, self.params
+        with discards() as lost:
+            total = base
+            term = first()
+            norms = []
+            s = 1
+            while True:
+                total = total + term
+                norms.append(majorant_with_eta(term, params))
+                running = majorant_with_eta(total, params)
+                converged = term.is_zero() or norms[-1] <= tol * max(running, 1e-300)
+                if converged or s >= cap:
+                    break
+                s += 1
+                term = self.bracket(term).scale(1.0 / s)
+        s_stop = s if norms[-1] > 0 else s - 1
+        tail = norms[-1] * L / (1.0 - L)
+        return total, LieDiagnostics(L, s_stop, tail, norms, lost.total_mass, converged)
 
 
 def poisson_bracket(F: FourierTaylorSeries, G: FourierTaylorSeries, S: StructureMatrix):
     """Extended bracket {F, G}; bilinear, antisymmetric, Leibniz."""
-    F._check_compatible(G)
-    nz = lambda d: None if d.is_zero() else d
-    Gy = [nz(G.partial_y(i)) for i in range(S.m)]
-    Gx = [nz(G.partial_x(l)) for l in range(S.n)]
-    return _bracket(F, Gy, Gx, nz(G.partial_eta()), nz(G.partial_xi()), S.B12, S.B22)
+    return LieOperator(F, S).bracket(G)
 
 
 def low_degree_bracket(chi: FourierTaylorSeries, G: FourierTaylorSeries, S: StructureMatrix):
@@ -266,23 +394,16 @@ def low_degree_bracket(chi: FourierTaylorSeries, G: FourierTaylorSeries, S: Stru
 
     Gy = [cut(G.partial_y(i)) for i in range(S.m)]
     Gx = [cut(G.partial_x(l)) for l in range(S.n)]
-    B12 = [[b.cut(low) for b in row] for row in S.B12]
-    B22 = [[b.cut(low) for b in row] for row in S.B22]
     with discards(detached=True):
-        return _bracket(chi.cut(low), Gy, Gx, cut(G.partial_eta()), cut(G.partial_xi()), B12, B22)
+        op = LieOperator(chi.cut(low), S.cut(low))
+        return op.apply(Gy, Gx, cut(G.partial_eta()), cut(G.partial_xi()))
 
 
 def bracket_with_coordinate(F: FourierTaylorSeries, coord, S: StructureMatrix):
     """{F, z_c} for a coordinate function z_c in {("y", i), ("x", l), "eta", "xi"},
     whose one nonzero partial is 1.  The bare coordinates x_l and xi are not
     elements of the series ring; their derivatives are, so the bracket is."""
-    kind, idx = (coord, None) if isinstance(coord, str) else coord
-    valid = {"y": range(S.m), "x": range(S.n), "eta": [None], "xi": [None]}
-    if idx not in valid.get(kind, []):
-        raise ValueError("unknown coordinate %r" % (coord,))
-    unit = lambda k, size: [1 if kind == k and j == idx else None for j in range(size)]
-    one = lambda k: 1 if kind == k else None
-    return _bracket(F, unit("y", S.m), unit("x", S.n), one("eta"), one("xi"), S.B12, S.B22)
+    return LieOperator(F, S).coordinate_bracket(coord)
 
 
 # ---- convergence-controlled Lie transform ---------------------------------------
@@ -319,39 +440,6 @@ def lie_contraction(chi, S, params: WeightedNormParams) -> float:
     return 4.0 * E_SQ * gamma * weighted_norm(chi, params).K
 
 
-def _lie_sum(chi, first, base, S, params, tol, cap):
-    """base + sum_{s>=1} L_chi^s(seed)/s!, where first() is the s = 1 term:
-    the one Lie series and the one place it refuses.  chi = 0 returns base;
-    a measured contraction factor above 1/2 raises LieDivergenceError.
-    Under that bound the terms decay at least geometrically; the diagnostics
-    carry the geometric tail estimate and the mass truncation dropped from
-    the series' products, first() included."""
-    if chi.is_zero():
-        return base, LieDiagnostics(0.0, 0, 0.0, [], 0.0)
-    L = lie_contraction(chi, S, params)
-    if not L <= 0.5:
-        raise LieDivergenceError(
-            "Lie contraction %.3g > 1/2; shrink the perturbation first" % L
-        )
-    with discards() as lost:
-        total = base
-        term = first()
-        norms = []
-        s = 1
-        while True:
-            total = total + term
-            norms.append(majorant_with_eta(term, params))
-            running = majorant_with_eta(total, params)
-            converged = term.is_zero() or norms[-1] <= tol * max(running, 1e-300)
-            if converged or s >= cap:
-                break
-            s += 1
-            term = poisson_bracket(chi, term, S).scale(1.0 / s)
-    s_stop = s if norms[-1] > 0 else s - 1
-    tail = norms[-1] * L / (1.0 - L)
-    return total, LieDiagnostics(L, s_stop, tail, norms, lost.total_mass, converged)
-
-
 def lie_transform(
     chi: FourierTaylorSeries,
     F: FourierTaylorSeries,
@@ -362,11 +450,10 @@ def lie_transform(
 ):
     """exp(L_chi) F summed until terms drop below tol relative to the sum.
 
-    Raises LieDivergenceError (a StepRefusedError) from _lie_sum when the
+    Raises LieDivergenceError (a StepRefusedError) from LieOperator when the
     measured contraction factor exceeds 1/2.
     """
-    first = lambda: poisson_bracket(chi, F, S)
-    return _lie_sum(chi, first, F, S, params, tol, cap)
+    return LieOperator(chi, S, params).transform(F, tol, cap)
 
 
 def lie_coordinate_displacement(
@@ -377,5 +464,4 @@ def lie_coordinate_displacement(
 
     Refuses exactly as lie_transform does.
     """
-    first = lambda: bracket_with_coordinate(chi, coord, S)
-    return _lie_sum(chi, first, chi._like(None, None), S, params, LIE_REL_TOL, LIE_MAX_TERMS)
+    return LieOperator(chi, S, params).displacement(coord)

@@ -38,16 +38,20 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _load_generators(out):
-    """The ChiRecords a normalize run stored in out/generators.json."""
+def _load_generators(out, problem):
+    """The ChiRecords a normalize run stored in out/generators.json, each
+    checked as it is made and against the ring of problem."""
     path = out / "generators.json"
     if not path.exists():
         raise ProblemFormatError("missing run artifacts in %s" % out)
     try:
         payload = jsonio.loads(path.read_text())
-        return [ChiRecord.from_payload(p) for p in payload["chi"]]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        records = [ChiRecord.from_payload(p) for p in payload["chi"]]
+        for rec in records:
+            problem.check_ring("generator %d" % rec.step, rec.chi)
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, PoissonKamError) as exc:
         raise ProblemFormatError("bad generators file %s: %s" % (path, exc)) from exc
+    return records
 
 
 def _write(path, payload):
@@ -95,8 +99,8 @@ def cmd_verify(args) -> int:
     if args.angles < 1:
         raise ParameterError("--angles must be at least 1, got %d" % args.angles)
     out = Path(args.out)
-    chi_records = _load_generators(out)
     problem = Problem.load(args.problem)
+    chi_records = _load_generators(out, problem)
     setup = problem.initialize()
     seed = problem.option("seed", args.seed)
     n_angles = args.angles
@@ -170,8 +174,8 @@ def cmd_lie_check(args) -> int:
     stored generator fails the contraction guard, 1 when normalize outputs
     are absent or malformed or the integrator fails."""
     out = Path(args.out)
-    chi_records = _load_generators(out)
     problem = Problem.load(args.problem)
+    chi_records = _load_generators(out, problem)
     setup = problem.initialize()
     point = ExtendedPoint(
         np.zeros(problem.m), np.full(problem.n, 0.3), 0.0, 0.0

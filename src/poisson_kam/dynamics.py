@@ -449,12 +449,13 @@ def lie_vs_flow_check(
     The flow realizing the transform is zdot = {chi, z} = -B(z) chi_z, the
     Hamiltonian field of -chi; integrating it to t = 1 from the point must
     land where the series map sends the point.  Returns the max coordinate
-    distance.
+    distance.  The series map is built first, so a generator that fails the
+    contraction guard is refused before its flow is integrated.
     """
     m, n = S.m, S.n
+    mapped = apply_displacements(composed_displacements([record], S), point)
     flow = _GradientCache(-record.chi, S).field
     ((_, states, _),) = _dop853(flow, _state_vector(point, m, n)[None, :], 1.0, tol, tol)
     end = states[-1]
-    mapped = apply_displacements(composed_displacements([record], S), point)
     series_end = list(mapped.y) + list(mapped.x) + [mapped.eta, mapped.xi]
     return float(max([0.0] + [abs(v - e) for v, e in zip(series_end, end)]))

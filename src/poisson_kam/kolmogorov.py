@@ -31,21 +31,28 @@ from .bracket import (
     LIE_MAX_TERMS,
     LIE_REL_TOL,
     ExtendedPoint,
+    LieOperator,
     StructureMatrix,
     gamma_rho_sigma,
-    lie_coordinate_displacement,
     lie_transform,
     low_degree_bracket,
 )
-from .errors import ParameterError, ProblemFormatError, StepRefusedError
+from .errors import (
+    ParameterError,
+    ProblemFormatError,
+    StepRefusedError,
+    StructureMismatchError,
+)
 from .homological import FrequencyData, build_E, lattice_divisors, solve_S, solve_T
 from .series import (
     FourierTaylorSeries,
     SeriesStack,
     WeightedNormParams,
+    _term_index,
     reassemble_taylor,
     shift_action_expansion,
     taylor_split,
+    weight_bounds,
     weighted_norm,
 )
 
@@ -235,15 +242,53 @@ class RunOptions:
     prune_rel: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChiRecord:
-    """Generating function with the domain parameters it was built at."""
+    """Generating function with the domain parameters it was built at.
+
+    A record is checked when made, as a stored generator is read back:
+    step is a non-negative integer (by the term-index rule), rho and sigma
+    are finite and positive with finite majorant weights on chi's ring, and
+    d lies in (0, 1/3), where the shrink factor 1 - 3d is positive.  Raises
+    ProblemFormatError otherwise.
+    """
 
     step: int
     chi: FourierTaylorSeries
     rho: float
     sigma: float
     d: float
+
+    def __post_init__(self):
+        try:
+            step = _term_index(self.step)
+        except (StructureMismatchError, TypeError, ValueError, OverflowError):
+            step = -1
+        if step < 0:
+            raise ProblemFormatError(
+                "generator step must be a non-negative integer, got %r" % (self.step,)
+            )
+        try:
+            rho, sigma, d = float(self.rho), float(self.sigma), float(self.d)
+        except (TypeError, ValueError) as exc:
+            raise ProblemFormatError("generator %d: %s" % (step, exc)) from exc
+        rules = [
+            (name, v, "finite and > 0", math.isfinite(v) and v > 0)
+            for name, v in (("rho", rho), ("sigma", sigma))
+        ]
+        if all(ok for *_, ok in rules):
+            rules += weight_bounds(rho, sigma, self.chi.trunc)
+            # Gamma_{rho,sigma} divides by (e rho sigma)^2
+            rules.append(("rho * sigma", rho * sigma, "such that (e rho sigma)^2 > 0",
+                          (math.e * rho * sigma) ** 2 > 0.0))
+        rules.append(("d", d, "in (0, 1/3)", 0.0 < d < 1.0 / 3.0))
+        for name, value, rule, ok in rules:
+            if not ok:
+                raise ProblemFormatError(
+                    "generator %d: %s must be %s, got %r" % (step, name, rule, value)
+                )
+        for name, value in (("step", step), ("rho", rho), ("sigma", sigma), ("d", d)):
+            object.__setattr__(self, name, value)
 
     def norm_params(self):
         return WeightedNormParams(self.rho, self.sigma)
@@ -260,11 +305,11 @@ class ChiRecord:
     @classmethod
     def from_payload(cls, payload):
         return cls(
-            int(payload["step"]),
+            payload["step"],
             FourierTaylorSeries.from_payload(payload["chi"]),
-            float(payload["rho"]),
-            float(payload["sigma"]),
-            float(payload["d"]),
+            payload["rho"],
+            payload["sigma"],
+            payload["d"],
         )
 
 
@@ -693,18 +738,19 @@ def composed_displacements(chi_records, S: StructureMatrix):
     not ring elements).  Returns {coordinate: displacement or None}; xi has no
     entry: the transformation does not act on time.  The map depends on the
     run only, so build it once and evaluate it with apply_displacements.
-    A stored generator that fails the contraction guard raises
+    Each record's generator is one LieOperator, shared by all its series; a
+    stored generator that fails the contraction guard raises
     LieDivergenceError (a StepRefusedError).
     """
     coords = [("y", i) for i in range(S.m)] + [("x", l) for l in range(S.n)]
     coords += ["eta"]
     disp = {c: None for c in coords}
     for rec in chi_records:
-        params = rec.norm_params()
+        op = LieOperator(rec.chi, S, rec.norm_params())
         for c in coords:
-            base, _ = lie_coordinate_displacement(rec.chi, c, S, params)
+            base, _ = op.displacement(c)
             if disp[c] is not None and not disp[c].is_zero():
-                carried, _ = lie_transform(rec.chi, disp[c], S, params)
+                carried, _ = op.transform(disp[c])
             else:
                 carried = disp[c]
             disp[c] = base if carried is None else base + carried

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
@@ -27,7 +26,7 @@ from . import jsonio
 from .bracket import StructureMatrix
 from .errors import ProblemFormatError, StructureMismatchError
 from .kolmogorov import RunOptions, RunSetup, init_from_problem
-from .series import FourierTaylorSeries, Truncation, _order, _term_index
+from .series import FourierTaylorSeries, Truncation, _order, _term_index, weight_bounds
 
 GOLDEN = (1.0 + 5 ** 0.5) / 2.0
 
@@ -98,13 +97,11 @@ class Problem:
         rules += [
             ("truncation order " + k, v, ">= 1", v >= 1) for k, v in self.trunc._asdict().items()
         ]
-        # the majorant weights rho^|alpha| and exp(sigma |k|) must stay finite
-        rho, sigma, big = self.option("rho"), self.option("sigma"), math.log(sys.float_info.max)
         rules += [
-            ("option 'rho'", rho, "such that rho^L_max is finite",
-             self.trunc.L_max * math.log(rho) < big),
-            ("option 'sigma'", sigma, "such that exp(sigma K_max) is finite",
-             sigma * self.trunc.K_max < big),
+            ("option %r" % name, value, rule, ok)
+            for name, value, rule, ok in weight_bounds(
+                self.option("rho"), self.option("sigma"), self.trunc
+            )
         ]
         for name, value, rule, ok in rules:
             if not ok:
@@ -114,13 +111,8 @@ class Problem:
         S = self.structure
         parts = [("h", self.h), ("f", self.f)]
         parts += [("structure entry", e) for row in S.B12 + S.B22 for e in row]
-        want = (self.n, self.m, self.a, self.trunc)
-        for part, s in parts:
-            got = (s.n, s.m, s.decay_rate, s.trunc)
-            for name, g, w in zip(("n", "m", "a", "trunc"), got, want):
-                if g != w:
-                    msg = "%s has %s = %r, but the problem states %r" % (part, name, g, w)
-                    raise ProblemFormatError(msg)
+        for part, series in parts:
+            self.check_ring(part, series)
         if self.f.ecol.any():
             raise ProblemFormatError("perturbation must not depend on eta")
         if not self.f.is_zero() and int(self.f.pcol.min()) < 1:
@@ -129,6 +121,16 @@ class Problem:
             )
         if not self.h.is_action_only():
             raise ProblemFormatError("integrable part h must depend on y only")
+
+    def check_ring(self, part, series):
+        """Raise ProblemFormatError unless series (named part in the message)
+        lies in the problem's ring: the same n, m, a and truncation orders."""
+        got = (series.n, series.m, series.decay_rate, *series.trunc)
+        want = (self.n, self.m, self.a, *self.trunc)
+        for name, g, w in zip(("n", "m", "a", *Truncation._fields), got, want):
+            if g != w:
+                msg = "%s has %s = %r, but the problem states %r" % (part, name, g, w)
+                raise ProblemFormatError(msg)
 
     def option(self, name, override=None):
         """The override, else the file value, else the default; None counts as

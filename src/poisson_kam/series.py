@@ -42,7 +42,9 @@ canonicalizes any other key rows.
 Mass discarded by the hard truncation is recorded on the innermost tracker
 opened by discards() in the current context, which passes it on outwards to
 discard_tracker, the process total; so a Lie series or a test can count its
-own discards, whatever ran before.  The pairs cut on |alpha| or p are valued
+own discards, whatever ran before.  A discard_log() block keeps its masses
+instead, for a result formed once and used many times: the log's charge()
+records them again at each use.  The pairs cut on |alpha| or p are valued
 per class, |c_f| times the mass of the second factor's classes out of reach.
 
 taylor_split reads the Taylor blocks off by selecting on |alpha| and
@@ -60,6 +62,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -95,6 +98,17 @@ class WeightedNormParams:
             raise ValueError("rho and sigma must be positive")
 
 
+def weight_bounds(rho, sigma, trunc):
+    """For finite positive radii rho and sigma on a ring of orders trunc, the
+    bounds that keep the majorant weights rho^L_max and exp(sigma K_max)
+    finite, as (name, value, rule, holds) for each radius."""
+    big = math.log(sys.float_info.max)
+    return [
+        ("rho", rho, "such that rho^L_max is finite", trunc.L_max * math.log(rho) < big),
+        ("sigma", sigma, "such that exp(sigma K_max) is finite", sigma * trunc.K_max < big),
+    ]
+
+
 @dataclass(frozen=True)
 class DecayBound:
     """The statement  norm <= K * exp(-p * a * xi)  on the real ray xi >= 0."""
@@ -126,16 +140,40 @@ _open_tracker = contextvars.ContextVar("open_tracker", default=discard_tracker)
 
 
 @contextlib.contextmanager
-def discards(detached=False):
-    """A fresh tracker for the discards made inside the block, in this
-    context only; each is also recorded by the enclosing tracker, unless
-    detached (for a diagnostic's products, whose drops cost no result)."""
-    tracker = TruncationTracker(None if detached else _open_tracker.get())
+def _opened(tracker):
     token = _open_tracker.set(tracker)
     try:
         yield tracker
     finally:
         _open_tracker.reset(token)
+
+
+def discards(detached=False):
+    """A fresh tracker for the discards made inside the block, in this
+    context only; each is also recorded by the enclosing tracker, unless
+    detached (for a diagnostic's products, whose drops cost no result)."""
+    return _opened(TruncationTracker(None if detached else _open_tracker.get()))
+
+
+class _DiscardLog(list):
+    """The masses recorded inside a discard_log() block, in order."""
+
+    def record(self, mass: float):
+        if mass > 0.0:
+            self.append(mass)
+
+    def charge(self):
+        """Record each mass on the open tracker, in order: what the block
+        would have recorded, had it run where charge is called."""
+        tracker = _open_tracker.get()
+        for mass in self:
+            tracker.record(mass)
+
+
+def discard_log():
+    """A block whose discards are kept in a _DiscardLog and recorded on no
+    tracker until its charge()."""
+    return _opened(_DiscardLog())
 
 
 class _Codec(NamedTuple):
@@ -177,8 +215,10 @@ def _pack_codec(n, m, trunc):
 
 
 def _pack(keys, codec):
-    """Packed int64 codes of key rows."""
-    return (keys.astype(np.int64) - codec.lo) @ codec.strides
+    """Packed int64 codes of key rows: (keys - lo) @ strides, taken as
+    keys @ strides less the constant lo @ strides, the same integers
+    without an int64 copy of the rows."""
+    return keys @ codec.strides - codec.lo @ codec.strides
 
 
 def _unpack(codes, codec):
@@ -262,7 +302,7 @@ def _merge_rows(keys, coeffs, codec):
         return keys, coeffs
     if codec is not None:
         _, first, summed = _merge_codes(_pack(keys, codec), coeffs)
-        return keys[first], summed
+        return keys.take(first, axis=0), summed
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     summed = np.bincount(inverse, weights=coeffs.real, minlength=len(uniq)) + (
         1j * np.bincount(inverse, weights=coeffs.imag, minlength=len(uniq))
@@ -652,7 +692,8 @@ class FourierTaylorSeries:
             (t["k"], t["alpha"], t["e"], t["p"], complex(t["re"], t["im"]))
             for t in payload["terms"]
         ]
-        return cls.from_terms(payload["n"], payload["m"], payload["a"], trunc, terms)
+        n, m = _term_index(payload["n"]), _term_index(payload["m"])
+        return cls.from_terms(n, m, payload["a"], trunc, terms)
 
 
 class SeriesStack:
@@ -740,11 +781,11 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
     room_p = P - f.pcol.astype(np.int64)
     pairs = reach[room_a, room_p]
     f_abs = np.abs(f.coeffs)
-    g_keys, g_coeffs = g.keys[order], g.coeffs[order]
+    g_keys, g_coeffs = g.keys.take(order, axis=0), g.coeffs[order]
     fk = np.ascontiguousarray(f.kcols.T)
     gk = np.ascontiguousarray(g_keys[:, :n].T)
     if codec is not None:
-        f_rows = f.keys.astype(np.int64) @ codec.strides
+        f_rows = f.keys @ codec.strides
         g_rows = _pack(g_keys, codec)
     else:
         f_rows, g_rows = f.keys, g_keys

@@ -194,7 +194,7 @@ def test_acceptance_04_lie_vs_flow():
             0.2 * rng.normal(size=m), rng.uniform(0, 2 * math.pi, size=n),
             0.1 * rng.normal(), abs(rng.normal()),
         )
-        record = ChiRecord(0, chi, params.rho, params.sigma, 0.0)
+        record = ChiRecord(0, chi, params.rho, params.sigma, 1.0 / 6.0)
         dist = lie_vs_flow_check(record, S, pt, tol=1e-12)
         assert dist <= 1e-8
         checks += 1

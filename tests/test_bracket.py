@@ -7,6 +7,7 @@ from poisson_kam import (
     FourierTaylorSeries,
     Problem,
     StructureMatrix,
+    Truncation,
     WeightedNormParams,
     bracket_with_coordinate,
     discards,
@@ -355,6 +356,34 @@ def test_lie_discards_count_the_first_bracket():
     assert diag.s_stop >= 2
     assert diag.discarded_mass == outer.total_mass
     assert diag.discarded_mass > first.total_mass
+
+
+def test_kept_structure_products_charge_their_discards():
+    # B12 = (1 + y)(1, 1/2) at L_max = 1: chi_x has |alpha| = 1 terms, so
+    # chi_x * b exceeds the |alpha| order and drops mass.  The expected
+    # totals and event counts were recorded with every product formed afresh
+    # in every bracket, before the operator kept them
+    tr = Truncation(8, 1, 4)
+    S = rescaled_bracket_instance(trunc=tr)
+    chi = mk(
+        [((1, 0), (1,), 0, 1, 2e-4), ((-1, 0), (1,), 0, 1, 2e-4),
+         ((0, 1), (0,), 0, 1, 3e-4j), ((0, -1), (0,), 0, 1, -3e-4j)],
+        n=2, m=1, trunc=tr,
+    )
+    F = mk(
+        [((1, 1), (1,), 0, 0, 0.5), ((-1, -1), (1,), 0, 0, 0.5),
+         ((2, 0), (0,), 0, 0, 0.25), ((-2, 0), (0,), 0, 0, 0.25)],
+        n=2, m=1, trunc=tr,
+    )
+    with discards() as lost:
+        chi.partial_x(0) * S.B12[0][0]
+    assert lost.total_mass > 0.0
+    with discards() as lost:
+        _, diag = lie_transform(chi, F, S, PARAMS)
+    assert (diag.discarded_mass, lost.events) == (0.0027007937028392004, 23)
+    with discards() as lost:
+        _, diag = lie_coordinate_displacement(chi, ("x", 0), S, PARAMS)
+    assert (diag.discarded_mass, lost.events) == (0.001600160080434381, 17)
 
 
 def test_lie_discards_do_not_depend_on_earlier_runs():

@@ -555,7 +555,11 @@ def test_mutated_problem_file_ends_in_a_documented_exit(path, value, command):
     """One field of a valid problem file deleted or set to an odd value: the
     run ends in a documented exit code and at most one short diagnostic
     line, never a traceback or a warning."""
-    payload = copy.deepcopy(_BASE_PAYLOAD)
+    _assert_documented_exit(command, _mutated(_BASE_PAYLOAD, path, value), None)
+
+
+def _mutated(payload, path, value):
+    payload = copy.deepcopy(payload)
     node = payload
     for key in path[:-1]:
         node = node[key]
@@ -563,20 +567,79 @@ def test_mutated_problem_file_ends_in_a_documented_exit(path, value, command):
         del node[path[-1]]
     else:
         node[path[-1]] = value
+    return payload
+
+
+def _assert_documented_exit(command, problem_payload, generators_payload):
+    """command run on a problem file and, unless None, a generators.json in
+    its output directory: a documented exit code and at most one short
+    diagnostic line, with warnings raised as errors."""
     argv, codes = command
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
-        problem = Path(tmp) / "p.json"
-        problem.write_text(json.dumps(payload))
+        problem, out = Path(tmp) / "p.json", Path(tmp) / "o"
+        problem.write_text(json.dumps(problem_payload))
+        if generators_payload is not None:
+            out.mkdir()
+            (out / "generators.json").write_text(json.dumps(generators_payload))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([*argv, "--problem", str(problem), "--out", str(Path(tmp) / "o")])
+            code = main([*argv, "--problem", str(problem), "--out", str(out)])
     assert code in codes
     lines = err.getvalue().splitlines()
     assert not lines or (
         len(lines) == 1 and lines[0].startswith(("error:", "refused:", "resonance:"))
     )
     assert len(err.getvalue()) <= 200
+
+
+_BASE_GENERATORS = {
+    "chi": [
+        rec.to_payload()
+        for rec in run(benchmark_problem(epsilon=1e-3).initialize()).chi_records
+    ]
+}
+
+
+def _generator_fuzz_paths():
+    """Every field the generator fuzz mutates: the record list, the first
+    record and each of its keys, its chi's header and its chi's first term."""
+    record = _BASE_GENERATORS["chi"][0]
+    paths = [("chi",), ("chi", 0)]
+    paths += [("chi", 0, k) for k in record]
+    paths += [("chi", 0, "chi", k) for k in record["chi"]]
+    paths += [("chi", 0, "chi", "terms", 0)]
+    paths += [("chi", 0, "chi", "terms", 0, k) for k in record["chi"]["terms"][0]]
+    return paths
+
+
+# the commands that read generators.json, with the exit codes they document
+_GENERATOR_FUZZ_COMMANDS = [
+    (("verify", "--angles", "1"), {0, 1, 2}),
+    (("lie-check",), {0, 1, 2}),
+]
+
+
+@hypothesis.settings(derandomize=True, deadline=None)
+@hypothesis.example(path=("chi", 0, "rho"), value=0, command=_GENERATOR_FUZZ_COMMANDS[0])
+@hypothesis.example(path=("chi", 0, "rho"), value=0, command=_GENERATOR_FUZZ_COMMANDS[1])
+@hypothesis.example(
+    path=("chi", 0, "step"), value=float("inf"), command=_GENERATOR_FUZZ_COMMANDS[0]
+)
+@hypothesis.example(
+    path=("chi", 0, "step"), value=float("inf"), command=_GENERATOR_FUZZ_COMMANDS[1]
+)
+@hypothesis.example(path=("chi", 0, "sigma"), value=1e308, command=_GENERATOR_FUZZ_COMMANDS[0])
+@hypothesis.example(path=("chi", 0, "sigma"), value=1e308, command=_GENERATOR_FUZZ_COMMANDS[1])
+@hypothesis.given(
+    path=st.sampled_from(_generator_fuzz_paths()),
+    value=st.sampled_from(_FUZZ_VALUES),
+    command=st.sampled_from(_GENERATOR_FUZZ_COMMANDS),
+)
+def test_mutated_generators_file_ends_in_a_documented_exit(path, value, command):
+    """One field of a normalize run's generators.json deleted or set to an
+    odd value: verify and lie-check end as for a mutated problem file."""
+    _assert_documented_exit(command, _BASE_PAYLOAD, _mutated(_BASE_GENERATORS, path, value))
 
 
 @pytest.mark.parametrize(

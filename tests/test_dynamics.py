@@ -33,7 +33,7 @@ from conftest import (
 
 def _at_unit_domain(chi):
     """chi as a stored generator at (rho, sigma) = (1, 1)."""
-    return ChiRecord(0, chi, 1.0, 1.0, 0.0)
+    return ChiRecord(0, chi, 1.0, 1.0, 1.0 / 6.0)
 
 
 def test_unperturbed_torus_is_invariant():

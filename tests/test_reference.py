@@ -4,8 +4,9 @@ read only): the eps sequence and the sha256 of the serialized normal form of
 every workload, and for the two that verify the sha256 of the persistence
 report at seed 0 with 8 angles.  The exact text of trace.jsonl and
 generators.json is pinned here as well, and so are the saved file of every
-built-in problem and the files lie-check, constants and check-diophantine
-write for it."""
+built-in problem, the files lie-check, constants and check-diophantine
+write for it and the series of its composed change of coordinates.  The
+names the benchmark's tracer rebinds are checked to exist."""
 
 import hashlib
 import importlib.util
@@ -14,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+import poisson_kam
 from poisson_kam import (
+    FourierTaylorSeries,
     benchmark_problem,
     cli,
     jsonio,
@@ -23,6 +26,7 @@ from poisson_kam import (
     torus_persistence_report,
     two_dof_problem,
 )
+from poisson_kam.kolmogorov import composed_displacements
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -65,6 +69,29 @@ CLI_FILE_SHA256 = {
         "diophantine.json": "4ed9a1033230e3b67544893f9205d4b9488e485679996d22ad197d942c8c260a",
     },
 }
+# sha256 of the jsonio text of each displacement series composed_displacements
+# returns for each built-in problem after a normalize run, in coordinate
+# order (the y, the x, then eta)
+COMPOSED_MAP_SHA256 = {
+    "benchmark": [
+        "692a30757a7b18bc42982543f648be7b3706abcb96abc3b7689d2c63b0ac67da",
+        "3fb46314315e0ff7218b262464c69f668b443f35ccba454e5892847e1c288534",
+        "0c317816e37c2f85c1b4b196e557ece51684680bd11c97fc967e47b9042c0b1a",
+    ],
+    "rescaled": [
+        "411a99bf82bea2084f41535aec2bbb402891b7f6e866675be32fbe0c1831e3a8",
+        "a246508fa5c771cc55b6e0edb2243a4c8c5dac827437b714a3b7895b7c06cca3",
+        "e7a89759178b29bca7e769764b9c24b05627ebbea849113826b48e329f3ef301",
+        "1a505c9b2ab753ddee3aac57e12682e15f1a899bf7729e8e8844e68c99bac5f9",
+    ],
+    "two_dof": [
+        "b5c45f05e75c7d25ea15270fa35dcd3d4336656093ad5c43b85ee8d20e338701",
+        "51fdf8164261e3f4339e80b40a998408327d6fddb18afa5f1fe66f100a2d1770",
+        "1a569046e2d46c99f193701c76d9a371d9dbad81db2b7256919ae544dece67a2",
+        "8432f61349b2c464aa5e57762691eaf6d267fcffe44c3ef458ef33e612373738",
+        "becf4886e7dcb662e7a717b73d0eec91e9518747ad9e22b5b9f336adad80450e",
+    ],
+}
 BUILT_IN = [
     ("benchmark", lambda: benchmark_problem(epsilon=1e-3)),
     ("rescaled", rescaled_benchmark_problem),
@@ -72,11 +99,15 @@ BUILT_IN = [
 ]
 
 
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _stress_problem(seed):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.stress_problem(seed)
+    return _perfbench_module("workloads").stress_problem(seed)
 
 
 def _sha256(payload):
@@ -139,3 +170,23 @@ def test_cli_files_pinned(name, make, tmp_path, capsys):
     assert cli.main(["check-diophantine", *args, "--k-max", "6"]) == 0
     for file, sha in CLI_FILE_SHA256[name].items():
         assert _text_sha256((out / file).read_text()) == sha
+
+
+@pytest.mark.parametrize("name, make", BUILT_IN)
+def test_composed_map_pinned(name, make):
+    setup = make().initialize()
+    disp = composed_displacements(run(setup).chi_records, setup.structure)
+    assert [_sha256(d.to_payload()) for d in disp.values()] == COMPOSED_MAP_SHA256[name]
+
+
+def test_names_the_tracer_rebinds_exist():
+    """The traced benchmark rebinds these names and fails when one is gone."""
+    tracing = _perfbench_module("tracing")
+    for modname, attr in tracing.SPAN_FUNCTIONS:
+        module = importlib.import_module("poisson_kam." + modname)
+        assert callable(getattr(module, attr, None)), "%s.%s" % (modname, attr)
+    for attr, _ in tracing.SERIES_METHODS:
+        assert callable(FourierTaylorSeries.__dict__.get(attr)), attr
+    assert isinstance(poisson_kam.problems.Problem.__dict__["load"], classmethod)
+    assert isinstance(poisson_kam.series.discard_tracker, poisson_kam.series.TruncationTracker)
+    assert callable(poisson_kam.dynamics.solve_ivp)
