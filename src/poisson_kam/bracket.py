@@ -13,21 +13,21 @@ L_chi y = -chi_x B12^T, which the tests assert literally.
 The formula is written once, in LieOperator, which holds chi's side of the
 bracket, L_chi = {chi, .}: chi's partials, the contraction 4 e^2 Gamma ||chi||
 with the guard that refuses a Lie series, and each product of a chi partial
-and a structure entry, formed on first use and charged to the discard
-tracker at every use.  apply takes G's partial derivatives; poisson_bracket
-passes a series G's, bracket_with_coordinate the unit partial of a
-coordinate, and low_degree_bracket G's partials to an operator on the ring
-cut to |alpha| <= 1, each a one-shot operator.  The Lie series is written
-once too, in LieOperator._lie_sum, which counts the truncation discards of
-its own products; a normalization step or a record of the composed map
-builds one operator and sums every one of its series with it.
+and a structure entry, formed when the operator is built and charged to the
+discard tracker at every use.  apply takes G's partial derivatives;
+poisson_bracket passes a series G's, bracket_with_coordinate the unit
+partial of a coordinate, and low_degree_bracket G's partials to an operator
+on the ring cut to |alpha| <= 1, each a one-shot operator.  The Lie series
+is written once too, in LieOperator._lie_sum, which counts the truncation
+discards of its own products; a normalization step or a record of the
+composed map builds one operator and sums every one of its series with it.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import List
 
@@ -105,8 +105,7 @@ class StructureMatrix:
                     raise StructureMismatchError("structure matrix must be real")
         for l in range(self.n):
             for lp in range(self.n):
-                s = self.B22[l][lp] + self.B22[lp][l]
-                if not s.is_zero():
+                if not self.B22[l][lp] == -self.B22[lp][l]:
                     raise StructureMismatchError("B22 must be skew-symmetric")
         zero_a = (0,) * self.m
         self.B0 = np.zeros((self.n, self.m))
@@ -218,17 +217,18 @@ class LieOperator:
     """L_chi = {chi, .} on the ring of the structure matrix S, with chi's
     side of every bracket formed once.
 
-    It holds chi's partials, taken here only, and each product F_d * b of a
-    chi partial and a structure entry, formed on its first use and kept with
-    the masses its truncation dropped; a y or x partial is let go once it
-    has formed all its products.  Every use of a kept product records
-    those masses again on the open discard tracker, where the bracket would
-    have formed it, so a bracket's discards are what forming every product
-    afresh records.  Given params, the contraction 4 e^2 Gamma ||chi|| at
-    those (rho, sigma) is measured once, and a factor above 1/2 raises
-    LieDivergenceError (a StepRefusedError): the one place a Lie series
-    refuses.  A zero chi needs no guard; its contraction is 0.  The Lie sums
-    (transform, displacement) need params; a single bracket does not.
+    It holds chi's xi and eta partials and, formed when the operator is
+    built, its terms: for each nonzero product F_d * b of a chi y or x
+    partial and a structure entry, in the bracket's order, its sign, the
+    product, the masses its truncation dropped and the G partial it
+    multiplies.  Every use of a term records those masses again on the open
+    discard tracker, where the bracket would have formed the product, so a
+    bracket's discards are what forming every product afresh records.  Given
+    params, the contraction 4 e^2 Gamma ||chi|| at those (rho, sigma) is
+    measured once, and a factor above 1/2 raises LieDivergenceError (a
+    StepRefusedError): the one place a Lie series refuses.  A zero chi needs
+    no guard; its contraction is 0.  The Lie sums (transform, displacement)
+    need params; a single bracket does not.
 
     Build one operator per generator and let it go with the loop that
     applies it, which frees its products.
@@ -246,59 +246,36 @@ class LieOperator:
         self.chi, self.S, self.params = chi, S, params
         self.Fxi = chi.partial_xi()
         self.Feta = chi.partial_eta()
-        # chi's y and x partials are read only to form their products with
-        # the structure entries; each is let go after its last product, so
-        # the kept products take the partials' place in memory (pending:
-        # the products each partial has yet to form)
-        self._partials = {("y", i): chi.partial_y(i) for i in range(S.m)}
-        self._partials.update({("x", l): chi.partial_x(l) for l in range(S.n)})
-        self._nonzero = {d for d, part in self._partials.items() if not part.is_zero()}
-        self._pending = collections.Counter()
-        for i, l in itertools.product(range(S.m), range(S.n)):
-            if not S.B12[i][l].is_zero():
-                self._pending.update([("y", i), ("x", l)])
-        for l, lp in itertools.product(range(S.n), repeat=2):
-            if not S.B22[l][lp].is_zero():
-                self._pending[("x", l)] += 1
-        self._products = {}
-
-    def _times(self, d, entry, b):
-        """chi's partial d times the structure entry b at entry, kept from
-        its first use; each use records the masses its truncation dropped
-        on the open tracker."""
-        kept = self._products.get((d, entry))
-        if kept is None:
+        m, n = S.m, S.n
+        Fy = [chi.partial_y(i) for i in range(m)]
+        Fx = [chi.partial_x(l) for l in range(n)]
+        # (sign, chi partial, structure entry, index of the G partial in
+        # Gy + Gx), in the bracket's order
+        factors = []
+        for i, l in itertools.product(range(m), range(n)):
+            factors.append((operator.add, Fy[i], S.B12[i][l], m + l))
+            factors.append((operator.sub, Fx[l], S.B12[i][l], i))
+        for l, lp in itertools.product(range(n), repeat=2):
+            factors.append((operator.add, Fx[l], S.B22[l][lp], m + lp))
+        self.terms = []
+        for sign, F_d, b, g in factors:
+            if F_d.is_zero() or b.is_zero():
+                continue
             with discard_log() as masses:
-                product = self._partials[d] * b
-            kept = self._products[d, entry] = (product, masses)
-            self._pending[d] -= 1
-            if not self._pending[d]:
-                del self._partials[d]
-        product, masses = kept
-        masses.charge()
-        return product
+                product = F_d * b
+            self.terms.append((sign, product, masses, g))
 
     def apply(self, Gy, Gx, Geta, Gxi) -> FourierTaylorSeries:
         """{chi, G} from G's partials: each a series, None where it vanishes,
         or the int 1 where it is the constant one (series * 1 is an exact
-        scale).  The loop order and the (F_d * b) * G_d grouping fix every
-        rounding."""
-        S, nonzero = self.S, self._nonzero
+        scale).  The term order and the (F_d * b) * G_d grouping fix every
+        rounding; each term used records its product's discards again."""
+        G = [*Gy, *Gx]
         total = self.chi._like(None, None)
-        for i in range(S.m):
-            for l in range(S.n):
-                b = S.B12[i][l]
-                if b.is_zero():
-                    continue
-                if ("y", i) in nonzero and Gx[l] is not None:
-                    total = total + self._times(("y", i), (12, i, l), b) * Gx[l]
-                if ("x", l) in nonzero and Gy[i] is not None:
-                    total = total - self._times(("x", l), (12, i, l), b) * Gy[i]
-        for l in range(S.n):
-            for lp in range(S.n):
-                b = S.B22[l][lp]
-                if not b.is_zero() and ("x", l) in nonzero and Gx[lp] is not None:
-                    total = total + self._times(("x", l), (22, l, lp), b) * Gx[lp]
+        for sign, product, masses, g in self.terms:
+            if G[g] is not None:
+                masses.charge()
+                total = sign(total, product * G[g])
         if Geta is not None:
             total = total + self.Fxi * Geta
         if not self.Feta.is_zero() and Gxi is not None:
@@ -379,8 +356,8 @@ def low_degree_bracket(chi: FourierTaylorSeries, G: FourierTaylorSeries, S: Stru
     one formula runs there on chi, the structure entries and G's partials,
     each cut.  G's partials are taken before the cut (d/dy lowers the
     degree), from G's terms of degree <= 2, the only ones with low partials.
-    The products drop their other pairs unrecorded: nothing read from the
-    result is lost."""
+    The products drop their other pairs into a discard_log() that is never
+    charged: nothing read from the result is lost."""
     chi._check_compatible(G)
     if chi.acols.sum(axis=1).max(initial=0) > 1:
         raise ValueError("low_degree_bracket needs a chi of degree at most 1 in y")
@@ -394,7 +371,7 @@ def low_degree_bracket(chi: FourierTaylorSeries, G: FourierTaylorSeries, S: Stru
 
     Gy = [cut(G.partial_y(i)) for i in range(S.m)]
     Gx = [cut(G.partial_x(l)) for l in range(S.n)]
-    with discards(detached=True):
+    with discard_log():
         op = LieOperator(chi.cut(low), S.cut(low))
         return op.apply(Gy, Gx, cut(G.partial_eta()), cut(G.partial_xi()))
 

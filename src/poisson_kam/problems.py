@@ -51,6 +51,7 @@ _OPTION_RANGES = {
     **dict.fromkeys(("prune_rel", "d_floor"),
                     ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)),
     **dict.fromkeys(("max_steps", "lie_cap"), (">= 1", lambda v: v >= 1)),
+    "threshold": ("a number other than NaN", lambda v: not math.isnan(v)),
 }
 
 

@@ -44,8 +44,11 @@ opened by discards() in the current context, which passes it on outwards to
 discard_tracker, the process total; so a Lie series or a test can count its
 own discards, whatever ran before.  A discard_log() block keeps its masses
 instead, for a result formed once and used many times: the log's charge()
-records them again at each use.  The pairs cut on |alpha| or p are valued
-per class, |c_f| times the mass of the second factor's classes out of reach.
+records them again at each use.  A log that is never charged drops its
+masses: the bracket on the cut ring keeps its discards so, since its
+products drop only terms no result reads.  The pairs cut on |alpha| or p
+are valued per class, |c_f| times the mass of the second factor's classes
+out of reach.
 
 taylor_split reads the Taylor blocks off by selecting on |alpha| and
 differentiating in y, so it is exact.
@@ -148,11 +151,10 @@ def _opened(tracker):
         _open_tracker.reset(token)
 
 
-def discards(detached=False):
+def discards():
     """A fresh tracker for the discards made inside the block, in this
-    context only; each is also recorded by the enclosing tracker, unless
-    detached (for a diagnostic's products, whose drops cost no result)."""
-    return _opened(TruncationTracker(None if detached else _open_tracker.get()))
+    context only; each is also recorded by the enclosing tracker."""
+    return _opened(TruncationTracker(_open_tracker.get()))
 
 
 class _DiscardLog(list):

@@ -66,6 +66,21 @@ def test_b22_skew_enforced():
     z = zeros()
     with pytest.raises(StructureMismatchError):
         StructureMatrix([[one]], [[one]])
+    # n = 2 off-diagonal pairs: an exact skew pair, constant or y-dependent,
+    # passes; a pair one ulp apart or with one extra term does not
+    z2 = zeros(n=2, m=1)
+    B12 = [[FourierTaylorSeries.constant(-1.0, z2), z2]]
+    y_poly = lambda *cs: mk([((0, 0), (j,), 0, 0, c) for j, c in enumerate(cs) if c], n=2, m=1)
+    pair = lambda upper, lower: [[z2, upper], [lower, z2]]
+    for b in (y_poly(0.3), y_poly(0.3, 0.7)):
+        StructureMatrix(B12, pair(b, -b))
+    near = [
+        (y_poly(0.3), y_poly(-math.nextafter(0.3, 1.0))),
+        (y_poly(0.3, 0.7), y_poly(-0.3, -0.7, 0.1)),
+    ]
+    for upper, lower in near:
+        with pytest.raises(StructureMismatchError, match="skew"):
+            StructureMatrix(B12, pair(upper, lower))
 
 
 def test_empty_row_or_ragged_b12_rejected():

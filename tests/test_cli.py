@@ -348,6 +348,7 @@ def bench_run(tmp_path_factory):
         ("d_floor", -1e-3),
         ("max_steps", -3),
         ("lie_cap", -1),
+        ("threshold", float("nan")),
     ],
 )
 def test_bad_problem_option_exit_1(bench_run, tmp_path, key, value):
@@ -372,6 +373,7 @@ def test_bad_problem_option_exit_1(bench_run, tmp_path, key, value):
         ("tol", ["lie-check", "--tol", "-1"]),
         ("tol", ["lie-check", "--tol", "nan"]),
         ("tol", ["lie-check", "--tol", "0"]),
+        ("threshold", ["verify", "--angles", "1", "--threshold", "nan"]),
     ],
 )
 def test_bad_option_flag_exit_1(bench_run, tmp_path, key, args):

@@ -5,8 +5,9 @@ every workload, and for the two that verify the sha256 of the persistence
 report at seed 0 with 8 angles.  The exact text of trace.jsonl and
 generators.json is pinned here as well, and so are the saved file of every
 built-in problem, the files lie-check, constants and check-diophantine
-write for it and the series of its composed change of coordinates.  The
-names the benchmark's tracer rebinds are checked to exist."""
+write for it, and the series of its composed change of coordinates with
+the discards that building them records.  The names the benchmark's tracer
+rebinds are checked to exist."""
 
 import hashlib
 import importlib.util
@@ -20,6 +21,7 @@ from poisson_kam import (
     FourierTaylorSeries,
     benchmark_problem,
     cli,
+    discards,
     jsonio,
     rescaled_benchmark_problem,
     run,
@@ -91,6 +93,13 @@ COMPOSED_MAP_SHA256 = {
         "8432f61349b2c464aa5e57762691eaf6d267fcffe44c3ef458ef33e612373738",
         "becf4886e7dcb662e7a717b73d0eec91e9518747ad9e22b5b9f336adad80450e",
     ],
+}
+# (total mass, event count) of the truncation discards composed_displacements
+# records while it builds those series
+COMPOSED_MAP_DISCARDS = {
+    "benchmark": (2.475189629174466e-52, 24),
+    "rescaled": (1.3010273730837817e-11, 174),
+    "two_dof": (9.344579845192849e-29, 64),
 }
 BUILT_IN = [
     ("benchmark", lambda: benchmark_problem(epsilon=1e-3)),
@@ -175,8 +184,11 @@ def test_cli_files_pinned(name, make, tmp_path, capsys):
 @pytest.mark.parametrize("name, make", BUILT_IN)
 def test_composed_map_pinned(name, make):
     setup = make().initialize()
-    disp = composed_displacements(run(setup).chi_records, setup.structure)
+    chi_records = run(setup).chi_records
+    with discards() as lost:
+        disp = composed_displacements(chi_records, setup.structure)
     assert [_sha256(d.to_payload()) for d in disp.values()] == COMPOSED_MAP_SHA256[name]
+    assert (lost.total_mass, lost.events) == COMPOSED_MAP_DISCARDS[name]
 
 
 def test_names_the_tracer_rebinds_exist():
