@@ -2,14 +2,19 @@
 
 Reading uses the stdlib parser; writing is hand-rolled so that every float is
 rendered with ``%.17g``, which round-trips IEEE doubles bit-exactly and keeps
-output byte-identical across runs.  Each container's text is joined where it
-is built, so the writer holds the member texts of the containers it is inside,
-never a list of every token of the document.
+output byte-identical across runs.  A value nested less than three deep (a
+number, a series term, a list of numbers) is written as one piece, each
+container's parts joined once.  Deeper containers are opened member by
+member, and dumps appends each piece to the text as it comes, which CPython
+grows in place; so writing a document holds the text and one piece, never
+the member texts of a container or a second copy of the text.
 """
 
 import json
 import math
 from json.encoder import encode_basestring_ascii
+
+_CONTAINERS = (dict, list, tuple)
 
 
 def fmt_float(x: float) -> str:
@@ -29,9 +34,23 @@ def safe_number(x: float):
     return x
 
 
+def _members(obj):
+    return obj.values() if isinstance(obj, dict) else obj
+
+
+def _deep(obj) -> bool:
+    """obj holds a container that holds a container."""
+    for v in _members(obj):
+        if isinstance(v, _CONTAINERS):
+            for w in _members(v):
+                if isinstance(w, _CONTAINERS):
+                    return True
+    return False
+
+
 def _text(obj) -> str:
-    """The JSON text of obj; a container joins its members' texts where it is
-    built, so no more than one container's texts are held at a time."""
+    """The JSON text of obj, in one piece; a container's parts are joined
+    once."""
     if obj is None:
         return "null"
     if obj is True:
@@ -45,19 +64,40 @@ def _text(obj) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
-        return "{%s}" % ",".join(
-            encode_basestring_ascii(str(k)) + ":" + _text(v) for k, v in obj.items()
-        )
+        return "{" + ",".join(
+            [encode_basestring_ascii(str(k)) + ":" + _text(v) for k, v in obj.items()]
+        ) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[%s]" % ",".join(_text(v) for v in obj)
+        return "[" + ",".join([_text(v) for v in obj]) + "]"
     raise TypeError("cannot serialize %r" % type(obj))
+
+
+def _pieces(obj):
+    """The JSON text of a non-empty container, in order: a deep member (see
+    _deep) is opened in turn, any other is one piece with what precedes it."""
+    is_dict = isinstance(obj, dict)
+    sep = "{" if is_dict else "["
+    for k, v in obj.items() if is_dict else enumerate(obj):
+        head = sep + encode_basestring_ascii(str(k)) + ":" if is_dict else sep
+        if isinstance(v, _CONTAINERS) and _deep(v):
+            yield head
+            yield from _pieces(v)
+        else:
+            yield head + _text(v)
+        sep = ","
+    yield "}" if is_dict else "]"
 
 
 def dumps(obj) -> str:
     """Serialize to a single deterministic JSON line (no trailing newline)."""
-    # the recursion stays in _text, so a wrapper around dumps sees one call
-    # per document
-    return _text(obj)
+    # the recursion stays in _text and _pieces, so a wrapper around dumps
+    # sees one call per document
+    if not (isinstance(obj, _CONTAINERS) and _deep(obj)):
+        return _text(obj)
+    text = ""
+    for piece in _pieces(obj):
+        text += piece
+    return text
 
 
 def loads(text: str):

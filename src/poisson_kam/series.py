@@ -20,23 +20,35 @@ Multiplication forms only the pairs of terms that survive the |alpha| and p
 orders: the second factor's rows are grouped by their (|alpha|, p) class,
 so the rows within reach of a first-factor row are one contiguous run per
 |alpha| level, and every run is expanded in one vectorized pass, so no N*M
-array is built.  |k|_1 is summed for those pairs only.  Each key row packs
-into one int64 code, and packing is linear, so a product's code is a sum of
-its factors' codes.  A kept pair reaches the merge as its two int32 row
-indices and its code, 16 bytes: _merge_order sorts the codes, and only then
-is each coefficient formed, in merged order, as the product of the two
-factors' coefficients, and summed over its run of equal codes by reduceat;
-only the merged codes are unpacked into keys.  The merge tags each code with
-its row index in the low bits and sorts the tagged codes in place: no two
-are equal, so that order is the stable one, and only codes too wide to take
-the tag go through numpy's stable argsort.  Lattices too wide for 62 bits
-merge summed key rows instead.  Pairs are taken first-factor-row by row,
-and the stable merge keeps that order, so every coefficient is bit-identical
-to summing all N*M pairs in row-major order.  The packing codec is built
-once per ring.
+array is built.  Each key row packs into one int64 code, and packing is
+linear, so a product's code is a sum of its factors' codes.  Pairs are
+taken first-factor-row by row, and the stable merge keeps that order, so
+every coefficient is bit-identical to summing all N*M pairs in row-major
+order.  Every gather works on blocks of merge._BLOCK_PAIRS pairs, so the
+product holds, per pair:
 
-A sum of two series places one's terms among the other's by a binary search
-of their sorted codes (_merge_sorted) instead of sorting them; _merge_codes
+  - formed: its two int32 row indices and one mask byte while |k|_1 is
+    summed, 9 bytes, and 8 more while the kept pairs' indices are picked
+    out; a pair the |k|_1 order cuts holds 8 bytes until the cut masses
+    are summed, once;
+  - kept: the row indices and its code, 16 bytes;
+  - merged: _merge_order tags each code with its row index in the low bits
+    and sorts the tagged codes in place (no two are equal, so that order is
+    the stable one), then reads back an int32 order by mask and the codes
+    by shift, 20 bytes and a boundary byte; only codes too wide to take the
+    tag go through numpy's stable argsort;
+  - summed: the row indices and the order, 12 bytes, while each block of
+    whole runs of equal codes forms its coefficients, f's times g's out of
+    place, and sums each run by reduceat into the merged terms, 24 bytes
+    per term with its code.
+
+Only the merged codes are unpacked into keys.  Lattices too wide for 62
+bits merge summed key rows instead.  The packing codec is built once per
+ring.
+
+The codes, the merges and the block size live in the merge module.  A sum
+of two series places one's terms among the other's by a binary search of
+their sorted codes (_merge_sorted) instead of sorting them; _merge_rows
 canonicalizes any other key rows.
 
 Mass discarded by the hard truncation is recorded on the innermost tracker
@@ -63,7 +75,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import contextvars
-import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -76,6 +88,16 @@ from .errors import (
     NormDomainError,
     ParameterError,
     StructureMismatchError,
+)
+from .merge import (
+    _blocks,
+    _merge_order,
+    _merge_rows,
+    _merge_sorted,
+    _pack,
+    _pack_codec,
+    _run_products,
+    _unpack,
 )
 
 # pairs within the |alpha| and p orders per chunk of the product, which
@@ -178,140 +200,6 @@ def discard_log():
     return _opened(_DiscardLog())
 
 
-class _Codec(NamedTuple):
-    """Packing of a key row into one int64 code: (row - lo) @ strides, where
-    column i occupies the bits masks[i] << shifts[i]."""
-
-    lo: np.ndarray
-    strides: np.ndarray
-    shifts: np.ndarray
-    masks: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _pack_codec(n, m, trunc):
-    """The _Codec for a (possibly product-summed) key row of one ring, built
-    once per (n, m, trunc) with read-only arrays; None when 64 bits are not
-    enough.  Packing is linear, so the code of a product key is the code of
-    one factor plus the other factor's row @ strides."""
-    K, L, P = trunc
-    lo = [-2 * K] * n + [0] * (m + 2)
-    sizes = [4 * K + 1] * n + [2 * L + 1] * m + [3] + [2 * P + 1]
-    bits = [max(1, int(math.ceil(math.log2(s + 1)))) for s in sizes]
-    if sum(bits) > 62:
-        return None
-    shifts = np.empty(n + m + 2, dtype=np.int64)
-    shift = 0
-    for i in range(n + m + 2 - 1, -1, -1):
-        shifts[i] = shift
-        shift += bits[i]
-    codec = _Codec(
-        np.asarray(lo, dtype=np.int64),
-        np.left_shift(1, shifts),
-        shifts,
-        np.left_shift(1, np.asarray(bits, dtype=np.int64)) - 1,
-    )
-    for arr in codec:
-        arr.setflags(write=False)
-    return codec
-
-
-def _pack(keys, codec):
-    """Packed int64 codes of key rows: (keys - lo) @ strides, taken as
-    keys @ strides less the constant lo @ strides, the same integers
-    without an int64 copy of the rows."""
-    return keys @ codec.strides - codec.lo @ codec.strides
-
-
-def _unpack(codes, codec):
-    """Key rows (int32) of packed codes."""
-    return (((codes[:, None] >> codec.shifts) & codec.masks) + codec.lo).astype(np.int32)
-
-
-def _merge_order(codes):
-    """The stable sort of a non-empty int64 code array: the order that sorts
-    it, and where each run of equal codes starts in the sorted codes.
-
-    Each code is shifted left by s = len(codes).bit_length() bits and tagged
-    with its row index in the freed bits, so the tagged keys are unique and
-    numpy's in-place sort, stable or not, puts them in the stable order of
-    the codes; the row order and the codes are read back by mask and shift.
-    Codes that overflow int64 once shifted take the stable argsort."""
-    s = len(codes).bit_length()
-    bound = 1 << (63 - s)
-    if -bound <= codes.min() and codes.max() < bound:
-        tagged = codes << s
-        tagged |= np.arange(len(codes))
-        tagged.sort()
-        order = tagged & ((1 << s) - 1)
-        tagged >>= s
-        ordered = tagged
-    else:
-        order = np.argsort(codes, kind="stable")
-        ordered = codes[order]
-    boundary = np.empty(len(codes), dtype=bool)
-    boundary[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
-    return order, np.flatnonzero(boundary)
-
-
-def _run_sums(coeffs, starts):
-    """The sum of each run of coeffs that begins at starts, real and
-    imaginary parts separately."""
-    return np.add.reduceat(coeffs.real, starts) + 1j * np.add.reduceat(coeffs.imag, starts)
-
-
-def _merge_codes(codes, coeffs):
-    """Stable-sort a non-empty int64 code array and sum the coefficients of
-    equal codes (see _merge_order).  Returns the unique codes, the index of
-    the first row of each, and the sums."""
-    order, starts = _merge_order(codes)
-    first = order[starts]
-    return codes[first], first, _run_sums(coeffs[order], starts)
-
-
-def _merge_sorted(f, g, codec):
-    """The keys and coefficients of f + g for canonical f and g: g's terms
-    are placed among f's by a binary search of their codes, and a key both
-    have is summed as f's coefficient plus g's, which is what reduceat gives
-    for a run of two rows; so the result is _merge_rows of the concatenated
-    rows bit for bit."""
-    # the codes less the constant lo @ strides, which keeps their order
-    a, b = f.keys @ codec.strides, g.keys @ codec.strides
-    pos = np.searchsorted(a, b, "right")
-    shared = pos > 0
-    shared[shared] = a[pos[shared] - 1] == b[shared]
-    new = np.flatnonzero(~shared)
-    # dest: the rows of f + g that g's new terms land on; src: each row of
-    # f + g as a row of the concatenation [f, g]
-    dest = pos[new] + np.arange(len(new))
-    from_f = np.ones(len(a) + len(new), dtype=bool)
-    from_f[dest] = False
-    src = np.empty(len(from_f), dtype=np.int64)
-    src[from_f] = np.arange(len(a))
-    src[dest] = len(a) + new
-    keys = np.concatenate([f.keys, g.keys]).take(src, axis=0)
-    coeffs = np.concatenate([f.coeffs, g.coeffs])[src]
-    coeffs[np.flatnonzero(from_f)[pos[shared] - 1]] += g.coeffs[shared]
-    # recombined from its parts as _run_sums does, which can change the
-    # sign of a zero part
-    return keys, coeffs.real + 1j * coeffs.imag
-
-
-def _merge_rows(keys, coeffs, codec):
-    """Sort rows canonically and sum coefficients of duplicate keys."""
-    if len(coeffs) == 0:
-        return keys, coeffs
-    if codec is not None:
-        _, first, summed = _merge_codes(_pack(keys, codec), coeffs)
-        return keys.take(first, axis=0), summed
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    summed = np.bincount(inverse, weights=coeffs.real, minlength=len(uniq)) + (
-        1j * np.bincount(inverse, weights=coeffs.imag, minlength=len(uniq))
-    )
-    return uniq, summed
-
-
 def _term_index(v) -> int:
     """v as an int; a boolean or a number with a fractional part is refused."""
     if type(v) is int:
@@ -335,6 +223,12 @@ def _order(v, name) -> int:
     if k > MAX_ORDER:
         raise StructureMismatchError("series order %s must be at most %d" % (name, MAX_ORDER))
     return k
+
+
+def _tuples(cols):
+    """The rows of a list of equal-length columns, as tuples; () for each
+    row when there are no columns."""
+    return zip(*cols) if cols else itertools.repeat(())
 
 
 class FourierTaylorSeries:
@@ -665,18 +559,31 @@ class FourierTaylorSeries:
     # ---- serialization ----------------------------------------------------
 
     def to_payload(self) -> dict:
+        """The series as JSON-ready data.  The keys are read column by
+        column, so no list is made per row, and terms with equal k share one
+        k tuple, and likewise for alpha."""
         n, m = self.n, self.m
-        terms = [
-            {
-                "k": row[:n],
-                "alpha": row[n : n + m],
-                "e": row[n + m],
-                "p": row[n + m + 1],
-                "re": c.real,
-                "im": c.imag,
-            }
-            for row, c in zip(self.keys.tolist(), self.coeffs.tolist())
-        ]
+        cols = self.keys.T.tolist()
+        shared = {}
+        terms = []
+        for k, alpha, e, p, re, im in zip(
+            _tuples(cols[:n]),
+            _tuples(cols[n : n + m]),
+            cols[n + m],
+            cols[n + m + 1],
+            self.coeffs.real.tolist(),
+            self.coeffs.imag.tolist(),
+        ):
+            terms.append(
+                {
+                    "k": shared.setdefault(k, k),
+                    "alpha": shared.setdefault(alpha, alpha),
+                    "e": e,
+                    "p": p,
+                    "re": re,
+                    "im": im,
+                }
+            )
         return {
             "n": self.n,
             "m": self.m,
@@ -800,54 +707,72 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
         stop = max(start + 1, int(np.searchsorted(ends, done + _MUL_CHUNK_PAIRS, "right")))
         ra, rp = room_a[start:stop], room_p[start:stop]
         # one run per (f row, |alpha| level a): the g rows of classes
-        # (a, 0..rp), empty above the row's |alpha| room
+        # (a, 0..rp), empty above the row's |alpha| room; j is a run's first
+        # g row plus the pair's place in the chunk less the run's
         length = first[level_start + rp[:, None] + 1] - level_first
         length = (length * (np.arange(L + 1) <= ra[:, None])).ravel()
         lo = np.tile(level_first, stop - start)
-        i = np.repeat(np.arange(start, stop), pairs[start:stop])
-        j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(length) - length), length)
-        k_norm = np.zeros(len(i), dtype=np.int32)
-        for col in range(n):
-            k_norm += np.abs(fk[col][i] + gk[col][j])
+        i = np.repeat(np.arange(start, stop, dtype=np.int32), pairs[start:stop])
+        j = np.repeat((lo - (np.cumsum(length) - length)).astype(np.int32), length)
+        for block in _blocks(len(j)):
+            j[block] += np.arange(block.start, block.stop, dtype=np.int32)
+        near, far_mass = _k_filter(i, j, fk, gk, K, f.coeffs, g_coeffs)
         lost = float(f_abs[start:stop] @ unreached[ra, rp])
-        # the chunk's norms and masks are let go here, not kept through the
-        # merge
-        near = k_norm <= K
-        del k_norm
         if not near.all():
-            far = ~near
-            lost += float(np.abs(f.coeffs[i[far]] * g_coeffs[j[far]]).sum())
+            lost += far_mass
             i, j = i[near], j[near]
-            del far
         del near
         _open_tracker.get().record(lost)
-        out_rows.append(f_rows[i] + g_rows[j])
-        out_i.append(i.astype(np.int32))
-        out_j.append(j.astype(np.int32))
+        if codec is None:
+            rows = f_rows.take(i, axis=0) + g_rows.take(j, axis=0)
+        else:
+            rows = np.empty(len(i), dtype=np.int64)
+            for block in _blocks(len(i)):
+                np.add(f_rows.take(i[block]), g_rows.take(j[block]), out=rows[block])
+        out_i.append(i)
+        out_j.append(j)
+        out_rows.append(rows)
+        del i, j, rows
         start = stop
     # a kept pair is its two int32 row indices and its summed key row (code)
-    # until the merge, 16 bytes with a codec; one chunk is taken as it is
-    if len(out_i) == 1:
-        (i,), (j,), (rows,) = out_i, out_j, out_rows
-    else:
-        i, j, rows = (np.concatenate(out) for out in (out_i, out_j, out_rows))
-    del out_i, out_j, out_rows
+    # until the merge, 16 bytes with a codec; each list is let go once joined
+    i, j, codes = _joined(out_i), _joined(out_j), _joined(out_rows)
     if len(i) == 0:
         return f._like(None, None)
     if codec is None:
-        return f._like(rows, f.coeffs[i] * g_coeffs[j])
-    order, starts = _merge_order(rows)
-    codes = rows[order[starts]]
-    del rows
-    # the coefficients are formed in merged order, each the product of the
-    # same two factors, f first, as in pair order (a complex product can
-    # round differently with its operands swapped); take reads an int32
-    # index faster than a fancy index does
-    i, j = i[order], j[order]
-    del order
-    coeffs = f.coeffs.take(i) * g_coeffs.take(j)
-    del i, j
-    return f._like(_unpack(codes, codec), _run_sums(coeffs, starts), canonical=True)
+        return f._like(codes, np.multiply(f.coeffs.take(i), g_coeffs.take(j)))
+    order, starts = _merge_order(codes)
+    codes = codes[starts]
+    coeffs = _run_products(f.coeffs, g_coeffs, i, j, order, starts)
+    del i, j, order
+    return f._like(_unpack(codes, codec), coeffs, canonical=True)
+
+
+def _k_filter(i, j, fk, gk, K, f_coeffs, g_coeffs):
+    """Which pairs (i, j) have |k|_1 <= K, as a mask, and the mass |f_i g_j|
+    of the others, summed once in pair order; formed block by block, so no
+    gathered array is longer than _BLOCK_PAIRS."""
+    near = np.empty(len(i), dtype=bool)
+    far_abs = []
+    for block in _blocks(len(i)):
+        # take copies an int32 index to intp at every call; once per block
+        ib, jb = i[block].astype(np.intp), j[block].astype(np.intp)
+        k_norm = np.zeros(len(ib), dtype=np.int32)
+        for col in range(len(fk)):
+            k_norm += np.abs(fk[col].take(ib) + gk[col].take(jb))
+        ok = np.less_equal(k_norm, K, out=near[block])
+        if not ok.all():
+            far = ~ok
+            far_abs.append(np.abs(np.multiply(f_coeffs.take(ib[far]), g_coeffs.take(jb[far]))))
+    return near, float(np.concatenate(far_abs).sum()) if far_abs else 0.0
+
+
+def _joined(parts):
+    """The arrays of parts concatenated (the one array as it is); parts is
+    emptied, so they can be let go as soon as the whole exists."""
+    whole = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    parts.clear()
+    return whole
 
 
 # ---- norms ------------------------------------------------------------------

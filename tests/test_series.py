@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisson_kam import series
+from poisson_kam import merge, series
 from poisson_kam import (
     DecayBound,
     FourierTaylorSeries,
@@ -305,6 +306,37 @@ def test_payload_roundtrip_bit_exact(rng):
     assert jsonio.dumps(g.to_payload()) == text
 
 
+def test_payload_terms_share_key_tuples(rng):
+    """Terms with equal k carry one k tuple, and likewise for alpha; a deep
+    copy and a JSON round trip still hold independent terms, and the text is
+    the one a fresh list for every k and alpha gives."""
+    from poisson_kam import jsonio
+
+    f = random_series(rng, n=2, m=2, nterms=40, k_budget=1, with_eta=True)
+    payload = f.to_payload()
+    terms = payload["terms"]
+    for part in ("k", "alpha"):
+        first = {}
+        for t in terms:
+            assert type(t[part]) is tuple
+            assert first.setdefault(t[part], t[part]) is t[part]
+        assert len(first) < len(terms)
+    a, b = next((s, t) for s, t in zip(terms, terms[1:]) if s["k"] == t["k"])
+    ia, ib = terms.index(a), terms.index(b)
+    listed = dict(payload, terms=[dict(t, k=list(t["k"]), alpha=list(t["alpha"])) for t in terms])
+    text = jsonio.dumps(payload)
+    assert text == jsonio.dumps(listed)
+    copied, loaded = copy.deepcopy(payload), jsonio.loads(text)
+    copied["terms"][ia]["e"] = 7
+    assert terms[ia]["e"] != 7 and copied["terms"][ib]["e"] != 7
+    loaded_a, loaded_b = loaded["terms"][ia], loaded["terms"][ib]
+    assert loaded_a["k"] is not loaded_b["k"]
+    loaded_a["k"][0] += 1
+    assert loaded_b["k"] == list(b["k"]) and a["k"] == b["k"]
+    assert FourierTaylorSeries.from_payload(copy.deepcopy(payload)) == f
+    assert FourierTaylorSeries.from_payload(jsonio.loads(text)) == f
+
+
 # ---- invariants on random instances ----------------------------------------------
 
 
@@ -392,7 +424,7 @@ def test_packing_fallback_huge_truncation(rng):
     f = FourierTaylorSeries.from_terms(
         3, 1, 0.5, big, [((70000, -3, 2), (1,), 0, 1, 1.5), ((0, 0, 0), (0,), 0, 0, 2.0)]
     )
-    assert series._pack_codec(f.n, f.m, f.trunc) is None
+    assert merge._pack_codec(f.n, f.m, f.trunc) is None
     g = FourierTaylorSeries.from_terms(
         3, 1, 0.5, big, [((1, 0, 0), (0,), 0, 1, -0.5)]
     )
@@ -409,19 +441,18 @@ def test_packing_fallback_huge_truncation(rng):
 
 def test_pack_codec_built_once_per_ring():
     f, g = cosx(), yi(0)
-    codec = series._pack_codec(f.n, f.m, f.trunc)
-    assert codec is series._pack_codec(g.n, g.m, g.trunc)
-    assert codec is series._pack_codec(f.n, f.m, tuple(f.trunc))
+    codec = merge._pack_codec(f.n, f.m, f.trunc)
+    assert codec is merge._pack_codec(g.n, g.m, g.trunc)
+    assert codec is merge._pack_codec(f.n, f.m, tuple(f.trunc))
     assert not any(arr.flags.writeable for arr in codec)
 
 
 # ---- product against the all-pairs oracle -------------------------------------
 
 
-def _all_pairs_product(f, g):
-    """The naive product: every pair (i, j) in row-major order, filtered on
-    the truncation and merged by the series constructor.  Returns the
-    product and the discarded mass."""
+def _all_pairs(f, g):
+    """Every pair (i, j) in row-major order: its summed key row, its
+    coefficient, and whether it is within the truncation."""
     n, m = f.n, f.m
     K, L, P = f.trunc
     keys = (f.keys[:, None, :] + g.keys[None, :, :]).reshape(-1, n + m + 2)
@@ -431,6 +462,13 @@ def _all_pairs_product(f, g):
         & (keys[:, n : n + m].sum(axis=1) <= L)
         & (keys[:, n + m + 1] <= P)
     )
+    return keys, coeffs, ok
+
+
+def _all_pairs_product(f, g):
+    """The naive product: every pair filtered on the truncation and merged
+    by the series constructor.  Returns the product and the discarded mass."""
+    keys, coeffs, ok = _all_pairs(f, g)
     return f._like(keys[ok], coeffs[ok]), float(np.abs(coeffs[~ok]).sum())
 
 
@@ -559,7 +597,7 @@ def _operands(draw):
     g_terms = draw(_terms(n, m, trunc, eta_side == "g"))
     f = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, f_terms)
     g = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, g_terms)
-    assert (series._pack_codec(f.n, f.m, f.trunc) is None) == wide
+    assert (merge._pack_codec(f.n, f.m, f.trunc) is None) == wide
     return f, g, draw(st.sampled_from([None, 1, 7]))
 
 
@@ -574,13 +612,14 @@ def test_product_matches_all_pairs_oracle(operands):
             _assert_bit_identical(a, b)
 
 
-def test_product_transient_is_at_most_64_bytes_per_kept_pair():
+def test_product_transient_is_at_most_32_bytes_per_kept_pair():
     """A 2174 x 3107 product in the 3-DOF ring, (8, 3, 8) with n = m = 3: the
     factors' sizes in the largest product of the 3-DOF stress normalization.
     A kept pair is two int32 row indices and an int64 code until the merge,
-    and its coefficient is formed after the sort, so the transient stays
-    near 50 bytes per kept pair; forming a complex coefficient per pair in
-    pair order and permuting it took about 80."""
+    which sorts the codes in place and adds an int32 order; every gather and
+    every coefficient is formed a block at a time, so the transient stays
+    near 22 bytes per kept pair.  Gathering the whole coefficient arrays in
+    merged order took about 49."""
     rng = np.random.default_rng(5)
     trunc = Truncation(8, 3, 8)
     # |k|_1 <= 2 on both sides, so every pair within the |alpha| and p
@@ -599,7 +638,40 @@ def test_product_transient_is_at_most_64_bytes_per_kept_pair():
     finally:
         tracemalloc.stop()
     assert kept > 500_000 and prod.num_terms < kept // 10
-    assert transient < 64 * kept
+    assert transient < 32 * kept
+
+
+def _run_lengths(f, g):
+    """How many kept pairs reach each product key."""
+    keys, _, ok = _all_pairs(f, g)
+    return np.unique(keys[ok], axis=0, return_counts=True)[1]
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_product_blocks_are_bit_identical(rng, monkeypatch, wide, block):
+    """The |k|_1 filter, the code sums and the coefficient sums run a block
+    of pairs at a time: with blocks of 1, 2 and 5 pairs, runs of equal keys
+    straddle the block ends, a block of one pair forms its coefficient as a
+    length-1 product, and every key and coefficient is still the all-pairs
+    oracle's, on a packed and on a wide lattice."""
+    n, m = 3, 1
+    trunc = Truncation(1 << 20 if wide else 4, 2, 2)
+    # |k|_1 <= 1 inside, so many pairs meet on one key; the edge terms add
+    # keys that one pair reaches
+    f, g = (
+        random_series(rng, n=n, m=m, trunc=trunc, nterms=40, k_budget=1, with_eta=eta)
+        for eta in (False, True)
+    )
+    f = f + FourierTaylorSeries.from_terms(n, m, f.decay_rate, trunc, _edge_terms(n, m, trunc))
+    assert (merge._pack_codec(n, m, trunc) is None) == wide
+    lengths = _run_lengths(f, g)
+    assert (lengths == 1).any() and (lengths > 5).any()
+    whole = series._series_mul(f, g)
+    monkeypatch.setattr(merge, "_BLOCK_PAIRS", block)
+    kept, mass, events = _assert_bit_identical(f, g)
+    assert kept > 0 and mass > 0 and events == 1
+    assert series._series_mul(f, g) == whole
 
 
 # ---- the merge against a stable-argsort reference ------------------------------
@@ -644,7 +716,7 @@ def _bits(a):
 def test_merge_codes_is_the_stable_merge(case):
     codes, coeffs = case
     original = codes.copy()
-    got = series._merge_codes(codes, coeffs)
+    got = merge._merge_codes(codes, coeffs)
     ref = _stable_merge(codes, coeffs)
     assert (codes == original).all()
     assert got[0].dtype == np.int64 and np.array_equal(got[0], ref[0])
@@ -657,7 +729,7 @@ def test_merge_codes_takes_the_stable_argsort_only_when_the_tag_overflows(monkey
     calls = []
     argsort = np.argsort
     monkeypatch.setattr(
-        series.np, "argsort", lambda *a, **kw: calls.append(kw) or argsort(*a, **kw)
+        merge.np, "argsort", lambda *a, **kw: calls.append(kw) or argsort(*a, **kw)
     )
     coeffs = np.ones(3, dtype=np.complex128)
     # three rows take a 2-bit tag, so |code| must stay below 2^61
@@ -665,7 +737,7 @@ def test_merge_codes_takes_the_stable_argsort_only_when_the_tag_overflows(monkey
                          (-(1 << 61) - 1, True), ((1 << 63) - 1, True)]:
         calls.clear()
         codes = np.array([code, 0, code], dtype=np.int64)
-        merged, first, summed = series._merge_codes(codes, coeffs)
+        merged, first, summed = merge._merge_codes(codes, coeffs)
         assert calls == ([{"kind": "stable"}] if stable else [])
         assert sorted(merged.tolist()) == merged.tolist() == sorted({code, 0})
         assert summed[merged.tolist().index(code)] == 2.0
