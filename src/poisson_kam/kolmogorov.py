@@ -614,6 +614,12 @@ def normalization_step(setup: RunSetup, decomp, u, step_index):
     rho_next, sigma_next, upsilon_next = _shrink(u.d, tau, u.rho, u.sigma, u.upsilon)
     params_next = WeightedNormParams(rho_next, sigma_next)
     eps_next = max(new_decomp.eps_parts(params_next))
+    if not diag.converged:
+        # the terms the cap left out have majorant at most tail_bound at
+        # params, so at the smaller params_next too; they add at most that
+        # to eps's A part, and 1/rho of it to its B part, which is their
+        # |alpha| = 1 part differentiated in y
+        eps_next += diag.tail_bound / min(1.0, u.rho)
     u_next = IterationParams(
         d=d_next,
         eps=eps_next,

@@ -6,8 +6,9 @@ the code of a product key is the sum of its factors' codes.  Codes sort as
 their rows do, so a merge sorts codes: _merge_order finds the stable order
 of the codes by a tagged in-place sort, _run_sums and _run_products sum the
 coefficients of each run of equal codes, _merge_sorted places one canonical
-series' terms among another's by binary search, and _merge_rows
-canonicalizes any key rows, also on a lattice too wide to pack.
+series' terms among another's by binary search, and _merge_codes merges
+unsorted codes.  Every ring packs: _pack_codec refuses one whose key rows
+need more than 62 bits.
 
 The passes over a product's pairs (see series) work on blocks of
 _BLOCK_PAIRS pairs, so no temporary they gather is longer than one block.
@@ -18,6 +19,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import StructureMismatchError
 
 # pairs per block of the product's |k|_1 filter, code sums, tagging and
 # coefficient sums: no gathered temporary is longer than this
@@ -42,15 +45,19 @@ class _Codec(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _pack_codec(n, m, trunc):
     """The _Codec for a (possibly product-summed) key row of one ring, built
-    once per (n, m, trunc) with read-only arrays; None when 64 bits are not
-    enough.  Packing is linear, so the code of a product key is the code of
-    one factor plus the other factor's row @ strides."""
+    once per (n, m, trunc) with read-only arrays.  Packing is linear, so the
+    code of a product key is the code of one factor plus the other factor's
+    row @ strides.  Raises StructureMismatchError for a ring whose rows need
+    more than 62 bits."""
     K, L, P = trunc
     lo = [-2 * K] * n + [0] * (m + 2)
     sizes = [4 * K + 1] * n + [2 * L + 1] * m + [3] + [2 * P + 1]
     bits = [max(1, int(math.ceil(math.log2(s + 1)))) for s in sizes]
     if sum(bits) > 62:
-        return None
+        raise StructureMismatchError(
+            "the ring n=%d, m=%d, (K_max, L_max, P_max) = (%d, %d, %d) needs %d bits "
+            "per key, over the 62 that pack into one int64 code" % (n, m, K, L, P, sum(bits))
+        )
     shifts = np.empty(n + m + 2, dtype=np.int64)
     shift = 0
     for i in range(n + m + 2 - 1, -1, -1):
@@ -152,8 +159,8 @@ def _merge_sorted(f, g, codec):
     """The keys and coefficients of f + g for canonical f and g: g's terms
     are placed among f's by a binary search of their codes, and a key both
     have is summed as f's coefficient plus g's, which is what reduceat gives
-    for a run of two rows; so the result is _merge_rows of the concatenated
-    rows bit for bit."""
+    for a run of two rows; so the result is the constructor's merge of the
+    concatenated rows bit for bit."""
     # the codes less the constant lo @ strides, which keeps their order
     a, b = f.keys @ codec.strides, g.keys @ codec.strides
     pos = np.searchsorted(a, b, "right")
@@ -174,17 +181,3 @@ def _merge_sorted(f, g, codec):
     # recombined from its parts as _run_sums does, which can change the
     # sign of a zero part
     return keys, coeffs.real + 1j * coeffs.imag
-
-
-def _merge_rows(keys, coeffs, codec):
-    """Sort rows canonically and sum coefficients of duplicate keys."""
-    if len(coeffs) == 0:
-        return keys, coeffs
-    if codec is not None:
-        _, first, summed = _merge_codes(_pack(keys, codec), coeffs)
-        return keys.take(first, axis=0), summed
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    summed = np.bincount(inverse, weights=coeffs.real, minlength=len(uniq)) + (
-        1j * np.bincount(inverse, weights=coeffs.imag, minlength=len(uniq))
-    )
-    return uniq, summed

@@ -42,13 +42,13 @@ product holds, per pair:
     place, and sums each run by reduceat into the merged terms, 24 bytes
     per term with its code.
 
-Only the merged codes are unpacked into keys.  Lattices too wide for 62
-bits merge summed key rows instead.  The packing codec is built once per
-ring.
+Only the merged codes are unpacked into keys.  The packing codec is built
+once per ring, and a ring whose keys need more than 62 bits is refused
+when a series is built in it.
 
 The codes, the merges and the block size live in the merge module.  A sum
 of two series places one's terms among the other's by a binary search of
-their sorted codes (_merge_sorted) instead of sorting them; _merge_rows
+their sorted codes (_merge_sorted) instead of sorting them; _merge_codes
 canonicalizes any other key rows.
 
 Mass discarded by the hard truncation is recorded on the innermost tracker
@@ -91,8 +91,8 @@ from .errors import (
 )
 from .merge import (
     _blocks,
+    _merge_codes,
     _merge_order,
-    _merge_rows,
     _merge_sorted,
     _pack,
     _pack_codec,
@@ -250,7 +250,12 @@ class FourierTaylorSeries:
         if keys.shape[0] != coeffs.shape[0]:
             raise StructureMismatchError("keys/coeffs length mismatch")
         if not _canonical:
-            keys, coeffs = _merge_rows(keys, coeffs, _pack_codec(self.n, self.m, self.trunc))
+            # built with no rows too, so a ring that does not pack is refused
+            codec = _pack_codec(self.n, self.m, self.trunc)
+            if len(coeffs):
+                _, first, coeffs = _merge_codes(_pack(keys, codec), coeffs)
+                keys = keys.take(first, axis=0)
+                del _, first
         keep = coeffs != 0
         if not keep.all():
             keys, coeffs = keys[keep], coeffs[keep]
@@ -416,11 +421,6 @@ class FourierTaylorSeries:
             other = FourierTaylorSeries.constant(other, self)
         self._check_compatible(other)
         codec = _pack_codec(self.n, self.m, self.trunc)
-        if codec is None:
-            return self._like(
-                np.concatenate([self.keys, other.keys]),
-                np.concatenate([self.coeffs, other.coeffs]),
-            )
         return self._like(*_merge_sorted(self, other, codec), canonical=True)
 
     __radd__ = __add__
@@ -535,11 +535,14 @@ class FourierTaylorSeries:
         return self.select(mask)
 
     def canonical_pruned(self, rel_tol: float) -> "FourierTaylorSeries":
-        """Drop coefficients below rel_tol times the largest magnitude."""
+        """Drop coefficients below rel_tol times the largest magnitude,
+        recording their summed |c| on the open tracker."""
         if self.is_zero():
             return self
-        cutoff = rel_tol * self.max_abs_coeff()
-        return self.select(np.abs(self.coeffs) >= cutoff)
+        size = np.abs(self.coeffs)
+        keep = size >= rel_tol * size.max()
+        _open_tracker.get().record(float(size[~keep].sum()))
+        return self.select(keep)
 
     def is_real_symmetric(self, tol: float = 0.0) -> bool:
         """c(k, .) == conj(c(-k, .)) for every stored term."""
@@ -693,13 +696,10 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
     g_keys, g_coeffs = g.keys.take(order, axis=0), g.coeffs[order]
     fk = np.ascontiguousarray(f.kcols.T)
     gk = np.ascontiguousarray(g_keys[:, :n].T)
-    if codec is not None:
-        f_rows = f.keys @ codec.strides
-        g_rows = _pack(g_keys, codec)
-    else:
-        f_rows, g_rows = f.keys, g_keys
+    f_codes = f.keys @ codec.strides
+    g_codes = _pack(g_keys, codec)
 
-    out_i, out_j, out_rows = [], [], []
+    out_i, out_j, out_codes = [], [], []
     ends = np.cumsum(pairs)
     start = 0
     while start < f.num_terms:
@@ -723,24 +723,19 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
             i, j = i[near], j[near]
         del near
         _open_tracker.get().record(lost)
-        if codec is None:
-            rows = f_rows.take(i, axis=0) + g_rows.take(j, axis=0)
-        else:
-            rows = np.empty(len(i), dtype=np.int64)
-            for block in _blocks(len(i)):
-                np.add(f_rows.take(i[block]), g_rows.take(j[block]), out=rows[block])
+        codes = np.empty(len(i), dtype=np.int64)
+        for block in _blocks(len(i)):
+            np.add(f_codes.take(i[block]), g_codes.take(j[block]), out=codes[block])
         out_i.append(i)
         out_j.append(j)
-        out_rows.append(rows)
-        del i, j, rows
+        out_codes.append(codes)
+        del i, j, codes
         start = stop
-    # a kept pair is its two int32 row indices and its summed key row (code)
-    # until the merge, 16 bytes with a codec; each list is let go once joined
-    i, j, codes = _joined(out_i), _joined(out_j), _joined(out_rows)
+    # a kept pair is its two int32 row indices and its code until the
+    # merge, 16 bytes; each list is let go once joined
+    i, j, codes = _joined(out_i), _joined(out_j), _joined(out_codes)
     if len(i) == 0:
         return f._like(None, None)
-    if codec is None:
-        return f._like(codes, np.multiply(f.coeffs.take(i), g_coeffs.take(j)))
     order, starts = _merge_order(codes)
     codes = codes[starts]
     coeffs = _run_products(f.coeffs, g_coeffs, i, j, order, starts)

@@ -17,7 +17,12 @@ import pytest
 
 import poisson_kam
 from poisson_kam import (
+    ChiRecord,
     ExtendedPoint,
+    FourierTaylorSeries,
+    Problem,
+    StructureMatrix,
+    Truncation,
     benchmark_problem,
     lie_vs_flow_check,
     rescaled_benchmark_problem,
@@ -659,6 +664,65 @@ def test_huge_series_order_exit_1_with_a_short_message(bench_file, tmp_path, cap
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: series order %s must be at most 1073741823\n" % path[-1]
+
+
+_TOO_WIDE = "(K_max, L_max, P_max) = (8192, 3, 8) needs 64 bits per key, over the 62"
+
+
+def _three_dof_problem():
+    """At (8, 3, 8): h = |y|^2/2 around y* = (1, 1.618, 2.414) and
+    f = exp(-a xi) cos x1."""
+    z, trunc = (0, 0, 0), (8, 3, 8)
+    ring = (3, 3, 0.5, trunc)
+    h = [(z, tuple(2 * (j == i) for j in range(3)), 0, 0, 0.5) for i in range(3)]
+    f = [((1, 0, 0), z, 0, 1, 0.5), ((-1, 0, 0), z, 0, 1, 0.5)]
+    return Problem(
+        n=3, m=3, a=0.5, epsilon=1e-3, tau=1.2, y_star=[1.0, 1.618, 2.414],
+        trunc=Truncation(*trunc), h=FourierTaylorSeries.from_terms(*ring, h),
+        f=FourierTaylorSeries.from_terms(*ring, f),
+        structure=StructureMatrix.canonical(3, 0.5, trunc),
+    )
+
+
+def _set_every(node, key, value):
+    """Set key to value in every dict nested in node."""
+    if isinstance(node, dict):
+        if key in node:
+            node[key] = value
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            _set_every(child, key, value)
+
+
+def test_ring_too_wide_to_pack_exit_1(tmp_path):
+    """A 3-DOF problem file at (8192, 3, 8) needs 64 bits per key: normalize
+    refuses it at load with one error line, before any lattice scan.  Its
+    sigma keeps exp(sigma K_max) finite, so only the packing refuses it."""
+    payload = _three_dof_problem().to_payload()
+    _set_every(payload, "K_max", 8192)
+    payload["options"] = {"sigma": 0.05}
+    problem = tmp_path / "wide.json"
+    problem.write_text(json.dumps(payload))
+    proc = _cli_with_timeout("normalize", "--problem", str(problem), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and _TOO_WIDE in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o" / "trace.jsonl").exists()
+
+
+def test_generator_ring_too_wide_to_pack_exit_1(tmp_path, capsys):
+    problem, out = tmp_path / "p.json", tmp_path / "o"
+    _three_dof_problem().save(problem)
+    chi = FourierTaylorSeries.from_terms(3, 3, 0.5, (8, 3, 8), [((1, 0, 0), (0, 0, 0), 0, 1, 1e-4)])
+    generators = {"chi": [ChiRecord(0, chi, 0.5, 1.0, 0.1).to_payload()]}
+    _set_every(generators, "K_max", 8192)
+    out.mkdir()
+    (out / "generators.json").write_text(json.dumps(generators))
+    code = main(["verify", "--problem", str(problem), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad generators file") and _TOO_WIDE in err
 
 
 def test_commands_never_load_scipy(bench_file, tmp_path):

@@ -190,9 +190,17 @@ def test_run_empirical_mode_flag():
 
 
 def test_run_flags_lie_series_stopped_by_cap():
-    capped = run(benchmark_problem(epsilon=1e-3).initialize(lie_cap=2))
+    setup = benchmark_problem(epsilon=1e-3).initialize(lie_cap=2)
+    capped = run(setup)
     row = capped.trace.rows[0]
     assert row["lie_converged"] is False and row["lie_terms"] == 2
+    # the capped step's eps_out carries the tail the cap left out: the A
+    # part at most the tail bound, the B part (y-derivatives) at most 1/rho
+    # of it
+    new_decomp, _, u_next, _ = normalization_step(setup, setup.decomp, setup.params, 0)
+    measured = max(new_decomp.eps_parts(u_next.norm_params()))
+    assert row["rho"] < 1.0 and row["lie_tail_bound"] > 0.0
+    assert row["eps_out"] == u_next.eps == measured + row["lie_tail_bound"] / row["rho"]
     warnings = capped.trace.header["warnings"]
     assert any(w.startswith("step 0: Lie series stopped by its cap") for w in warnings)
     free = run(canonical_setup(epsilon=1e-3))

@@ -116,6 +116,15 @@ def test_mul_truncation_discard_tracked():
     assert discard_tracker.total_mass > root[0]
 
 
+def test_prune_records_the_dropped_mass():
+    f = mk([((0,), (0,), 0, 0, 100.0), ((1,), (0,), 0, 0, 0.25), ((-1,), (0,), 0, 0, -0.125j)])
+    with discards() as lost:
+        pruned = f.canonical_pruned(1e-2)
+        assert f.canonical_pruned(1e-3) == f
+    assert pruned == mk([((0,), (0,), 0, 0, 100.0)])
+    assert (lost.total_mass, lost.events) == (0.375, 1)
+
+
 # ---- derivatives ----------------------------------------------------------
 
 
@@ -418,25 +427,44 @@ def test_from_terms_validates_keys():
         mk([((0,), (0,), 2, 0, 1.0)])  # eta power 2
 
 
-def test_packing_fallback_huge_truncation(rng):
-    # truncation too wide for 64-bit packing falls back to row-wise merging
+def test_ring_too_wide_to_pack_is_refused():
+    # K_max = 2^20 in three angles needs 79 bits per key: every way of
+    # building a series in that ring refuses it, naming the 62-bit bound
     big = Truncation(1 << 20, 4, 4)
-    f = FourierTaylorSeries.from_terms(
-        3, 1, 0.5, big, [((70000, -3, 2), (1,), 0, 1, 1.5), ((0, 0, 0), (0,), 0, 0, 2.0)]
+    terms = [((70000, -3, 2), (1,), 0, 1, 1.5), ((0, 0, 0), (0,), 0, 0, 2.0)]
+    payload = FourierTaylorSeries.from_terms(3, 1, 0.5, (4, 4, 4), []).to_payload()
+    payload["K_max"] = big.K_max
+    for build in (
+        lambda: FourierTaylorSeries.zeros(3, 1, 0.5, big),
+        lambda: FourierTaylorSeries.from_terms(3, 1, 0.5, big, terms),
+        lambda: FourierTaylorSeries.from_payload(payload),
+    ):
+        with pytest.raises(StructureMismatchError, match="needs 79 bits per key, over the 62"):
+            build()
+    # the 3-DOF ring at (8192, 3, 8) needs 64
+    with pytest.raises(StructureMismatchError) as info:
+        FourierTaylorSeries.zeros(3, 3, 0.5, (8192, 3, 8))
+    assert str(info.value) == (
+        "the ring n=3, m=3, (K_max, L_max, P_max) = (8192, 3, 8) needs 64 bits "
+        "per key, over the 62 that pack into one int64 code"
     )
-    assert merge._pack_codec(f.n, f.m, f.trunc) is None
-    g = FourierTaylorSeries.from_terms(
-        3, 1, 0.5, big, [((1, 0, 0), (0,), 0, 1, -0.5)]
-    )
-    prod = f * g
-    assert prod.coefficient((70001, -3, 2), (1,), 0, 2) == pytest.approx(-0.75)
-    assert (f + f.scale(-1.0)).is_zero()
-    # the eta^2 guard holds on a wide and on a packed lattice
-    eta_big = FourierTaylorSeries.from_terms(3, 1, 0.5, big, [((0, 0, 0), (0,), 1, 0, 1.0)])
-    with pytest.raises(EtaDegreeError):
-        (f + eta_big) * (g + eta_big)
+    # the eta^2 guard on a packed lattice
     with pytest.raises(EtaDegreeError):
         (decay(p=1) + eta()) * (cosx() + eta())
+
+
+def test_three_dof_ring_at_8191_packs_in_61_bits():
+    trunc = Truncation(8191, 3, 8)
+    codec = merge._pack_codec(3, 3, trunc)
+    assert int(codec.shifts[0]) + int(codec.masks[0]).bit_length() == 61
+    f = FourierTaylorSeries.from_terms(
+        3, 3, 0.5, trunc, [((8189, -1, 0), (1, 0, 0), 0, 1, 1.5), ((0, 0, 0), (0, 0, 0), 0, 0, 2.0)]
+    )
+    g = FourierTaylorSeries.from_terms(3, 3, 0.5, trunc, [((1, 0, 0), (0, 1, 0), 0, 2, -0.5)])
+    prod = f * g
+    assert prod.coefficient((8190, -1, 0), (1, 1, 0), 0, 3) == -0.75
+    assert prod.coefficient((1, 0, 0), (0, 1, 0), 0, 2) == -1.0
+    assert (f + f.scale(-1.0)).is_zero()
 
 
 def test_pack_codec_built_once_per_ring():
@@ -584,20 +612,16 @@ def _terms(draw, n, m, trunc, with_eta):
 
 @st.composite
 def _operands(draw):
-    """(f, g, chunk): f carries the truncation-edge terms, eta sits on at most
-    one side, and a wide lattice (K_max = 2^20 in three angles) does not pack
-    into 62 bits."""
-    wide = draw(st.booleans())
-    n = 3 if wide else draw(st.integers(1, 3))
+    """(f, g, chunk): f carries the truncation-edge terms, and eta sits on at
+    most one side."""
+    n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 2))
-    K = 1 << 20 if wide else draw(st.integers(1, 5))
-    trunc = Truncation(K, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    trunc = Truncation(draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     eta_side = draw(st.sampled_from(["f", "g", None]))
     f_terms = draw(_terms(n, m, trunc, eta_side == "f")) + _edge_terms(n, m, trunc)
     g_terms = draw(_terms(n, m, trunc, eta_side == "g"))
     f = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, f_terms)
     g = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, g_terms)
-    assert (merge._pack_codec(f.n, f.m, f.trunc) is None) == wide
     return f, g, draw(st.sampled_from([None, 1, 7]))
 
 
@@ -647,16 +671,17 @@ def _run_lengths(f, g):
     return np.unique(keys[ok], axis=0, return_counts=True)[1]
 
 
-@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("widest", [False, True])
 @pytest.mark.parametrize("block", [1, 2, 5])
-def test_product_blocks_are_bit_identical(rng, monkeypatch, wide, block):
+def test_product_blocks_are_bit_identical(rng, monkeypatch, widest, block):
     """The |k|_1 filter, the code sums and the coefficient sums run a block
     of pairs at a time: with blocks of 1, 2 and 5 pairs, runs of equal keys
     straddle the block ends, a block of one pair forms its coefficient as a
     length-1 product, and every key and coefficient is still the all-pairs
-    oracle's, on a packed and on a wide lattice."""
+    oracle's, on a small lattice and on the widest that packs, K_max =
+    65535 in 62 bits, whose codes overflow the merge's tagged sort."""
     n, m = 3, 1
-    trunc = Truncation(1 << 20 if wide else 4, 2, 2)
+    trunc = Truncation(65535 if widest else 4, 2, 2)
     # |k|_1 <= 1 inside, so many pairs meet on one key; the edge terms add
     # keys that one pair reaches
     f, g = (
@@ -664,10 +689,14 @@ def test_product_blocks_are_bit_identical(rng, monkeypatch, wide, block):
         for eta in (False, True)
     )
     f = f + FourierTaylorSeries.from_terms(n, m, f.decay_rate, trunc, _edge_terms(n, m, trunc))
-    assert (merge._pack_codec(n, m, trunc) is None) == wide
+    codec = merge._pack_codec(n, m, trunc)
+    assert (int(codec.shifts[0]) + int(codec.masks[0]).bit_length() == 62) == widest
     lengths = _run_lengths(f, g)
     assert (lengths == 1).any() and (lengths > 5).any()
     whole = series._series_mul(f, g)
+    # a code at or above 2^61 overflows once shifted by any tag of 2 or
+    # more bits, so the merge of the kept pairs takes the stable argsort
+    assert (merge._pack(whole.keys, codec).max() >= 1 << 61) == widest
     monkeypatch.setattr(merge, "_BLOCK_PAIRS", block)
     kept, mass, events = _assert_bit_identical(f, g)
     assert kept > 0 and mass > 0 and events == 1
@@ -749,7 +778,7 @@ def test_sum_of_canonical_series_is_the_row_merge(operands):
     """f + g merges the two sorted code runs instead of sorting them; keys
     and coefficients, down to the signed zeros a negation leaves, are bit
     for bit those of the constructor's merge of the concatenated rows, also
-    where the sum cancels and where the lattice does not pack."""
+    where the sum cancels."""
     f, g, _ = operands
     for a, b in ((f, g), (g, f), (f, -g), (-f, f), (f, f.scale(0))):
         got = a + b
