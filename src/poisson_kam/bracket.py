@@ -18,9 +18,10 @@ discard tracker at every use.  apply takes G's partial derivatives;
 poisson_bracket passes a series G's, bracket_with_coordinate the unit
 partial of a coordinate, and low_degree_bracket G's partials to an operator
 on the ring cut to |alpha| <= 1, each a one-shot operator.  The Lie series
-is written once too, in LieOperator._lie_sum, which counts the truncation
-discards of its own products; a normalization step or a record of the
-composed map builds one operator and sums every one of its series with it.
+is written once too, in LieOperator._lie_sum, with one stopping rule
+(LIE_REL_TOL, LIE_MAX_TERMS) and a count of the truncation discards of its
+own products; a normalization step or a record of the composed map builds
+one operator and sums every one of its series with it.
 """
 
 from __future__ import annotations
@@ -302,20 +303,20 @@ class LieOperator:
         one = lambda k: 1 if kind == k else None
         return self.apply(unit("y", m), unit("x", n), one("eta"), one("xi"))
 
-    def transform(self, F, tol=LIE_REL_TOL, cap=LIE_MAX_TERMS):
-        """exp(L_chi) F, summed until a term drops below tol relative to the
-        sum or cap terms have run."""
-        return self._lie_sum(lambda: self.bracket(F), F, tol, cap)
+    def transform(self, F):
+        """exp(L_chi) F."""
+        return self._lie_sum(lambda: self.bracket(F), F)
 
     def displacement(self, coord):
-        """exp(L_chi) z_c - z_c (zero for coord = "xi"), summed to
-        LIE_REL_TOL with at most LIE_MAX_TERMS terms."""
+        """exp(L_chi) z_c - z_c (zero for coord = "xi")."""
         first = lambda: self.coordinate_bracket(coord)
-        return self._lie_sum(first, self.chi._like(None, None), LIE_REL_TOL, LIE_MAX_TERMS)
+        return self._lie_sum(first, self.chi._like(None, None))
 
-    def _lie_sum(self, first, base, tol, cap):
+    def _lie_sum(self, first, base):
         """base + sum_{s>=1} L_chi^s(seed)/s!, where first() is the s = 1
-        term: the one Lie series.  A zero chi returns base.  Under the
+        term: the one Lie series, summed until a term drops below
+        LIE_REL_TOL relative to the sum or LIE_MAX_TERMS terms have run
+        (both read at the call).  A zero chi returns base.  Under the
         contraction guard the terms decay at least geometrically; the
         diagnostics carry the geometric tail estimate and the mass
         truncation dropped from the series' products, first() included."""
@@ -331,8 +332,8 @@ class LieOperator:
                 total = total + term
                 norms.append(majorant_with_eta(term, params))
                 running = majorant_with_eta(total, params)
-                converged = term.is_zero() or norms[-1] <= tol * max(running, 1e-300)
-                if converged or s >= cap:
+                converged = term.is_zero() or norms[-1] <= LIE_REL_TOL * max(running, 1e-300)
+                if converged or s >= LIE_MAX_TERMS:
                     break
                 s += 1
                 term = self.bracket(term).scale(1.0 / s)
@@ -422,22 +423,20 @@ def lie_transform(
     F: FourierTaylorSeries,
     S: StructureMatrix,
     params: WeightedNormParams,
-    tol: float = LIE_REL_TOL,
-    cap: int = LIE_MAX_TERMS,
 ):
-    """exp(L_chi) F summed until terms drop below tol relative to the sum.
+    """exp(L_chi) F, summed as every Lie series is (LieOperator._lie_sum).
 
     Raises LieDivergenceError (a StepRefusedError) from LieOperator when the
     measured contraction factor exceeds 1/2.
     """
-    return LieOperator(chi, S, params).transform(F, tol, cap)
+    return LieOperator(chi, S, params).transform(F)
 
 
 def lie_coordinate_displacement(
     chi: FourierTaylorSeries, coord, S: StructureMatrix, params: WeightedNormParams
 ):
     """exp(L_chi) z_c - z_c as a series (zero series for coord = "xi"),
-    summed to LIE_REL_TOL with at most LIE_MAX_TERMS terms.
+    summed as every Lie series is.
 
     Refuses exactly as lie_transform does.
     """

@@ -28,8 +28,6 @@ from typing import List, Optional
 import numpy as np
 
 from .bracket import (
-    LIE_MAX_TERMS,
-    LIE_REL_TOL,
     ExtendedPoint,
     LieOperator,
     StructureMatrix,
@@ -183,14 +181,7 @@ class IterationParams:
             )
 
     def as_dict(self):
-        return {
-            "d": self.d,
-            "eps": self.eps,
-            "zeta": self.zeta,
-            "upsilon": self.upsilon,
-            "rho": self.rho,
-            "sigma": self.sigma,
-        }
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 @dataclass
@@ -231,15 +222,9 @@ class RunOptions:
     max_steps: int = 12
     target_eps: float = 1e-9
     d_floor: float = 1e-3
-    lie_tol: float = LIE_REL_TOL
-    lie_cap: int = LIE_MAX_TERMS
     enforce_theoretical: bool = False
     theta1: Optional[float] = None
     theta2: Optional[float] = None
-    # relative prune applied to the transformed Hamiltonian each step;
-    # 0 keeps the pipeline exact (rounding dust retained), > 0 trades the
-    # float-exact audit for lean supports on wide truncation lattices
-    prune_rel: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -590,12 +575,8 @@ def normalization_step(setup: RunSetup, decomp, u, step_index):
     for j, sol in enumerate(solT):
         chi = chi + sol.phi.mul_y(j)
 
-    Hhat, diag = lie_transform(
-        chi, decomp.full, S, params, options.lie_tol, options.lie_cap
-    )
+    Hhat, diag = lie_transform(chi, decomp.full, S, params)
     Hhat = Hhat.drop_pure_constant()
-    if options.prune_rel > 0.0:
-        Hhat = Hhat.canonical_pruned(options.prune_rel)
     new_decomp = HamiltonianDecomposition.from_full(Hhat, decomp.omega_tilde)
 
     # homological residual restricted to |alpha| <= 1 (should sit at rounding):
@@ -715,8 +696,9 @@ def run(setup: RunSetup) -> RunResult:
         chi_records.append(chi_rec)
         if not row["lie_converged"]:
             warnings.append(
-                "step %d: Lie series stopped by its cap at %d terms above lie_tol "
-                "(tail bound %.3g)" % (j, row["lie_terms"], row["lie_tail_bound"])
+                "step %d: Lie series stopped by its cap at LIE_MAX_TERMS = %d terms, "
+                "above LIE_REL_TOL (tail bound %.3g)"
+                % (j, row["lie_terms"], row["lie_tail_bound"])
             )
         grew = grew + 1 if u_next.eps > u.eps else 0
         u = u_next

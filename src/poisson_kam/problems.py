@@ -46,11 +46,10 @@ _RUN_DEFAULTS = {f.name: f.default for f in fields(RunOptions)}
 # the range each numeric option must lie in, whether set in the file or
 # passed as an override
 _OPTION_RANGES = {
-    **dict.fromkeys(("rho", "sigma", "tol", "t_end", "target_eps", "lie_tol"),
+    **dict.fromkeys(("rho", "sigma", "tol", "t_end", "target_eps", "theta1", "theta2"),
                     ("finite and > 0", lambda v: math.isfinite(v) and v > 0)),
-    **dict.fromkeys(("prune_rel", "d_floor"),
-                    ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)),
-    **dict.fromkeys(("max_steps", "lie_cap"), (">= 1", lambda v: v >= 1)),
+    "d_floor": ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+    "max_steps": (">= 1", lambda v: v >= 1),
     "threshold": ("a number other than NaN", lambda v: not math.isnan(v)),
 }
 

@@ -534,16 +534,6 @@ class FourierTaylorSeries:
         mask = ~((self.keys == 0).all(axis=1))
         return self.select(mask)
 
-    def canonical_pruned(self, rel_tol: float) -> "FourierTaylorSeries":
-        """Drop coefficients below rel_tol times the largest magnitude,
-        recording their summed |c| on the open tracker."""
-        if self.is_zero():
-            return self
-        size = np.abs(self.coeffs)
-        keep = size >= rel_tol * size.max()
-        _open_tracker.get().record(float(size[~keep].sum()))
-        return self.select(keep)
-
     def is_real_symmetric(self, tol: float = 0.0) -> bool:
         """c(k, .) == conj(c(-k, .)) for every stored term."""
         if self.is_zero():

@@ -332,6 +332,16 @@ def bench_run(tmp_path_factory):
     return problem, root / "out"
 
 
+def _verify_with_option(bench_run, tmp_path, key, value):
+    """verify on the benchmark problem file with options[key] = value."""
+    problem, out = bench_run
+    payload = json.loads(problem.read_text())
+    payload["options"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    return _cli_with_timeout("verify", "--angles", "1", "--problem", str(bad), "--out", str(out))
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -340,7 +350,6 @@ def bench_run(tmp_path_factory):
         ("max_steps", "abc"),
         ("enforce_theoretical", "false"),
         ("max_steps", True),
-        ("lie_cap", False),
         ("seed", 1.7),
         ("max_steps", float("inf")),
         ("tol", float("nan")),
@@ -348,23 +357,28 @@ def bench_run(tmp_path_factory):
         ("t_end", float("nan")),
         ("t_end", 0.0),
         ("target_eps", float("nan")),
-        ("lie_tol", 0.0),
-        ("prune_rel", float("nan")),
         ("d_floor", -1e-3),
         ("max_steps", -3),
-        ("lie_cap", -1),
         ("threshold", float("nan")),
+        ("theta1", -1.5),
+        ("theta2", 0.0),
     ],
 )
 def test_bad_problem_option_exit_1(bench_run, tmp_path, key, value):
-    problem, out = bench_run
-    payload = json.loads(problem.read_text())
-    payload["options"][key] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
-    proc = _cli_with_timeout("verify", "--angles", "1", "--problem", str(bad), "--out", str(out))
+    proc = _verify_with_option(bench_run, tmp_path, key, value)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and repr(key) in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("lie_cap", False), ("lie_tol", 0.0), ("prune_rel", float("nan")), ("lie_cap", -1)],
+)
+def test_removed_option_exit_1(bench_run, tmp_path, key, value):
+    # the Lie-series stopping rule and the truncation are fixed, not options
+    proc = _verify_with_option(bench_run, tmp_path, key, value)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: unknown option %r" % key)
 
 
 @pytest.mark.parametrize(

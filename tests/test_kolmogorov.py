@@ -11,6 +11,7 @@ from poisson_kam import (
     StructureMatrix,
     Truncation,
     benchmark_problem,
+    bracket,
     compose_map,
     constants_ledger,
     discards,
@@ -22,7 +23,7 @@ from poisson_kam import (
     schedule_audit,
     two_dof_problem,
 )
-from poisson_kam.bracket import low_degree_bracket
+from poisson_kam.bracket import LieOperator, low_degree_bracket
 from poisson_kam.errors import ProblemFormatError, ResonanceError, StepRefusedError
 from poisson_kam.problems import GOLDEN
 
@@ -189,21 +190,29 @@ def test_run_empirical_mode_flag():
     assert any("empirical" in w for w in res.trace.header["warnings"])
 
 
-def test_run_flags_lie_series_stopped_by_cap():
-    setup = benchmark_problem(epsilon=1e-3).initialize(lie_cap=2)
-    capped = run(setup)
-    row = capped.trace.rows[0]
-    assert row["lie_converged"] is False and row["lie_terms"] == 2
-    # the capped step's eps_out carries the tail the cap left out: the A
-    # part at most the tail bound, the B part (y-derivatives) at most 1/rho
-    # of it
-    new_decomp, _, u_next, _ = normalization_step(setup, setup.decomp, setup.params, 0)
+def test_run_flags_lie_series_stopped_by_cap(monkeypatch):
+    setup = canonical_setup(epsilon=1e-3)
+    with monkeypatch.context() as patch:
+        patch.setattr(bracket, "LIE_MAX_TERMS", 2)
+        capped = run(setup)
+        row = capped.trace.rows[0]
+        assert row["lie_converged"] is False and row["lie_terms"] == 2
+        # the capped step's eps_out carries the tail the cap left out: the A
+        # part at most the tail bound, the B part (y-derivatives) at most
+        # 1/rho of it
+        new_decomp, rec, u_next, _ = normalization_step(setup, setup.decomp, setup.params, 0)
+        # the composed map's displacements are the same Lie series, stopped
+        # by the same rule
+        op = LieOperator(rec.chi, setup.structure, rec.norm_params())
+        for coord in [("y", 0), ("x", 0)]:
+            _, diag = op.displacement(coord)
+            assert diag.s_stop == 2 and diag.converged is False
     measured = max(new_decomp.eps_parts(u_next.norm_params()))
     assert row["rho"] < 1.0 and row["lie_tail_bound"] > 0.0
     assert row["eps_out"] == u_next.eps == measured + row["lie_tail_bound"] / row["rho"]
     warnings = capped.trace.header["warnings"]
     assert any(w.startswith("step 0: Lie series stopped by its cap") for w in warnings)
-    free = run(canonical_setup(epsilon=1e-3))
+    free = run(setup)
     assert all(row["lie_converged"] is True for row in free.trace.rows)
     assert not any("Lie series" in w for w in free.trace.header["warnings"])
 
@@ -404,12 +413,9 @@ def test_problem_file_sets_every_run_option(tmp_path):
         "max_steps": 5,
         "target_eps": 1e-7,
         "d_floor": 2e-3,
-        "lie_tol": 1e-12,
-        "lie_cap": 30,
         "enforce_theoretical": True,
         "theta1": 1.5,
         "theta2": 3.5,
-        "prune_rel": 1e-15,
     }
     assert set(values) == {f.name for f in fields(RunOptions)}
     defaults = RunOptions()
@@ -473,13 +479,12 @@ def test_strict_mode_refuses_desk_scale_runs():
 def test_optional_prune_keeps_quadratic_decay():
     from poisson_kam import rescaled_benchmark_problem
 
-    prob = rescaled_benchmark_problem(trunc=(12, 4, 12), prune_rel=1e-15)
+    # on a wide lattice, where terms leave a series only by truncation
+    prob = rescaled_benchmark_problem(trunc=(12, 4, 12))
     res = run(with_budget(prob.initialize(), 2, 0.0))
     eps = res.trace.eps_sequence()
     assert eps[1] < 1e-3 * eps[0]
     assert eps[2] < 1e-5 * eps[1]
-    # pruned supports stay lean on the wide lattice
-    assert res.normal_form.full.num_terms < 500
 
 
 # ---- the homological residual on |alpha| <= 1 ----------------------------------

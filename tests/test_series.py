@@ -116,15 +116,6 @@ def test_mul_truncation_discard_tracked():
     assert discard_tracker.total_mass > root[0]
 
 
-def test_prune_records_the_dropped_mass():
-    f = mk([((0,), (0,), 0, 0, 100.0), ((1,), (0,), 0, 0, 0.25), ((-1,), (0,), 0, 0, -0.125j)])
-    with discards() as lost:
-        pruned = f.canonical_pruned(1e-2)
-        assert f.canonical_pruned(1e-3) == f
-    assert pruned == mk([((0,), (0,), 0, 0, 100.0)])
-    assert (lost.total_mass, lost.events) == (0.375, 1)
-
-
 # ---- derivatives ----------------------------------------------------------
 
 
