@@ -21,9 +21,10 @@ from .errors import (
     StepRefusedError,
 )
 from .bracket import ExtendedPoint
-from .homological import diophantine_profile, divisor_shells
-from .kolmogorov import ChiRecord, run
+from .homological import FrequencyData, divisor_shells
+from .kolmogorov import ChiRecord, linear_frequencies, run
 from .problems import Problem
+from .series import shift_action_expansion
 
 import numpy as np
 
@@ -65,12 +66,10 @@ def _trace_lines(trace):
 
 
 def cmd_normalize(args) -> int:
-    """Exit 0 converged, 1 malformed input/resonance, 2 refused smallness,
-    3 divergence, 4 step budget exhausted before the target."""
+    """Exit 0 converged, 1 malformed input/resonance, 2 Lie series refused by
+    the contraction guard, 3 divergence, 4 step budget exhausted."""
     setup = Problem.load(args.problem).initialize(
-        max_steps=args.max_steps,
-        target_eps=args.target_eps,
-        d_floor=args.d_floor,
+        max_steps=args.max_steps, target_eps=args.target_eps
     )
     out = _out_dir(args.out)
     result = run(setup)
@@ -129,21 +128,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check_diophantine(args) -> int:
-    """Exit 0 with the gamma profile; 2 on resonance within the scan."""
+    """Exit 0 with the gamma profile of the omega init_from_problem finds,
+    scanned as it scans but to --k-max (the ring's K_max unless given); 2 on
+    resonance with 0 < |k|_1 <= --k-max."""
     problem = Problem.load(args.problem)
     k_max = problem.trunc.K_max if args.k_max is None else args.k_max
+    B0 = problem.structure.shifted(problem.y_star).B0
+    omega_tilde = linear_frequencies(shift_action_expansion(problem.h, problem.y_star))
     try:
-        omega = problem.initialize().freq.omega
-        gamma = diophantine_profile(omega, problem.tau, k_max)
-        shells = divisor_shells(omega, problem.tau, k_max)
+        freq = FrequencyData.build(omega_tilde, B0, problem.tau, k_max)
+        shells = divisor_shells(freq.omega, problem.tau, k_max)
     except ResonanceError as exc:
         print("resonance: %s" % exc, file=sys.stderr)
         return 2
     table = {
-        "omega": [float(v) for v in omega],
+        "omega": [float(v) for v in freq.omega],
         "tau": problem.tau,
         "K_max": k_max,
-        "gamma_K": gamma,
+        "gamma_K": freq.gamma,
         "shells": shells,
     }
     if args.out:
@@ -207,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, True)
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--target-eps", type=float, default=None)
-    p.add_argument("--d-floor", type=float, default=None)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("verify", help="torus persistence report for a finished run")

@@ -30,7 +30,7 @@ class ResonanceError(PoissonKamError):
 
 
 class StepRefusedError(PoissonKamError):
-    """Normalization step refused because a smallness condition failed."""
+    """A refusal (exit 2 at the CLI); LieDivergenceError is its one kind."""
 
 
 class LieDivergenceError(StepRefusedError):

@@ -14,6 +14,8 @@ import json
 import math
 from json.encoder import encode_basestring_ascii
 
+from .errors import ProblemFormatError
+
 _CONTAINERS = (dict, list, tuple)
 
 
@@ -101,4 +103,8 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
-    return json.loads(text)
+    """Parse JSON text; ProblemFormatError when it nests too deep to parse."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ProblemFormatError("JSON nested too deeply to parse") from exc

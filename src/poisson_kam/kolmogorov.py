@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .bracket import (
+    E_SQ,
     ExtendedPoint,
     LieOperator,
     StructureMatrix,
@@ -54,7 +55,7 @@ from .series import (
     weighted_norm,
 )
 
-E_SQ = math.e ** 2
+D_FLOOR = 1e-3
 
 
 # ---------------------------------------------------------------- state types
@@ -188,8 +189,8 @@ class IterationParams:
 class ConstantsLedger:
     """Every printed constant of the quantitative scheme, evaluated in floats.
 
-    Diagnostics, not certificates: Theta1/Theta2 default to the measured
-    per-mode amplification of the homological solve at the working truncation.
+    Diagnostics, not certificates: Theta1/Theta2 are the measured per-mode
+    amplification of the homological solve at the working truncation.
     """
 
     Theta1: float
@@ -221,10 +222,6 @@ class ConstantsLedger:
 class RunOptions:
     max_steps: int = 12
     target_eps: float = 1e-9
-    d_floor: float = 1e-3
-    enforce_theoretical: bool = False
-    theta1: Optional[float] = None
-    theta2: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -359,23 +356,18 @@ def constants_ledger(
     S: StructureMatrix,
     u0: IterationParams,
     freq: FrequencyData,
-    Theta1: Optional[float],
-    Theta2: Optional[float],
     M_h: float,
 ) -> ConstantsLedger:
     """Evaluate M0..M8 and D exactly as printed, at (rho*, sigma*) = u0/4,
-    with a the decay rate of S's ring and tau that of freq; a Theta given as
-    None is the measured one.
+    with a the decay rate of S's ring, tau that of freq and Theta1, Theta2
+    the measured ones (measured_thetas).
 
     Raises ParameterError when a constant overflows or is not finite.
     """
     a, tau = S.decay_rate, freq.tau
     rho_star, sigma_star = u0.rho / 4.0, u0.sigma / 4.0
     upsilon_star = u0.upsilon / 2.0
-    if Theta1 is None or Theta2 is None:
-        t1, t2 = measured_thetas(freq, a)
-        Theta1 = t1 if Theta1 is None else Theta1
-        Theta2 = t2 if Theta2 is None else Theta2
+    Theta1, Theta2 = measured_thetas(freq, a)
     n, m = S.n, S.m
     params0 = u0.norm_params()
     M_B = S.full_norm(params0)
@@ -485,9 +477,7 @@ def init_from_problem(problem, options: RunOptions) -> RunSetup:
             "eps0 is not finite: rating %r, measured %r" % (eps0_rating, u0.eps)
         )
     M_h_meas = weighted_norm(full.eta_free_part(), params0).K
-    ledger = constants_ledger(
-        S_shifted, u0, freq, options.theta1, options.theta2, M_h=M_h_meas
-    )
+    ledger = constants_ledger(S_shifted, u0, freq, M_h=M_h_meas)
     empirical = eps0_rating > ledger.eps_threshold
     return RunSetup(
         decomp=decomp,
@@ -509,15 +499,15 @@ def _finite_or_zero(x):
     return float(x) if math.isfinite(x) else 0.0
 
 
-def _schedule_d(j, ledger, eps0_rating, upsilon, a, tau, d_floor):
-    """d_j = clamp of the printed schedule into [d_floor, 1/6]."""
+def _schedule_d(j, ledger, eps0_rating, upsilon, a, tau):
+    """d_j = clamp of the printed schedule into [D_FLOOR, 1/6]."""
     if eps0_rating <= 0:
         return 1.0 / 6.0
     base = (ledger.D * eps0_rating / (a ** 4 * upsilon ** 2)) ** (
         1.0 / (8.0 * (tau + 1.0))
     )
     profile = (j + 2) ** 2 / (j + 1) ** 4
-    return min(1.0 / 6.0, max(base * profile, d_floor))
+    return min(1.0 / 6.0, max(base * profile, D_FLOOR))
 
 
 def _shrink(d, tau, rho, sigma, upsilon):
@@ -532,16 +522,16 @@ def _shrink(d, tau, rho, sigma, upsilon):
 
 def normalization_step(setup: RunSetup, decomp, u, step_index):
     """One Kolmogorov step on decomp at u: solve for chi = S + T.y,
-    transform, re-split.  The structure, frequencies, ledger, options and
-    eps0 rating come from setup.
+    transform, re-split.  The structure, frequencies, ledger and eps0
+    rating come from setup.  The printed smallness conditions are the row's
+    three verdicts, which refuse nothing.
 
-    Returns (new_decomposition, chi_record, u_next, trace_row).  Raises
-    StepRefusedError in strict mode when any printed smallness condition
-    fails, and lie_transform raises LieDivergenceError (a StepRefusedError)
+    Returns (new_decomposition, chi_record, u_next, trace_row).  The one
+    refusal: lie_transform raises LieDivergenceError (a StepRefusedError)
     when the measured Lie contraction exceeds 1/2.  Raises ParameterError
     when a denominator of the smallness verdicts underflows to 0.
     """
-    S, freq, ledger, options = setup.structure, setup.freq, setup.ledger, setup.options
+    S, freq, ledger = setup.structure, setup.freq, setup.ledger
     a, tau = S.decay_rate, freq.tau
     params = u.norm_params()
     eps_A, eps_B = decomp.eps_parts(params)
@@ -563,10 +553,6 @@ def normalization_step(setup: RunSetup, decomp, u, step_index):
     v_picc = eps * ledger.D / picc_den <= 0.5
     v_smallone = eps * 8.0 * E_SQ * ledger.M_B * ledger.M5 / smallone_den <= 0.5
     v_smallv = eps * ledger.M8 / smallv_den <= 0.5
-    if options.enforce_theoretical and not (v_picc and v_smallone and v_smallv):
-        raise StepRefusedError(
-            "theoretical smallness conditions fail at eps=%.3g" % eps
-        )
 
     solS = solve_S(decomp.A, freq, params)
     E = build_E(S, decomp.C, decomp.omega_tilde)
@@ -589,9 +575,7 @@ def normalization_step(setup: RunSetup, decomp, u, step_index):
     resid = chi.partial_xi().cut(low.trunc) + g.cut(low.trunc) + low
     resid_low = weighted_norm(resid, params).K
 
-    d_next = _schedule_d(
-        step_index + 1, ledger, setup.eps0_rating, u.upsilon, a, tau, options.d_floor
-    )
+    d_next = _schedule_d(step_index + 1, ledger, setup.eps0_rating, u.upsilon, a, tau)
     rho_next, sigma_next, upsilon_next = _shrink(u.d, tau, u.rho, u.sigma, u.upsilon)
     params_next = WeightedNormParams(rho_next, sigma_next)
     eps_next = max(new_decomp.eps_parts(params_next))
@@ -650,8 +634,8 @@ def run(setup: RunSetup) -> RunResult:
     steps have run, both read from setup.options.
 
     Aborts with status "diverged" when eps grows two steps in a row and
-    with "refused" when a step declines its smallness precondition; the
-    trace is returned in every case.
+    with "refused" when the contraction guard refuses a step's Lie series;
+    the trace is returned in every case.
     """
     options = setup.options
     decomp, u = setup.decomp, setup.params

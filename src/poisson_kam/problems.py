@@ -26,7 +26,8 @@ from . import jsonio
 from .bracket import StructureMatrix
 from .errors import ProblemFormatError, StructureMismatchError
 from .kolmogorov import RunOptions, RunSetup, init_from_problem
-from .series import FourierTaylorSeries, Truncation, _order, _term_index, weight_bounds
+from .series import (MAX_ORDER, FourierTaylorSeries, Truncation, _order, _term_index,
+                     weight_bounds)
 
 GOLDEN = (1.0 + 5 ** 0.5) / 2.0
 
@@ -46,9 +47,8 @@ _RUN_DEFAULTS = {f.name: f.default for f in fields(RunOptions)}
 # the range each numeric option must lie in, whether set in the file or
 # passed as an override
 _OPTION_RANGES = {
-    **dict.fromkeys(("rho", "sigma", "tol", "t_end", "target_eps", "theta1", "theta2"),
+    **dict.fromkeys(("rho", "sigma", "tol", "t_end", "target_eps"),
                     ("finite and > 0", lambda v: math.isfinite(v) and v > 0)),
-    "d_floor": ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
     "max_steps": (">= 1", lambda v: v >= 1),
     "threshold": ("a number other than NaN", lambda v: not math.isnan(v)),
 }
@@ -62,6 +62,15 @@ def _integer_field(payload: dict, name: str) -> int:
         return _term_index(value)
     except StructureMismatchError as exc:
         raise ProblemFormatError("%r must be an integer, got %r" % (name, value)) from exc
+
+
+def _dimension(payload: dict, name: str) -> int:
+    """payload[name], a count of angles or actions, as an int in 1..MAX_ORDER;
+    the refusal names the bounds, not the value (it may be 300 digits long)."""
+    k = _integer_field(payload, name)
+    if not 1 <= k <= MAX_ORDER:
+        raise ProblemFormatError("%r must lie in 1..%d" % (name, MAX_ORDER))
+    return k
 
 
 @dataclass(frozen=True)
@@ -134,10 +143,9 @@ class Problem:
 
     def option(self, name, override=None):
         """The override, else the file value, else the default; None counts as
-        unset.  The value is coerced by the type of its default (float where
-        the default is None); a boolean option takes only true or false, an
-        integer option no boolean and no number with a fractional part, and
-        a numeric option must lie in its range in _OPTION_RANGES.  Raises
+        unset.  The value is coerced by the type of its default; an integer
+        option takes no boolean and no number with a fractional part, and a
+        numeric option must lie in its range in _OPTION_RANGES.  Raises
         ProblemFormatError for an unknown name or a value that does not
         coerce or is out of range."""
         if name in _OPTION_DEFAULTS:
@@ -149,17 +157,11 @@ class Problem:
         value = override if override is not None else self.options.get(name)
         if value is None:
             return default
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ProblemFormatError(
-                    "option %r: expected true or false, got %r" % (name, value)
-                )
-            return value
         fractional = isinstance(value, float) and not value.is_integer()
         if isinstance(default, int) and (isinstance(value, bool) or fractional):
             raise ProblemFormatError("option %r: expected an integer, got %r" % (name, value))
         try:
-            value = (float if default is None else type(default))(value)
+            value = type(default)(value)
         except (TypeError, ValueError) as exc:
             raise ProblemFormatError("option %r: %s" % (name, exc)) from exc
         rule, ok = _OPTION_RANGES.get(name, (None, None))
@@ -210,8 +212,8 @@ class Problem:
             series = FourierTaylorSeries.from_payload
             B12, B22 = ([[series(e) for e in row] for row in payload[k]] for k in ("B12", "B22"))
             return cls(
-                n=_integer_field(payload, "n"),
-                m=_integer_field(payload, "m"),
+                n=_dimension(payload, "n"),
+                m=_dimension(payload, "m"),
                 a=float(payload["a"]),
                 epsilon=float(payload["epsilon"]),
                 tau=float(payload["tau"]),
@@ -235,11 +237,13 @@ class Problem:
         except (OSError, UnicodeDecodeError) as exc:
             raise ProblemFormatError("cannot read problem file %s: %s" % (path, exc)) from exc
         try:
-            payload = json.loads(text)
+            payload = jsonio.loads(text)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(
                 "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
             ) from exc
+        except ProblemFormatError as exc:
+            raise ProblemFormatError("%s: %s" % (path, exc)) from exc
         return cls.from_payload(payload)
 
 

@@ -217,11 +217,13 @@ MAX_ORDER = 2**30 - 1
 
 def _order(v, name) -> int:
     """The series order ``name`` read from a file: an integer term index (see
-    _term_index) no larger than MAX_ORDER.  The refusal names the bound, not
-    the value, which may have hundreds of digits."""
+    _term_index) from 0 to MAX_ORDER.  The refusal names the bound, not the
+    value, which may have hundreds of digits."""
     k = _term_index(v)
     if k > MAX_ORDER:
         raise StructureMismatchError("series order %s must be at most %d" % (name, MAX_ORDER))
+    if k < 0:
+        raise StructureMismatchError("series order %s must not be negative" % name)
     return k
 
 

@@ -143,6 +143,17 @@ def test_check_diophantine_resonant_exit_2(tmp_path):
     assert main(["check-diophantine", "--problem", str(prob)]) == 2
 
 
+def test_check_diophantine_scans_only_to_k_max(tmp_path, capsys):
+    # omega = (1, 2) resonates first at k = (-2, 1), |k|_1 = 3; the ring's
+    # K_max = 10 does not enter a scan to --k-max
+    prob = tmp_path / "r.json"
+    two_dof_problem(omega=(1.0, 2.0)).save(prob)
+    assert main(["check-diophantine", "--problem", str(prob), "--k-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma_K"] == 1.0
+    assert main(["check-diophantine", "--problem", str(prob), "--k-max", "3"]) == 2
+    assert capsys.readouterr().err.startswith("resonance: resonance k=[-2, 1]")
+
+
 def test_check_diophantine_unit(tmp_path, capsys):
     prob = tmp_path / "u.json"
     benchmark_problem().save(prob)
@@ -348,7 +359,6 @@ def _verify_with_option(bench_run, tmp_path, key, value):
         ("d_total", 2.0),
         ("max_step", 3),
         ("max_steps", "abc"),
-        ("enforce_theoretical", "false"),
         ("max_steps", True),
         ("seed", 1.7),
         ("max_steps", float("inf")),
@@ -357,11 +367,8 @@ def _verify_with_option(bench_run, tmp_path, key, value):
         ("t_end", float("nan")),
         ("t_end", 0.0),
         ("target_eps", float("nan")),
-        ("d_floor", -1e-3),
         ("max_steps", -3),
         ("threshold", float("nan")),
-        ("theta1", -1.5),
-        ("theta2", 0.0),
     ],
 )
 def test_bad_problem_option_exit_1(bench_run, tmp_path, key, value):
@@ -372,10 +379,24 @@ def test_bad_problem_option_exit_1(bench_run, tmp_path, key, value):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("lie_cap", False), ("lie_tol", 0.0), ("prune_rel", float("nan")), ("lie_cap", -1)],
+    [
+        ("lie_cap", False),
+        ("lie_tol", 0.0),
+        ("prune_rel", float("nan")),
+        ("lie_cap", -1),
+        ("enforce_theoretical", "false"),
+        ("d_floor", -1e-3),
+        ("theta1", -1.5),
+        ("theta2", 0.0),
+        ("theta1", 1e300),
+        ("enforce_theoretical", True),
+        ("d_floor", 2e-3),
+    ],
 )
 def test_removed_option_exit_1(bench_run, tmp_path, key, value):
-    # the Lie-series stopping rule and the truncation are fixed, not options
+    # the Lie-series stopping rule, the truncation, the step schedule's
+    # floor and the measured Theta are fixed, and no smallness verdict
+    # refuses a step: none of them is an option
     proc = _verify_with_option(bench_run, tmp_path, key, value)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: unknown option %r" % key)
@@ -468,7 +489,6 @@ def test_non_poisson_structure_exit_1(tmp_path, capsys):
         ("rho", 1e-300),
         ("sigma", 1e-300),
         ("epsilon", 1e300),
-        ("theta1", 1e300),
         ("y_star", 1e-310),
         ("a", 1e-300),
     ],
@@ -531,6 +551,8 @@ def test_unreadable_path_exit_1(bench_file, tmp_path, capsys, case):
 
 _BASE_PAYLOAD = benchmark_problem(epsilon=1e-3).to_payload()
 _DELETE = "<delete>"
+# written as 100000 nested lists, deeper than the JSON parser recurses
+_DEEP = "<deeply nested>"
 
 
 def _fuzz_paths():
@@ -557,8 +579,13 @@ _FUZZ_COMMANDS = [
 ]
 _FUZZ_VALUES = [
     _DELETE, None, True, False, 0, -1, 1.5, -0.0, 1e308, -1e308, 1e-320,
-    float("nan"), float("inf"), float("-inf"), "x", [], {}, 10 ** 30,
+    float("nan"), float("inf"), float("-inf"), "x", [], {}, 10 ** 30, _DEEP,
 ]
+
+
+def _json_text(payload):
+    """payload as JSON text, with each _DEEP value written as _DEEP says."""
+    return json.dumps(payload).replace(json.dumps(_DEEP), "[" * 100000 + "]" * 100000)
 
 
 @hypothesis.settings(derandomize=True, deadline=None)
@@ -567,6 +594,9 @@ _FUZZ_VALUES = [
 @hypothesis.example(
     path=("B12", 0, 0, "terms", 0, "re"), value=-1e308, command=_FUZZ_COMMANDS[1]
 )
+@hypothesis.example(path=("f",), value=_DEEP, command=_FUZZ_COMMANDS[0])
+@hypothesis.example(path=("n",), value=1e308, command=_FUZZ_COMMANDS[0])
+@hypothesis.example(path=("trunc", "K_max"), value=-1e308, command=_FUZZ_COMMANDS[0])
 @hypothesis.given(
     path=st.sampled_from(_fuzz_paths()),
     value=st.sampled_from(_FUZZ_VALUES),
@@ -600,10 +630,10 @@ def _assert_documented_exit(command, problem_payload, generators_payload):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         problem, out = Path(tmp) / "p.json", Path(tmp) / "o"
-        problem.write_text(json.dumps(problem_payload))
+        problem.write_text(_json_text(problem_payload))
         if generators_payload is not None:
             out.mkdir()
-            (out / "generators.json").write_text(json.dumps(generators_payload))
+            (out / "generators.json").write_text(_json_text(generators_payload))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([*argv, "--problem", str(problem), "--out", str(out)])
     assert code in codes
@@ -652,6 +682,8 @@ _GENERATOR_FUZZ_COMMANDS = [
 )
 @hypothesis.example(path=("chi", 0, "sigma"), value=1e308, command=_GENERATOR_FUZZ_COMMANDS[0])
 @hypothesis.example(path=("chi", 0, "sigma"), value=1e308, command=_GENERATOR_FUZZ_COMMANDS[1])
+@hypothesis.example(path=("chi",), value=_DEEP, command=_GENERATOR_FUZZ_COMMANDS[0])
+@hypothesis.example(path=("chi",), value=_DEEP, command=_GENERATOR_FUZZ_COMMANDS[1])
 @hypothesis.given(
     path=st.sampled_from(_generator_fuzz_paths()),
     value=st.sampled_from(_FUZZ_VALUES),

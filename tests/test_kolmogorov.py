@@ -243,7 +243,7 @@ def test_ledger_recomposition_and_positivity():
     led = setup.ledger
     assert led.M5 == pytest.approx(led.M0 + led.M3)
     assert led.M6 == pytest.approx(led.M1 + led.M4)
-    d_floor = (
+    d_printed = (
         32.0
         * math.e ** 2
         * led.omega_abs
@@ -251,7 +251,7 @@ def test_ledger_recomposition_and_positivity():
         * (led.rho_star * led.sigma_star) ** -2
         * max(led.M6, led.M7, led.M8)
     )
-    assert led.D == pytest.approx(d_floor)
+    assert led.D == pytest.approx(d_printed)
     assert led.D >= max(led.M6, led.M7, led.M8)
     for name in ("M0", "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "D", "M_B"):
         assert getattr(led, name) > 0
@@ -260,13 +260,13 @@ def test_ledger_recomposition_and_positivity():
 
 def test_ledger_explicit_thetas():
     setup = canonical_setup(epsilon=1e-3)
-    led = constants_ledger(
-        setup.structure, setup.params, setup.freq, Theta1=2.0, Theta2=5.0, M_h=1.0
-    )
+    led = constants_ledger(setup.structure, setup.params, setup.freq, M_h=1.0)
+    theta1, theta2 = kolmogorov.measured_thetas(setup.freq, setup.structure.decay_rate)
+    assert (led.Theta1, led.Theta2) == (theta1, theta2)
     tau = setup.freq.tau
     sigma_star = setup.params.sigma / 4.0
-    assert led.M0 == pytest.approx(2.0 * (2.0 / sigma_star) ** (2 * tau))
-    assert led.M1 == pytest.approx(1 * 5.0 * (2.0 / sigma_star) ** (2 * tau + 1))
+    assert led.M0 == pytest.approx(led.Theta1 * (2.0 / sigma_star) ** (2 * tau))
+    assert led.M1 == pytest.approx(1 * led.Theta2 * (2.0 / sigma_star) ** (2 * tau + 1))
 
 
 # ---- composed map ----------------------------------------------------------------------
@@ -409,14 +409,7 @@ def test_problem_file_sets_every_run_option(tmp_path):
 
     from poisson_kam import Problem, RunOptions
 
-    values = {
-        "max_steps": 5,
-        "target_eps": 1e-7,
-        "d_floor": 2e-3,
-        "enforce_theoretical": True,
-        "theta1": 1.5,
-        "theta2": 3.5,
-    }
+    values = {"max_steps": 5, "target_eps": 1e-7}
     assert set(values) == {f.name for f in fields(RunOptions)}
     defaults = RunOptions()
     assert all(values[k] != getattr(defaults, k) for k in values)
@@ -466,14 +459,6 @@ def test_compose_map_matches_sequential_flows():
     out = compose_map(recs, pt, S)
     got = np.array([out.y[0].real, out.x[0].real, np.real(out.eta), out.xi])
     assert np.abs(got - expected).max() <= 1e-9
-
-
-def test_strict_mode_refuses_desk_scale_runs():
-    prob = benchmark_problem(epsilon=1e-3, enforce_theoretical=True)
-    setup = prob.initialize()
-    res = run(with_budget(setup, 2, 0.0))
-    assert res.status == "refused"
-    assert any("smallness" in w for w in res.trace.header["warnings"])
 
 
 def test_optional_prune_keeps_quadratic_decay():
