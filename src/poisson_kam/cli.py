@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .dynamics import lie_vs_flow_check, torus_persistence_report, write_trajectory
+from .dynamics import Trajectory, lie_vs_flow_check, torus_persistence_report, write_trajectory
 from .errors import (
     ParameterError,
     PoissonKamError,
@@ -21,10 +21,9 @@ from .errors import (
     StepRefusedError,
 )
 from .bracket import ExtendedPoint
-from .homological import FrequencyData, divisor_shells
-from .kolmogorov import ChiRecord, linear_frequencies, run
+from .homological import divisor_shells
+from .kolmogorov import ChiRecord, run, torus_frequencies
 from .problems import Problem
-from .series import shift_action_expansion
 
 import numpy as np
 
@@ -55,8 +54,16 @@ def _load_generators(out, problem):
     return records
 
 
-def _write(path, payload):
-    Path(path).write_text(jsonio.dumps(payload) + "\n")
+def _write(path, data):
+    """Write one artifact (text, a Trajectory as CSV or a payload as JSON), the only
+    way a command does; an OSError, such as a directory in the way, exits 1."""
+    try:
+        if isinstance(data, Trajectory):
+            write_trajectory(data, path)
+        else:
+            Path(path).write_text(data if isinstance(data, str) else jsonio.dumps(data) + "\n")
+    except OSError as exc:
+        raise ProblemFormatError("cannot write %s: %s" % (path, exc.strerror or exc)) from exc
 
 
 def _trace_lines(trace):
@@ -73,7 +80,7 @@ def cmd_normalize(args) -> int:
     )
     out = _out_dir(args.out)
     result = run(setup)
-    (out / "trace.jsonl").write_text(_trace_lines(result.trace))
+    _write(out / "trace.jsonl", _trace_lines(result.trace))
     _write(out / "normal_form.json", result.normal_form.to_payload())
     _write(
         out / "generators.json",
@@ -118,8 +125,8 @@ def cmd_verify(args) -> int:
     _write(out / "persistence_report.json", report.as_dict())
     if args.write_trajectories:
         for i, angle in enumerate(report.angles):
-            write_trajectory(angle.naive, out / ("trajectory_naive_%02d.csv" % i))
-            write_trajectory(angle.mapped, out / ("trajectory_mapped_%02d.csv" % i))
+            _write(out / ("trajectory_naive_%02d.csv" % i), angle.naive)
+            _write(out / ("trajectory_mapped_%02d.csv" % i), angle.mapped)
     print(
         "min_improvement=%r threshold=%r"
         % (report.min_improvement, report.threshold)
@@ -133,11 +140,8 @@ def cmd_check_diophantine(args) -> int:
     resonance with 0 < |k|_1 <= --k-max."""
     problem = Problem.load(args.problem)
     k_max = problem.trunc.K_max if args.k_max is None else args.k_max
-    B0 = problem.structure.shifted(problem.y_star).B0
-    omega_tilde = linear_frequencies(shift_action_expansion(problem.h, problem.y_star))
     try:
-        freq = FrequencyData.build(omega_tilde, B0, problem.tau, k_max)
-        shells = divisor_shells(freq.omega, problem.tau, k_max)
+        freq = torus_frequencies(problem, k_max)[2]
     except ResonanceError as exc:
         print("resonance: %s" % exc, file=sys.stderr)
         return 2
@@ -146,7 +150,7 @@ def cmd_check_diophantine(args) -> int:
         "tau": problem.tau,
         "K_max": k_max,
         "gamma_K": freq.gamma,
-        "shells": shells,
+        "shells": divisor_shells(freq),
     }
     if args.out:
         _write(_out_dir(args.out) / "diophantine.json", table)

@@ -46,4 +46,4 @@ class StiffnessError(PoissonKamError):
 
 
 class ProblemFormatError(PoissonKamError):
-    """Problem or artifact file is malformed; message carries diagnostics."""
+    """Problem or artifact file is malformed or unwritable; message carries diagnostics."""

@@ -10,6 +10,11 @@ divisor never vanishes when omega is nonresonant and every k = 0 term of psi
 carries p >= 1; the decay shift -p a is what makes the aperiodic k = 0 modes
 solvable at all.  The solvers read a from the ring of psi (its decay_rate),
 so no caller can pass a rate that disagrees with the series.
+
+lattice_scan reads the wavevector lattice once per frequency vector, into
+the smallest |k.omega| per shell |k|_1.  gamma_K, the resonance check,
+Theta1, Theta2 and the check-diophantine rows come from that table, bit for
+bit as per k: each is a min or max of a map of |k.omega| monotone in floats.
 """
 
 from __future__ import annotations
@@ -32,41 +37,34 @@ RESIDUAL_REL_TOL = 1e-12
 
 @dataclass
 class FrequencyData:
-    """Torus frequency data: omega = B0 omega_tilde, with Diophantine audit."""
+    """Torus frequency omega = B0 omega_tilde and its lattice table: for s = 1..K_max,
+    shell_divisors[s - 1] is the smallest |k.omega| over |k|_1 = s and shell_k[s - 1]
+    the first k, in lattice order, attaining it; omega_abs is max|omega| and gamma
+    the Diophantine constant min_s shell_divisors[s - 1] s^tau."""
 
     omega_tilde: np.ndarray
     omega: np.ndarray
-    gamma: float
     tau: float
-    K_max: int
+    omega_abs: float
+    shell_divisors: tuple
+    shell_k: tuple
+    gamma: float
 
     @classmethod
     def build(cls, omega_tilde, B0, tau, K_max):
         omega_tilde = np.asarray(omega_tilde, dtype=float)
         omega = np.asarray(B0, dtype=float) @ omega_tilde
-        gamma = diophantine_profile(omega, tau, K_max)
-        return cls(omega_tilde, omega, gamma, float(tau), int(K_max))
+        return cls(omega_tilde, omega, float(tau), *lattice_scan(omega, tau, K_max))
 
 
-def lattice_divisors(omega, K_max):
-    """Yield (k, |k|_1, |k.omega|) for 0 < |k|_1 <= K_max, in a fixed order.
-
-    The dot product stays per row: a vectorized K @ omega rounds some
-    divisors differently, which would move every quantity derived from them.
-    """
-    omega = np.asarray(omega, dtype=float)
-    for k in itertools.product(range(-K_max, K_max + 1), repeat=len(omega)):
-        norm1 = sum(abs(v) for v in k)
-        if 0 < norm1 <= K_max:
-            yield k, norm1, abs(float(np.dot(k, omega)))
-
-
-def diophantine_profile(omega, tau, K_max) -> float:
-    """Effective Diophantine constant min |k.omega| |k|^tau over 0 < |k| <= K_max.
+def lattice_scan(omega, tau, K_max):
+    """(omega_abs, shell_divisors, shell_k, gamma) of FrequencyData, from
+    one scan of 0 < |k|_1 <= K_max.  The dot product stays per row: a
+    vectorized K @ omega rounds some divisors differently.
 
     Raises ParameterError when K_max < 1, K_max max|omega| (a bound on every
-    |k.omega|) is not finite or |k|^tau overflows, and ResonanceError when
-    some k.omega vanishes (to floating precision) inside the scanned range.
+    |k.omega|) is not finite or s^tau overflows, and ResonanceError naming
+    the lowest-order k whose k.omega vanishes to floating precision.
     """
     omega = np.asarray(omega, dtype=float)
     if K_max < 1:
@@ -76,37 +74,35 @@ def diophantine_profile(omega, tau, K_max) -> float:
     scale = float(np.abs(omega).max())
     if not math.isfinite(K_max * scale):
         raise ParameterError("K_max max|omega| is not finite: max|omega| = %r" % scale)
-    best = np.inf
-    for k, norm1, dot in lattice_divisors(omega, K_max):
-        if dot <= 1e-13 * scale * norm1:
-            raise ResonanceError(
-                "resonance k=%s: |k.omega| = %.3g" % (list(k), dot)
-            )
+    divisors, ks = [math.inf] * K_max, [None] * K_max
+    for k in itertools.product(range(-K_max, K_max + 1), repeat=len(omega)):
+        s = sum(abs(v) for v in k)
+        if 0 < s <= K_max:
+            dot = abs(float(np.dot(k, omega)))
+            if dot < divisors[s - 1]:
+                divisors[s - 1], ks[s - 1] = dot, k
+    gamma = math.inf
+    for s, (dot, k) in enumerate(zip(divisors, ks), 1):
+        if dot <= 1e-13 * scale * s:
+            raise ResonanceError("resonance k=%s: |k.omega| = %.3g" % (list(k), dot))
         try:
-            best = min(best, dot * norm1 ** tau)
+            gamma = min(gamma, dot * s ** tau)
         except OverflowError as exc:
-            raise ParameterError("|k|^tau overflows at |k| = %d, tau = %r" % (norm1, tau)) from exc
-    return float(best)
+            raise ParameterError("|k|^tau overflows at |k| = %d, tau = %r" % (s, tau)) from exc
+    return scale, tuple(divisors), tuple(ks), float(gamma)
 
 
-def divisor_shells(omega, tau, K_max):
-    """Worst |k.omega| and worst |k.omega||k|^tau per shell |k| = 1..K_max."""
-    shells = {s: (np.inf, None) for s in range(1, K_max + 1)}
-    for k, norm1, dot in lattice_divisors(omega, K_max):
-        if dot < shells[norm1][0]:
-            shells[norm1] = (dot, k)
-    rows = []
-    for s in range(1, K_max + 1):
-        dot, k = shells[s]
-        rows.append(
-            {
-                "shell": s,
-                "worst_divisor": float(dot),
-                "gamma_at_shell": float(dot * s ** tau),
-                "k": list(k) if k is not None else None,
-            }
-        )
-    return rows
+def diophantine_profile(omega, tau, K_max) -> float:
+    """gamma_K = min |k.omega| |k|^tau over 0 < |k|_1 <= K_max, by lattice_scan."""
+    return lattice_scan(omega, tau, K_max)[3]
+
+
+def divisor_shells(freq: FrequencyData):
+    """Per shell |k|_1 = s of freq's table: the worst |k.omega|, it times s^tau, its k."""
+    return [
+        {"shell": s, "worst_divisor": d, "gamma_at_shell": float(d * s ** freq.tau), "k": list(k)}
+        for s, (d, k) in enumerate(zip(freq.shell_divisors, freq.shell_k), 1)
+    ]
 
 
 @dataclass

@@ -42,7 +42,7 @@ from .errors import (
     StepRefusedError,
     StructureMismatchError,
 )
-from .homological import FrequencyData, build_E, lattice_divisors, solve_S, solve_T
+from .homological import FrequencyData, build_E, solve_S, solve_T
 from .series import (
     FourierTaylorSeries,
     SeriesStack,
@@ -333,14 +333,10 @@ class RunResult:
 
 def measured_thetas(freq: FrequencyData, a: float):
     """Per-mode amplification of the solve at the working truncation:
-    Theta1 ~ a * max 1/|div|, Theta2 ~ a * max (1+|k|)/|div|."""
-    inv_best = 1.0 / a
-    theta2_best = 1.0 / a
-    for _, norm1, dot in lattice_divisors(freq.omega, freq.K_max):
-        inv_best = max(inv_best, 1.0 / dot)
-        theta2_best = max(theta2_best, (1.0 + norm1) / dot)
-    theta1 = a * inv_best
-    theta2 = max(a * theta2_best, 2.0 * theta1)
+    Theta1 ~ a * max 1/|div|, Theta2 ~ a * max (1+|k|)/|div|, read by shell."""
+    theta1 = a * max(1.0 / a, 1.0 / min(freq.shell_divisors))
+    theta2_best = max((1.0 + s) / dot for s, dot in enumerate(freq.shell_divisors, 1))
+    theta2 = max(a * max(1.0 / a, theta2_best), 2.0 * theta1)
     return theta1, theta2
 
 
@@ -371,7 +367,6 @@ def constants_ledger(
     n, m = S.n, S.m
     params0 = u0.norm_params()
     M_B = S.full_norm(params0)
-    omega_abs = float(np.abs(freq.omega).max())
     b0_norm = n * m * float(np.abs(S.B0).max(initial=0.0))
     b1w = np.einsum("lij,i->lj", S.B1, np.asarray(freq.omega_tilde, dtype=float))
     b1w_norm = n * m * float(np.abs(b1w).max(initial=0.0))
@@ -391,7 +386,7 @@ def constants_ledger(
             * (rho_star * sigma_star) ** -4
         )
         M8 = 32.0 * m * M_B * M_h * M5 * (rho_star ** 2 * sigma_star) ** -2
-        D = 32.0 * E_SQ * omega_abs * M_B * (rho_star * sigma_star) ** -2 * max(M6, M7, M8)
+        D = 32.0 * E_SQ * freq.omega_abs * M_B * (rho_star * sigma_star) ** -2 * max(M6, M7, M8)
         eps_threshold = a ** 4 / (D * 12.0 ** (8.0 * (tau + 1.0)))
     except OverflowError as exc:
         raise ParameterError(
@@ -418,7 +413,7 @@ def constants_ledger(
         rho_star=rho_star,
         sigma_star=sigma_star,
         upsilon_star=upsilon_star,
-        omega_abs=omega_abs,
+        omega_abs=freq.omega_abs,
         eps_threshold=eps_threshold,
     )
     bad = [k for k, v in ledger.as_dict().items() if not math.isfinite(v)]
@@ -428,6 +423,15 @@ def constants_ledger(
 
 
 # ---------------------------------------------------------------- initialization
+
+
+def torus_frequencies(problem, K_max):
+    """(S, h(y* + .), freq): structure and h shifted to the torus y*, and the lattice
+    table to K_max of omega = S.B0 omega~, omega~ the linear frequencies of h(y* + .)."""
+    S_shifted = problem.structure.shifted(problem.y_star)
+    h_shift = shift_action_expansion(problem.h, problem.y_star)
+    freq = FrequencyData.build(linear_frequencies(h_shift), S_shifted.B0, problem.tau, K_max)
+    return S_shifted, h_shift, freq
 
 
 def init_from_problem(problem, options: RunOptions) -> RunSetup:
@@ -441,21 +445,16 @@ def init_from_problem(problem, options: RunOptions) -> RunSetup:
     frequencies (via the Diophantine scan at the truncation) and raises
     ParameterError when eps0 or a ledger constant is not finite.
     """
-    h, f, eps_scalar = problem.h, problem.f, problem.epsilon
     rho, sigma = problem.option("rho"), problem.option("sigma")
-    S_shifted = problem.structure.shifted(problem.y_star)
-    h_shift = shift_action_expansion(h, problem.y_star)
-    f_shift = shift_action_expansion(f, problem.y_star)
-    omega_tilde = linear_frequencies(h_shift)
+    S_shifted, h_shift, freq = torus_frequencies(problem, problem.trunc.K_max)
+    f_shift = shift_action_expansion(problem.f, problem.y_star)
     full = (
         _eta_series(h_shift)
-        + _omega_y(h_shift, omega_tilde)
+        + _omega_y(h_shift, freq.omega_tilde)
         + _by_degree(h_shift)[1]
-        + f_shift.scale(eps_scalar)
+        + f_shift.scale(problem.epsilon)
     )
-    decomp = HamiltonianDecomposition.from_full(full, omega_tilde)
-    freq = FrequencyData.build(omega_tilde, S_shifted.B0, problem.tau, problem.trunc.K_max)
-    omega_abs = float(np.abs(freq.omega).max())
+    decomp = HamiltonianDecomposition.from_full(full, freq.omega_tilde)
     rho0, sigma0 = rho / 2.0, sigma / 2.0
     params0 = WeightedNormParams(rho0, sigma0)
     c_bound = c_operator_bound(decomp.C, params0)
@@ -464,14 +463,14 @@ def init_from_problem(problem, options: RunOptions) -> RunSetup:
     u0 = IterationParams(
         d=d0,
         eps=max(decomp.eps_parts(params0)),
-        zeta=d0 * sigma0 / (4.0 * omega_abs),
+        zeta=d0 * sigma0 / (4.0 * freq.omega_abs),
         upsilon=upsilon_hyp / 2.0,
         rho=rho0,
         sigma=sigma0,
     )
-    u0.validate(omega_abs)
+    u0.validate(freq.omega_abs)
     M_f = weighted_norm(f_shift, WeightedNormParams(rho, sigma / 2.0)).K
-    eps0_rating = h.m * eps_scalar * M_f / rho0
+    eps0_rating = problem.m * problem.epsilon * M_f / rho0
     if not (math.isfinite(eps0_rating) and math.isfinite(u0.eps)):
         raise ParameterError(
             "eps0 is not finite: rating %r, measured %r" % (eps0_rating, u0.eps)

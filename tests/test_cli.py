@@ -67,7 +67,8 @@ def test_normalize_resonant_exit_1(tmp_path, capsys):
     two_dof_problem(omega=(1.0, 2.0)).save(prob)
     code = main(["normalize", "--problem", str(prob), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "resonance" in capsys.readouterr().err
+    # the lowest-order resonance, |k|_1 = 3, not a multiple of it
+    assert capsys.readouterr().err.startswith("error: resonance k=[-2, 1]:")
 
 
 def test_normalize_refused_exit_2(tmp_path):
@@ -137,10 +138,14 @@ def test_check_diophantine_golden(tmp_path, capsys):
     assert len(out["shells"]) == 6
 
 
-def test_check_diophantine_resonant_exit_2(tmp_path):
+def test_check_diophantine_resonant_exit_2(tmp_path, capsys):
+    # the ring's K_max = 10 and --k-max 6 both name the lowest-order
+    # resonance, not a multiple of it
     prob = tmp_path / "r.json"
     two_dof_problem(omega=(1.0, 2.0)).save(prob)
-    assert main(["check-diophantine", "--problem", str(prob)]) == 2
+    for args in ([], ["--k-max", "6"]):
+        assert main(["check-diophantine", "--problem", str(prob), *args]) == 2
+        assert capsys.readouterr().err.startswith("resonance: resonance k=[-2, 1]:")
 
 
 def test_check_diophantine_scans_only_to_k_max(tmp_path, capsys):
@@ -547,6 +552,29 @@ def test_unreadable_path_exit_1(bench_file, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot ") and str(bad) in err
     assert not (out / "trace.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [
+        (["normalize"], "trace.jsonl"),
+        (["verify", "--angles", "1", "--t-end", "5"], "persistence_report.json"),
+        (["verify", "--angles", "1", "--t-end", "5", "--write-trajectories"],
+         "trajectory_mapped_00.csv"),
+        (["lie-check"], "lie_check.json"),
+    ],
+)
+def test_unwritable_artifact_exit_1(bench_run, tmp_path, capsys, command, artifact):
+    # a directory where an artifact goes: one error line, no traceback
+    problem, run_dir = bench_run
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "generators.json").write_bytes((run_dir / "generators.json").read_bytes())
+    (out / artifact).mkdir()
+    code = main([command[0], "--problem", str(problem), "--out", str(out), *command[1:]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: cannot write %s: Is a directory\n" % (out / artifact)
 
 
 _BASE_PAYLOAD = benchmark_problem(epsilon=1e-3).to_payload()

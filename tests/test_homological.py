@@ -51,7 +51,7 @@ def test_profile_golden_pair_brute_force():
 
 
 def test_profile_resonant_pair():
-    with pytest.raises(ResonanceError):
+    with pytest.raises(ResonanceError, match=r"^resonance k=\[-2, 1\]:"):
         diophantine_profile([1.0, 2.0], 1.0, 4)
 
 
@@ -215,13 +215,8 @@ def test_system_residuals_small_instance(rng):
 def test_near_resonance_guard():
     from poisson_kam.errors import NearResonanceError
 
-    freq = FrequencyData(
-        omega_tilde=np.array([1e-14]),
-        omega=np.array([1e-14]),
-        gamma=1e-14,
-        tau=1.0,
-        K_max=4,
-    )
+    freq = FrequencyData.build([1e-14], np.eye(1), 1.0, 4)
+    assert freq.gamma == 1e-14  # far from resonant relative to |omega|
     psi = mk([((1,), (0,), 0, 0, 1.0)])
     with pytest.raises(NearResonanceError):
         solve_scalar(psi, freq)

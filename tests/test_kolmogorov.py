@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 import math
 
 import numpy as np
@@ -14,7 +16,10 @@ from poisson_kam import (
     bracket,
     compose_map,
     constants_ledger,
+    diophantine_profile,
     discards,
+    divisor_shells,
+    homological,
     kolmogorov,
     normalization_step,
     poisson_bracket,
@@ -23,6 +28,7 @@ from poisson_kam import (
     schedule_audit,
     two_dof_problem,
 )
+from poisson_kam import cli
 from poisson_kam.bracket import LieOperator, low_degree_bracket
 from poisson_kam.errors import ProblemFormatError, ResonanceError, StepRefusedError
 from poisson_kam.problems import GOLDEN
@@ -267,6 +273,81 @@ def test_ledger_explicit_thetas():
     sigma_star = setup.params.sigma / 4.0
     assert led.M0 == pytest.approx(led.Theta1 * (2.0 / sigma_star) ** (2 * tau))
     assert led.M1 == pytest.approx(1 * led.Theta2 * (2.0 / sigma_star) ** (2 * tau + 1))
+
+
+def _per_k_lattice_loops(omega, tau, K_max, a):
+    """The per-k loops the per-shell lattice table replaced, kept as the
+    brute force: gamma_K, Theta1, Theta2 and the check-diophantine rows."""
+    gamma, inv_best, theta2_best = math.inf, 1.0 / a, 1.0 / a
+    shells = {s: (math.inf, None) for s in range(1, K_max + 1)}
+    for k in itertools.product(range(-K_max, K_max + 1), repeat=len(omega)):
+        norm1 = sum(abs(v) for v in k)
+        if 0 < norm1 <= K_max:
+            dot = abs(float(np.dot(k, omega)))
+            gamma = min(gamma, dot * norm1 ** tau)
+            inv_best = max(inv_best, 1.0 / dot)
+            theta2_best = max(theta2_best, (1.0 + norm1) / dot)
+            if dot < shells[norm1][0]:
+                shells[norm1] = (dot, k)
+    theta1 = a * inv_best
+    rows = [
+        {"shell": s, "worst_divisor": dot, "gamma_at_shell": float(dot * s ** tau), "k": list(k)}
+        for s, (dot, k) in shells.items()
+    ]
+    return float(gamma), theta1, max(a * theta2_best, 2.0 * theta1), rows
+
+
+@pytest.mark.parametrize(
+    "make, K_max",
+    [
+        (lambda: benchmark_problem(epsilon=1e-3), None),
+        (rescaled_benchmark_problem, None),
+        (two_dof_problem, None),
+        # the omega, tau and K_max of the 3-DOF stress problem
+        (lambda: _three_dof_problem(), 8),
+    ],
+    ids=["benchmark", "rescaled", "two_dof", "three_dof"],
+)
+def test_lattice_table_equals_the_per_k_loops(make, K_max):
+    problem = make()
+    K_max = K_max or problem.trunc.K_max
+    S, _, freq = kolmogorov.torus_frequencies(problem, K_max)
+    a = S.decay_rate
+    gamma, theta1, theta2, rows = _per_k_lattice_loops(freq.omega, freq.tau, K_max, a)
+    assert freq.gamma == gamma
+    assert diophantine_profile(freq.omega, freq.tau, K_max) == gamma
+    assert kolmogorov.measured_thetas(freq, a) == (theta1, theta2)
+    assert divisor_shells(freq) == rows
+    assert freq.omega_abs == float(np.abs(freq.omega).max())
+
+
+def test_initialize_and_check_diophantine_scan_the_lattice_once(monkeypatch, tmp_path, capsys):
+    # one scan per frequency vector, and one shift of the structure and of h
+    problem = rescaled_benchmark_problem()
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0]))
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(homological, "lattice_scan", spy("scan", homological.lattice_scan))
+    monkeypatch.setattr(StructureMatrix, "shifted", spy("shifted", StructureMatrix.shifted))
+    monkeypatch.setattr(
+        kolmogorov, "shift_action_expansion", spy("shift", kolmogorov.shift_action_expansion)
+    )
+    setup = problem.initialize()
+    assert [name for name, _ in calls] == ["shifted", "shift", "scan", "shift"]
+    assert calls[1][1] is problem.h and calls[3][1] is problem.f
+    assert calls[2][1] is setup.freq.omega
+    calls.clear()
+    path = tmp_path / "p.json"
+    problem.save(path)
+    assert cli.main(["check-diophantine", "--problem", str(path)]) == 0
+    assert [name for name, _ in calls] == ["shifted", "shift", "scan"]
+    assert json.loads(capsys.readouterr().out)["gamma_K"] == setup.freq.gamma
 
 
 # ---- composed map ----------------------------------------------------------------------
