@@ -13,15 +13,16 @@ L_chi y = -chi_x B12^T, which the tests assert literally.
 The formula is written once, in LieOperator, which holds chi's side of the
 bracket, L_chi = {chi, .}: chi's partials, the contraction 4 e^2 Gamma ||chi||
 with the guard that refuses a Lie series, and each product of a chi partial
-and a structure entry, formed when the operator is built and charged to the
-discard tracker at every use.  apply takes G's partial derivatives;
-poisson_bracket passes a series G's, bracket_with_coordinate the unit
-partial of a coordinate, and low_degree_bracket G's partials to an operator
-on the ring cut to |alpha| <= 1, each a one-shot operator.  The Lie series
-is written once too, in LieOperator._lie_sum, with one stopping rule
-(LIE_REL_TOL, LIE_MAX_TERMS) and a count of the truncation discards of its
-own products; a normalization step or a record of the composed map builds
-one operator and sums every one of its series with it.
+and a structure entry, formed when the operator is built; the one mass its
+truncation dropped is charged to the discard tracker at every use.  apply
+takes G's partial derivatives; poisson_bracket passes a series G's,
+bracket_with_coordinate the unit partial of a coordinate, and
+low_degree_bracket G's partials to an operator on the ring cut to
+|alpha| <= 1, each a one-shot operator.  The Lie series is written once
+too, in LieOperator._lie_sum, with one stopping rule (LIE_REL_TOL,
+LIE_MAX_TERMS) and a count of the truncation discards of its own products;
+a normalization step or a record of the composed map builds one operator
+and sums every one of its series with it.
 """
 
 from __future__ import annotations
@@ -221,15 +222,16 @@ class LieOperator:
     It holds chi's xi and eta partials and, formed when the operator is
     built, its terms: for each nonzero product F_d * b of a chi y or x
     partial and a structure entry, in the bracket's order, its sign, the
-    product, the masses its truncation dropped and the G partial it
-    multiplies.  Every use of a term records those masses again on the open
-    discard tracker, where the bracket would have formed the product, so a
-    bracket's discards are what forming every product afresh records.  Given
-    params, the contraction 4 e^2 Gamma ||chi|| at those (rho, sigma) is
-    measured once, and a factor above 1/2 raises LieDivergenceError (a
-    StepRefusedError): the one place a Lie series refuses.  A zero chi needs
-    no guard; its contraction is 0.  The Lie sums (transform, displacement)
-    need params; a single bracket does not.
+    product, the tracker of the mass its truncation dropped and the G
+    partial it multiplies.  Every use of a term charges that mass again, as
+    one discard, to the open discard tracker, where the bracket would have
+    formed the product, so a bracket's discards are what forming every
+    product afresh records.  Given params, the contraction
+    4 e^2 Gamma ||chi|| at those (rho, sigma) is measured once, and a factor
+    above 1/2 raises LieDivergenceError (a StepRefusedError): the one place
+    a Lie series refuses.  A zero chi needs no guard; its contraction is 0.
+    The Lie sums (transform, displacement) need params; a single bracket
+    does not.
 
     Build one operator per generator and let it go with the loop that
     applies it, which frees its products.
@@ -262,20 +264,20 @@ class LieOperator:
         for sign, F_d, b, g in factors:
             if F_d.is_zero() or b.is_zero():
                 continue
-            with discard_log() as masses:
+            with discard_log() as lost:
                 product = F_d * b
-            self.terms.append((sign, product, masses, g))
+            self.terms.append((sign, product, lost, g))
 
     def apply(self, Gy, Gx, Geta, Gxi) -> FourierTaylorSeries:
         """{chi, G} from G's partials: each a series, None where it vanishes,
         or the int 1 where it is the constant one (series * 1 is an exact
         scale).  The term order and the (F_d * b) * G_d grouping fix every
-        rounding; each term used records its product's discards again."""
+        rounding; each term used records its product's discard again."""
         G = [*Gy, *Gx]
         total = self.chi._like(None, None)
-        for sign, product, masses, g in self.terms:
+        for sign, product, lost, g in self.terms:
             if G[g] is not None:
-                masses.charge()
+                lost.charge()
                 total = sign(total, product * G[g])
         if Geta is not None:
             total = total + self.Fxi * Geta

@@ -40,14 +40,17 @@ def _out_dir(path) -> Path:
 
 def _load_generators(out, problem):
     """The ChiRecords a normalize run stored in out/generators.json, each
-    checked as it is made and against the ring of problem."""
+    checked as it is made and against the ring of problem; their steps must
+    be a run's sequence 0, 1, ..., N-1 in file order."""
     path = out / "generators.json"
     if not path.exists():
         raise ProblemFormatError("missing run artifacts in %s" % out)
     try:
         payload = jsonio.loads(path.read_text())
         records = [ChiRecord.from_payload(p) for p in payload["chi"]]
-        for rec in records:
+        for pos, rec in enumerate(records):
+            if rec.step != pos:
+                raise ProblemFormatError("record %d has step %d, not %d" % (pos, rec.step, pos))
             problem.check_ring("generator %d" % rec.step, rec.chi)
     except (OSError, KeyError, TypeError, ValueError, OverflowError, PoissonKamError) as exc:
         raise ProblemFormatError("bad generators file %s: %s" % (path, exc)) from exc

@@ -24,8 +24,9 @@ array is built.  Each key row packs into one int64 code, and packing is
 linear, so a product's code is a sum of its factors' codes.  Pairs are
 taken first-factor-row by row, and the stable merge keeps that order, so
 every coefficient is bit-identical to summing all N*M pairs in row-major
-order.  Every gather works on blocks of merge._BLOCK_PAIRS pairs, so the
-product holds, per pair:
+order.  The pairs of all first-factor rows are formed in one pass, and
+every gather works on blocks of merge._BLOCK_PAIRS pairs, so the product
+holds, per pair:
 
   - formed: its two int32 row indices and one mask byte while |k|_1 is
     summed, 9 bytes, and 8 more while the kept pairs' indices are picked
@@ -54,13 +55,14 @@ canonicalizes any other key rows.
 Mass discarded by the hard truncation is recorded on the innermost tracker
 opened by discards() in the current context, which passes it on outwards to
 discard_tracker, the process total; so a Lie series or a test can count its
-own discards, whatever ran before.  A discard_log() block keeps its masses
-instead, for a result formed once and used many times: the log's charge()
-records them again at each use.  A log that is never charged drops its
-masses: the bracket on the cut ring keeps its discards so, since its
-products drop only terms no result reads.  The pairs cut on |alpha| or p
-are valued per class, |c_f| times the mass of the second factor's classes
-out of reach.
+own discards, whatever ran before.  A product records at most one discard,
+the mass of all its cut pairs.  A discard_log() block records on a tracker
+with no parent instead, for a product formed once and used many times: the
+tracker's charge() records its total again, as one discard, at each use.
+A log that is never charged drops its mass: the bracket on the cut ring
+keeps its discards so, since its products drop only terms no result reads.
+The pairs cut on |alpha| or p are valued per class, |c_f| times the mass of
+the second factor's classes out of reach.
 
 taylor_split reads the Taylor blocks off by selecting on |alpha| and
 differentiating in y, so it is exact.
@@ -99,11 +101,6 @@ from .merge import (
     _run_products,
     _unpack,
 )
-
-# pairs within the |alpha| and p orders per chunk of the product, which
-# splits the first factor's rows into ranges; keeps peak memory modest
-_MUL_CHUNK_PAIRS = 2_000_000
-
 
 class Truncation(NamedTuple):
     K_max: int
@@ -158,6 +155,11 @@ class TruncationTracker:
             if self.parent is not None:
                 self.parent.record(mass)
 
+    def charge(self):
+        """Record total_mass as one discard on the open tracker: what a block
+        of one product records, had it run where charge is called."""
+        _open_tracker.get().record(self.total_mass)
+
 
 # the process total, which every discards() scope reaches in the end
 discard_tracker = TruncationTracker()
@@ -179,25 +181,10 @@ def discards():
     return _opened(TruncationTracker(_open_tracker.get()))
 
 
-class _DiscardLog(list):
-    """The masses recorded inside a discard_log() block, in order."""
-
-    def record(self, mass: float):
-        if mass > 0.0:
-            self.append(mass)
-
-    def charge(self):
-        """Record each mass on the open tracker, in order: what the block
-        would have recorded, had it run where charge is called."""
-        tracker = _open_tracker.get()
-        for mass in self:
-            tracker.record(mass)
-
-
 def discard_log():
-    """A block whose discards are kept in a _DiscardLog and recorded on no
-    tracker until its charge()."""
-    return _opened(_DiscardLog())
+    """A block whose discards go to a tracker with no parent, recorded on no
+    other tracker until its charge()."""
+    return _opened(TruncationTracker())
 
 
 def _term_index(v) -> int:
@@ -651,8 +638,9 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
     """f * g from the pairs (i, j) within the |alpha| and p orders only, taken
     in i-major order (see the module docstring).  g's keys are unique, so
     each f row adds at most once to an output key, and every coefficient is
-    the row-major all-pairs sum bit for bit.  One discard event is recorded
-    per chunk that drops a pair."""
+    the row-major all-pairs sum bit for bit.  The pairs are formed in one
+    pass and gathered in blocks of merge._BLOCK_PAIRS; one discard event is
+    recorded when a pair is dropped."""
     if f.is_zero() or g.is_zero():
         return f._like(None, None)
     if f.ecol.any() and g.ecol.any():
@@ -691,43 +679,29 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
     f_codes = f.keys @ codec.strides
     g_codes = _pack(g_keys, codec)
 
-    out_i, out_j, out_codes = [], [], []
-    ends = np.cumsum(pairs)
-    start = 0
-    while start < f.num_terms:
-        done = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + _MUL_CHUNK_PAIRS, "right")))
-        ra, rp = room_a[start:stop], room_p[start:stop]
-        # one run per (f row, |alpha| level a): the g rows of classes
-        # (a, 0..rp), empty above the row's |alpha| room; j is a run's first
-        # g row plus the pair's place in the chunk less the run's
-        length = first[level_start + rp[:, None] + 1] - level_first
-        length = (length * (np.arange(L + 1) <= ra[:, None])).ravel()
-        lo = np.tile(level_first, stop - start)
-        i = np.repeat(np.arange(start, stop, dtype=np.int32), pairs[start:stop])
-        j = np.repeat((lo - (np.cumsum(length) - length)).astype(np.int32), length)
-        for block in _blocks(len(j)):
-            j[block] += np.arange(block.start, block.stop, dtype=np.int32)
-        near, far_mass = _k_filter(i, j, fk, gk, K, f.coeffs, g_coeffs)
-        lost = float(f_abs[start:stop] @ unreached[ra, rp])
-        if not near.all():
-            lost += far_mass
-            i, j = i[near], j[near]
-        del near
-        _open_tracker.get().record(lost)
-        codes = np.empty(len(i), dtype=np.int64)
-        for block in _blocks(len(i)):
-            np.add(f_codes.take(i[block]), g_codes.take(j[block]), out=codes[block])
-        out_i.append(i)
-        out_j.append(j)
-        out_codes.append(codes)
-        del i, j, codes
-        start = stop
-    # a kept pair is its two int32 row indices and its code until the
-    # merge, 16 bytes; each list is let go once joined
-    i, j, codes = _joined(out_i), _joined(out_j), _joined(out_codes)
+    # one run per (f row, |alpha| level a): the g rows of classes (a, 0..rp),
+    # empty above the row's |alpha| room; j is a run's first g row plus the
+    # pair's place less the run's
+    length = first[level_start + room_p[:, None] + 1] - level_first
+    length = (length * (np.arange(L + 1) <= room_a[:, None])).ravel()
+    lo = np.tile(level_first, f.num_terms)
+    i = np.repeat(np.arange(f.num_terms, dtype=np.int32), pairs)
+    j = np.repeat((lo - (np.cumsum(length) - length)).astype(np.int32), length)
+    for block in _blocks(len(j)):
+        j[block] += np.arange(block.start, block.stop, dtype=np.int32)
+    near, far_mass = _k_filter(i, j, fk, gk, K, f.coeffs, g_coeffs)
+    lost = float(f_abs @ unreached[room_a, room_p])
+    if not near.all():
+        lost += far_mass
+        i, j = i[near], j[near]
+    del near
+    _open_tracker.get().record(lost)
     if len(i) == 0:
         return f._like(None, None)
+    # a kept pair is its two int32 row indices and its code until the merge
+    codes = np.empty(len(i), dtype=np.int64)
+    for block in _blocks(len(i)):
+        np.add(f_codes.take(i[block]), g_codes.take(j[block]), out=codes[block])
     order, starts = _merge_order(codes)
     codes = codes[starts]
     coeffs = _run_products(f.coeffs, g_coeffs, i, j, order, starts)
@@ -752,14 +726,6 @@ def _k_filter(i, j, fk, gk, K, f_coeffs, g_coeffs):
             far = ~ok
             far_abs.append(np.abs(np.multiply(f_coeffs.take(ib[far]), g_coeffs.take(jb[far]))))
     return near, float(np.concatenate(far_abs).sum()) if far_abs else 0.0
-
-
-def _joined(parts):
-    """The arrays of parts concatenated (the one array as it is); parts is
-    emptied, so they can be let go as soon as the whole exists."""
-    whole = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    parts.clear()
-    return whole
 
 
 # ---- norms ------------------------------------------------------------------

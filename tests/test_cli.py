@@ -266,6 +266,27 @@ def test_malformed_generators_exit_1(bench_file, tmp_path, capsys, command, text
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["verify", "lie-check"])
+@pytest.mark.parametrize("case, position, step", [("reversed", 0, 1), ("step_0_twice", 1, 0)])
+def test_generators_out_of_step_order_exit_1(bench_run, tmp_path, capsys, command, case,
+                                             position, step):
+    """A generators.json whose steps are not 0, 1, ..., N-1 in file order is
+    not a run's: refused at load, naming the first record out of place."""
+    problem, run_dir = bench_run
+    records = json.loads((run_dir / "generators.json").read_text())["chi"]
+    assert [rec["step"] for rec in records] == [0, 1]
+    records = records[::-1] if case == "reversed" else [records[0], records[0]]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "generators.json").write_text(json.dumps({"chi": records}))
+    code = main([command, "--problem", str(problem), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: bad generators file %s: record %d has step %d, not %d\n" % (
+        out / "generators.json", position, step, position
+    )
+
+
 def _oversize_first_generator(out):
     gen = json.loads((out / "generators.json").read_text())
     for term in gen["chi"][0]["chi"]["terms"]:

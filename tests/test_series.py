@@ -494,7 +494,7 @@ def _all_pairs_product(f, g):
 def _assert_bit_identical(f, g):
     """Keys and coefficients equal the oracle's bit for bit; the discarded
     mass, which the product values blockwise for the |alpha| and p cuts,
-    agrees to 1e-12, and an event is recorded iff something is discarded.
+    agrees to 1e-12, and one event is recorded iff something is discarded.
     Returns (kept terms, discarded mass, discard events)."""
     with series.discards() as tracker:
         prod = series._series_mul(f, g)
@@ -502,7 +502,7 @@ def _assert_bit_identical(f, g):
     assert prod.keys.shape == ref.keys.shape and (prod.keys == ref.keys).all()
     assert (prod.coeffs == ref.coeffs).all()
     assert tracker.total_mass == pytest.approx(mass, rel=1e-12, abs=0.0)
-    assert (tracker.events > 0) == (mass > 0)
+    assert tracker.events == (1 if mass > 0 else 0)
     return prod.num_terms, tracker.total_mass, tracker.events
 
 
@@ -542,17 +542,6 @@ def test_packed_product_all_discarded():
     kept, mass, events = _assert_bit_identical(f, g)
     assert kept == 0 and mass > 0 and events == 1
     assert series._series_mul(f, g).is_zero()
-
-
-def test_packed_product_chunk_split(rng, monkeypatch):
-    trunc = Truncation(4, 3, 3)
-    f = random_series(rng, n=2, m=2, trunc=trunc, nterms=40)
-    g = random_series(rng, n=2, m=2, trunc=trunc, nterms=30)
-    whole = series._series_mul(f, g)
-    monkeypatch.setattr(series, "_MUL_CHUNK_PAIRS", 2 * g.num_terms + 1)
-    kept, mass, events = _assert_bit_identical(f, g)
-    assert events > 1
-    assert series._series_mul(f, g) == whole
 
 
 def test_packed_product_sums_in_pair_order(rng):
@@ -603,8 +592,8 @@ def _terms(draw, n, m, trunc, with_eta):
 
 @st.composite
 def _operands(draw):
-    """(f, g, chunk): f carries the truncation-edge terms, and eta sits on at
-    most one side."""
+    """(f, g): f carries the truncation-edge terms, and eta sits on at most
+    one side."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 2))
     trunc = Truncation(draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
@@ -613,38 +602,51 @@ def _operands(draw):
     g_terms = draw(_terms(n, m, trunc, eta_side == "g"))
     f = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, f_terms)
     g = FourierTaylorSeries.from_terms(n, m, 0.5, trunc, g_terms)
-    return f, g, draw(st.sampled_from([None, 1, 7]))
+    return f, g
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(_operands())
 def test_product_matches_all_pairs_oracle(operands):
-    f, g, chunk = operands
-    with pytest.MonkeyPatch.context() as mp:
-        if chunk is not None:
-            mp.setattr(series, "_MUL_CHUNK_PAIRS", chunk)
-        for a, b in ((f, g), (g, f)):
-            _assert_bit_identical(a, b)
+    f, g = operands
+    for a, b in ((f, g), (g, f)):
+        _assert_bit_identical(a, b)
 
 
-def test_product_transient_is_at_most_32_bytes_per_kept_pair():
+@pytest.mark.parametrize(
+    "k_budget, per_pair", [(2, 32), (None, 24)], ids=["all_kept", "order_cuts"]
+)
+def test_product_transient_is_bounded_per_pair(monkeypatch, k_budget, per_pair):
     """A 2174 x 3107 product in the 3-DOF ring, (8, 3, 8) with n = m = 3: the
     factors' sizes in the largest product of the 3-DOF stress normalization.
     A kept pair is two int32 row indices and an int64 code until the merge,
     which sorts the codes in place and adds an int32 order; every gather and
     every coefficient is formed a block at a time, so the transient stays
     near 22 bytes per kept pair.  Gathering the whole coefficient arrays in
-    merged order took about 49."""
+    merged order took about 49.
+
+    With |k|_1 <= 2 on both sides every pair within the |alpha| and p orders
+    is kept, and the products share few keys; the bound is 32 bytes per
+    kept pair.  Drawn from the whole ring, the |k|_1 order cuts more than
+    half the formed pairs, which hold their indices and mask while the kept
+    ones are picked out; the bound is 24 bytes per formed pair (about 19
+    read)."""
     rng = np.random.default_rng(5)
     trunc = Truncation(8, 3, 8)
-    # |k|_1 <= 2 on both sides, so every pair within the |alpha| and p
-    # orders is kept, and the products share few keys
-    f = sampled_series(rng, 3, 3, trunc, 2174, k_budget=2)
-    g = sampled_series(rng, 3, 3, trunc, 3107, k_budget=2)
+    f = sampled_series(rng, 3, 3, trunc, 2174, k_budget=k_budget)
+    g = sampled_series(rng, 3, 3, trunc, 3107, k_budget=k_budget)
     counts = np.zeros((trunc.L_max + 1, trunc.P_max + 1), dtype=np.int64)
     np.add.at(counts, (g.acols.sum(axis=1), g.pcol), 1)
     reach = counts.cumsum(axis=0).cumsum(axis=1)
-    kept = int(reach[trunc.L_max - f.acols.sum(axis=1), trunc.P_max - f.pcol].sum())
+    formed = int(reach[trunc.L_max - f.acols.sum(axis=1), trunc.P_max - f.pcol].sum())
+    k_filter, kept = series._k_filter, []
+
+    def counted(*args):
+        near, far_mass = k_filter(*args)
+        kept.append(int(near.sum()))
+        return near, far_mass
+
+    monkeypatch.setattr(series, "_k_filter", counted)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -652,8 +654,13 @@ def test_product_transient_is_at_most_32_bytes_per_kept_pair():
         transient = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert kept > 500_000 and prod.num_terms < kept // 10
-    assert transient < 32 * kept
+    (kept,) = kept
+    assert formed > 500_000
+    if k_budget is None:
+        assert kept < formed // 2
+    else:
+        assert kept == formed and prod.num_terms < kept // 10
+    assert transient < per_pair * formed
 
 
 def _run_lengths(f, g):
@@ -770,7 +777,7 @@ def test_sum_of_canonical_series_is_the_row_merge(operands):
     and coefficients, down to the signed zeros a negation leaves, are bit
     for bit those of the constructor's merge of the concatenated rows, also
     where the sum cancels."""
-    f, g, _ = operands
+    f, g = operands
     for a, b in ((f, g), (g, f), (f, -g), (-f, f), (f, f.scale(0))):
         got = a + b
         ref = FourierTaylorSeries(
