@@ -38,23 +38,26 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _load_generators(out, problem):
-    """The ChiRecords a normalize run stored in out/generators.json, each
-    checked as it is made and against the ring of problem; their steps must
-    be a run's sequence 0, 1, ..., N-1 in file order."""
+def _load_run(args):
+    """The run verify and lie-check read: out, the problem, its setup and the
+    ChiRecords normalize stored in out/generators.json, each checked as it is
+    made and against the problem's ring; their steps must be 0, 1, ..., N-1
+    in file order."""
+    out = Path(args.out)
+    problem = Problem.load(args.problem)
     path = out / "generators.json"
     if not path.exists():
         raise ProblemFormatError("missing run artifacts in %s" % out)
     try:
-        payload = jsonio.loads(path.read_text())
-        records = [ChiRecord.from_payload(p) for p in payload["chi"]]
+        # the parsed file is not kept: it is freed before initialize() runs
+        records = [ChiRecord.from_payload(p) for p in jsonio.loads(path.read_text())["chi"]]
         for pos, rec in enumerate(records):
             if rec.step != pos:
                 raise ProblemFormatError("record %d has step %d, not %d" % (pos, rec.step, pos))
             problem.check_ring("generator %d" % rec.step, rec.chi)
     except (OSError, KeyError, TypeError, ValueError, OverflowError, PoissonKamError) as exc:
         raise ProblemFormatError("bad generators file %s: %s" % (path, exc)) from exc
-    return records
+    return out, problem, problem.initialize(), records
 
 
 def _write(path, data):
@@ -107,10 +110,7 @@ def cmd_verify(args) -> int:
     below the float spacing)."""
     if args.angles < 1:
         raise ParameterError("--angles must be at least 1, got %d" % args.angles)
-    out = Path(args.out)
-    problem = Problem.load(args.problem)
-    chi_records = _load_generators(out, problem)
-    setup = problem.initialize()
+    out, problem, setup, chi_records = _load_run(args)
     seed = problem.option("seed", args.seed)
     n_angles = args.angles
     offset = (seed % 1000) / 1000.0 * 2.0 * np.pi / n_angles
@@ -182,10 +182,7 @@ def cmd_lie_check(args) -> int:
     Exit 0 when all distances are within tolerance, 2 when one misses it or a
     stored generator fails the contraction guard, 1 when normalize outputs
     are absent or malformed or the integrator fails."""
-    out = Path(args.out)
-    problem = Problem.load(args.problem)
-    chi_records = _load_generators(out, problem)
-    setup = problem.initialize()
+    out, problem, setup, chi_records = _load_run(args)
     point = ExtendedPoint(
         np.zeros(problem.m), np.full(problem.n, 0.3), 0.0, 0.0
     )

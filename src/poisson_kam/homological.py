@@ -150,7 +150,7 @@ def solve_scalar(
         raise NearResonanceError(
             "divisor %.3g below safety floor %.1g" % (worst, DIVISOR_FLOOR)
         )
-    phi = psi._like(psi.keys, psi.coeffs / divisors, canonical=True)
+    phi = psi._like(psi.keys, psi.coeffs / divisors)
     res = _residual(phi, psi, freq.omega, params)
     bound = RESIDUAL_REL_TOL * weighted_norm(psi, params).K
     if res > bound:

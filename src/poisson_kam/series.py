@@ -47,10 +47,13 @@ Only the merged codes are unpacked into keys.  The packing codec is built
 once per ring, and a ring whose keys need more than 62 bits is refused
 when a series is built in it.
 
-The codes, the merges and the block size live in the merge module.  A sum
-of two series places one's terms among the other's by a binary search of
-their sorted codes (_merge_sorted) instead of sorting them; _merge_codes
-canonicalizes any other key rows.
+The codes, the merges and the block size live in the merge module.  Every
+operation keeps the canonical order by construction and builds through
+_like, which merges nothing: a sum places one series' terms among the
+other's by a binary search of their sorted codes (_merge_sorted), and a
+derivative in y or eta, or a product with y_i, shifts one key column by a
+constant on ordered rows, which keeps their order.  Only rows from outside
+the algebra (from_terms, direct construction) take the constructor's merge.
 
 Mass discarded by the hard truncation is recorded on the innermost tracker
 opened by discards() in the current context, which passes it on outwards to
@@ -299,9 +302,10 @@ class FourierTaylorSeries:
             [((0,) * like.n, (0,) * like.m, 0, 0, value)] if value != 0 else [],
         )
 
-    def _like(self, keys, coeffs, canonical=False):
+    def _like(self, keys, coeffs):
+        """A series of this ring from rows in canonical order: no merge runs."""
         return FourierTaylorSeries(
-            self.n, self.m, self.decay_rate, self.trunc, keys, coeffs, _canonical=canonical
+            self.n, self.m, self.decay_rate, self.trunc, keys, coeffs, _canonical=True
         )
 
     # ---- key column views ---------------------------------------------
@@ -410,12 +414,12 @@ class FourierTaylorSeries:
             other = FourierTaylorSeries.constant(other, self)
         self._check_compatible(other)
         codec = _pack_codec(self.n, self.m, self.trunc)
-        return self._like(*_merge_sorted(self, other, codec), canonical=True)
+        return self._like(*_merge_sorted(self, other, codec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like(self.keys, -self.coeffs, canonical=True)
+        return self._like(self.keys, -self.coeffs)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, FourierTaylorSeries) else -complex(other))
@@ -427,7 +431,7 @@ class FourierTaylorSeries:
         factor = complex(factor)
         if factor == 0:
             return self._like(None, None)
-        return self._like(self.keys, self.coeffs * factor, canonical=True)
+        return self._like(self.keys, self.coeffs * factor)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -443,47 +447,45 @@ class FourierTaylorSeries:
 
     # ---- derivatives ----------------------------------------------------
 
+    def _times(self, factor) -> "FourierTaylorSeries":
+        """Each term times its factor, the terms whose factor is 0 dropped."""
+        keep = factor != 0
+        return self._like(self.keys[keep], self.coeffs[keep] * factor[keep])
+
+    def _shift(self, keep, col, step, coeffs) -> "FourierTaylorSeries":
+        """Rows keep with coefficients coeffs and column col moved by step: still canonical."""
+        keys = self.keys[keep]
+        keys[:, col] += step
+        return self._like(keys, coeffs)
+
     def partial_x(self, l: int) -> "FourierTaylorSeries":
         """d/dx_l: multiply each term by i*k_l."""
-        factor = 1j * self.keys[:, l].astype(np.float64)
-        keep = factor != 0
-        return self._like(self.keys[keep], self.coeffs[keep] * factor[keep], canonical=True)
+        return self._times(1j * self.keys[:, l].astype(np.float64))
 
     def partial_y(self, i: int) -> "FourierTaylorSeries":
         """d/dy_i: alpha_i -> alpha_i - 1 with factor alpha_i."""
         col = self.n + i
         keep = self.keys[:, col] > 0
-        keys = self.keys[keep].copy()
-        coeffs = self.coeffs[keep] * keys[:, col]
-        keys[:, col] -= 1
-        return self._like(keys, coeffs)
+        return self._shift(keep, col, -1, self.coeffs[keep] * self.keys[keep, col])
 
     def partial_eta(self) -> "FourierTaylorSeries":
+        """d/deta: the terms with e = 1, now e = 0."""
         keep = self.ecol == 1
-        keys = self.keys[keep].copy()
-        keys[:, self.n + self.m] = 0
-        return self._like(keys, self.coeffs[keep])
+        return self._shift(keep, self.n + self.m, -1, self.coeffs[keep])
 
     def partial_xi(self) -> "FourierTaylorSeries":
         """d/dxi: each term carries exp(-p*a*xi), so factor is -p*a."""
-        factor = -self.decay_rate * self.pcol.astype(np.float64)
-        keep = factor != 0
-        return self._like(self.keys[keep], self.coeffs[keep] * factor[keep], canonical=True)
+        return self._times(-self.decay_rate * self.pcol.astype(np.float64))
 
     def directional_x(self, omega) -> "FourierTaylorSeries":
         """Angle derivative along omega: multiply each term by i*(k.omega)."""
-        omega = np.asarray(omega, dtype=np.float64)
-        factor = 1j * (self.kcols.astype(np.float64) @ omega)
-        keep = factor != 0
-        return self._like(self.keys[keep], self.coeffs[keep] * factor[keep], canonical=True)
+        return self._times(1j * (self.kcols.astype(np.float64) @ np.asarray(omega, np.float64)))
 
     def mul_y(self, i: int) -> "FourierTaylorSeries":
         """Multiply by the monomial y_i (truncating |alpha| > L_max)."""
-        keys = self.keys.copy()
-        keys[:, self.n + i] += 1
-        keep = keys[:, self.n : self.n + self.m].sum(axis=1) <= self.trunc.L_max
+        keep = self.acols.sum(axis=1) < self.trunc.L_max
         _open_tracker.get().record(float(np.abs(self.coeffs[~keep]).sum()))
-        return self._like(keys[keep], self.coeffs[keep])
+        return self._shift(keep, self.n + i, 1, self.coeffs[keep])
 
     def cut(self, trunc) -> "FourierTaylorSeries":
         """The terms within the orders trunc, as a series of that ring.  The
@@ -510,7 +512,7 @@ class FourierTaylorSeries:
     # ---- structure edits --------------------------------------------------
 
     def select(self, mask) -> "FourierTaylorSeries":
-        return self._like(self.keys[mask], self.coeffs[mask], canonical=True)
+        return self._like(self.keys[mask], self.coeffs[mask])
 
     def eta_part(self) -> "FourierTaylorSeries":
         return self.select(self.ecol == 1)
@@ -706,7 +708,7 @@ def _series_mul(f: FourierTaylorSeries, g: FourierTaylorSeries) -> FourierTaylor
     codes = codes[starts]
     coeffs = _run_products(f.coeffs, g_coeffs, i, j, order, starts)
     del i, j, order
-    return f._like(_unpack(codes, codec), coeffs, canonical=True)
+    return f._like(_unpack(codes, codec), coeffs)
 
 
 def _k_filter(i, j, fk, gk, K, f_coeffs, g_coeffs):
@@ -798,22 +800,23 @@ def shift_action_expansion(f: FourierTaylorSeries, y_star) -> FourierTaylorSerie
     """Re-expand around y*: substitute y -> y + y* (exact binomial expansion).
 
     Used once at initialization to move the expansion point to the origin.
+    A power of y* that overflows (Python floats raise on it) or a shifted
+    coefficient that is not finite raises ParameterError naming y_star.
     """
-    y_star = np.asarray(y_star, dtype=np.float64).reshape(f.m)
-    if not np.any(y_star) or f.is_zero():
+    y_star = np.asarray(y_star, dtype=np.float64).reshape(f.m).tolist()
+    if not any(y_star) or f.is_zero():
         return f
     terms = []
-    for k, alpha, e, p, c in f.terms():
-        stack = [((), 1.0)]
-        for i, ai in enumerate(alpha):
-            new_stack = []
-            for prefix, w in stack:
-                for j in range(ai + 1):
-                    new_stack.append(
-                        (prefix + (j,), w * math.comb(ai, j) * y_star[i] ** (ai - j))
-                    )
-            stack = new_stack
-        for new_alpha, w in stack:
-            if w != 0.0:
-                terms.append((k, new_alpha, e, p, c * w))
+    try:
+        for k, alpha, e, p, c in f.terms():
+            for new_alpha in itertools.product(*(range(ai + 1) for ai in alpha)):
+                w = 1.0
+                for ai, j, y in zip(alpha, new_alpha, y_star):
+                    w = w * math.comb(ai, j) * y ** (ai - j)
+                if w != 0.0:
+                    terms.append((k, new_alpha, e, p, c * w))
+        if not all(cmath.isfinite(term[4]) for term in terms):
+            raise OverflowError
+    except OverflowError:
+        raise ParameterError("y_star = %s overflows the shifted series" % y_star) from None
     return FourierTaylorSeries.from_terms(f.n, f.m, f.decay_rate, f.trunc, terms)

@@ -528,6 +528,17 @@ def test_extreme_finite_scalar_exit_1(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_overflowing_y_star_exit_1_naming_it(tmp_path):
+    """normalize with a y_star whose shift overflows: one error line that
+    names y_star, and no numpy warning on stderr."""
+    prob = tmp_path / "p.json"
+    benchmark_problem(epsilon=1e-3, y_star=1e200).save(prob)
+    proc = _cli_with_timeout("normalize", "--problem", str(prob), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "y_star" in proc.stderr
+    assert "Warning" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("part, value", [("re", float("nan")), ("im", float("inf"))])
 def test_nonfinite_coefficient_exit_1(bench_file, tmp_path, capsys, part, value):
     payload = json.loads(bench_file.read_text())

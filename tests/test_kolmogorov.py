@@ -30,7 +30,12 @@ from poisson_kam import (
 )
 from poisson_kam import cli
 from poisson_kam.bracket import LieOperator, low_degree_bracket
-from poisson_kam.errors import ProblemFormatError, ResonanceError, StepRefusedError
+from poisson_kam.errors import (
+    ParameterError,
+    ProblemFormatError,
+    ResonanceError,
+    StepRefusedError,
+)
 from poisson_kam.problems import GOLDEN
 
 from conftest import A_DEFAULT, cosx, eta, mk, with_budget, yi
@@ -448,6 +453,14 @@ def test_init_rejects_bad_decay_rate():
     prob = benchmark_problem()
     with pytest.raises(ProblemFormatError):
         dataclasses.replace(prob, a=1.5)
+
+
+@pytest.mark.parametrize("y_star", [1e200, -1e200])
+def test_initialize_refuses_an_overflowing_y_star(y_star):
+    """A y_star whose shifted h overflows is refused by name, with no numpy
+    overflow warning on the way (which this suite raises as an error)."""
+    with pytest.raises(ParameterError, match="y_star"):
+        benchmark_problem(epsilon=1e-3, y_star=y_star).initialize()
 
 
 def test_built_problem_is_read_only():

@@ -22,6 +22,7 @@ from poisson_kam import (
 from poisson_kam.errors import (
     EtaDegreeError,
     NormDomainError,
+    ParameterError,
     StructureMismatchError,
 )
 from poisson_kam.series import SeriesStack
@@ -117,6 +118,51 @@ def test_mul_truncation_discard_tracked():
 
 
 # ---- derivatives ----------------------------------------------------------
+
+
+def test_shifts_build_without_the_merge(monkeypatch, rng):
+    """partial_y, partial_eta and mul_y shift one key column of rows in
+    canonical order, which keeps the order, so none of them sorts."""
+    f = random_series(rng, n=2, m=2, nterms=40, with_eta=True)
+    calls = []
+    merge_codes = series._merge_codes
+    monkeypatch.setattr(series, "_merge_codes", lambda *a: calls.append(a) or merge_codes(*a))
+    outs = [f.partial_y(0), f.partial_y(1), f.partial_eta(), f.mul_y(0), f.mul_y(1)]
+    assert not any(out.is_zero() for out in outs)
+    assert calls == []
+
+
+def _merged_shift(f, col, step, coeffs):
+    """The constructor's merge of f's rows with key column col moved by step
+    and the given coefficients, less the rows the shift takes out of the ring."""
+    n, m = f.n, f.m
+    keys = f.keys.copy()
+    keys[:, col] += step
+    alpha = keys[:, n : n + m]
+    ok = (alpha >= 0).all(axis=1) & (alpha.sum(axis=1) <= f.trunc.L_max) & (keys[:, n + m] >= 0)
+    return FourierTaylorSeries(n, m, f.decay_rate, f.trunc, keys[ok], coeffs[ok])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 30))
+def test_shifts_equal_the_merge_of_their_rows(seed, n, m, L, nterms):
+    """Built without a sort, partial_y, partial_eta and mul_y have the keys
+    and coefficients of the constructor's merge of the same rows, and their
+    packed codes strictly increase."""
+    trunc = Truncation(4, L, 2)
+    f = random_series(np.random.default_rng(seed), n, m, trunc=trunc, nterms=nterms,
+                      with_eta=True)
+    cases = [(f.partial_eta(), _merged_shift(f, n + m, -1, f.coeffs))]
+    for i in range(m):
+        col = n + i
+        cases.append((f.partial_y(i), _merged_shift(f, col, -1, f.coeffs * f.keys[:, col])))
+        cases.append((f.mul_y(i), _merged_shift(f, col, 1, f.coeffs)))
+    codec = merge._pack_codec(n, m, trunc)
+    for got, ref in cases:
+        assert got.keys.shape == ref.keys.shape and (got.keys == ref.keys).all()
+        assert (got.coeffs == ref.coeffs).all()
+        assert (np.diff(merge._pack(got.keys, codec)) > 0).all()
 
 
 def test_partial_xi_exponential():
@@ -291,6 +337,16 @@ def test_shift_action_expansion_quadratic(rng):
         assert sh.evaluate(y, x, et, xi) == pytest.approx(
             h.evaluate(y + 1.0, x, et, xi), rel=1e-12
         )
+
+
+def test_shift_overflow_names_y_star():
+    """A power of y* that overflows raises, and so does a shifted coefficient
+    that overflows in a product, which Python float arithmetic does not
+    raise on; both are refused by name."""
+    for f, y_star in ((mk([((0,), (2,), 0, 0, 0.5)]), [1e200]),
+                      (mk([((0,), (1,), 0, 0, 1e300)]), [1e10])):
+        with pytest.raises(ParameterError, match="y_star"):
+            shift_action_expansion(f, y_star)
 
 
 # ---- serialization ---------------------------------------------------------------
@@ -488,7 +544,8 @@ def _all_pairs_product(f, g):
     """The naive product: every pair filtered on the truncation and merged
     by the series constructor.  Returns the product and the discarded mass."""
     keys, coeffs, ok = _all_pairs(f, g)
-    return f._like(keys[ok], coeffs[ok]), float(np.abs(coeffs[~ok]).sum())
+    prod = FourierTaylorSeries(f.n, f.m, f.decay_rate, f.trunc, keys[ok], coeffs[ok])
+    return prod, float(np.abs(coeffs[~ok]).sum())
 
 
 def _assert_bit_identical(f, g):
