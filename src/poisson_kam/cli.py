@@ -24,6 +24,7 @@ from .bracket import ExtendedPoint
 from .homological import divisor_shells
 from .kolmogorov import ChiRecord, run, torus_frequencies
 from .problems import Problem
+from .series import MAX_ORDER, _integer
 
 import numpy as np
 
@@ -106,13 +107,12 @@ def cmd_normalize(args) -> int:
 def cmd_verify(args) -> int:
     """Exit 0 iff the settled-action improvement meets the threshold; 2 when
     the run exists but misses it; 1 when normalize outputs are absent or
-    malformed, --angles is below 1 or the integrator fails (its step falls
-    below the float spacing)."""
-    if args.angles < 1:
-        raise ParameterError("--angles must be at least 1, got %d" % args.angles)
+    malformed, --angles is not in 1..MAX_ORDER or the integrator fails (its
+    step falls below the float spacing or its error estimate is not
+    finite)."""
+    n_angles = _integer(args.angles, "--angles", 1, MAX_ORDER, ParameterError)
     out, problem, setup, chi_records = _load_run(args)
     seed = problem.option("seed", args.seed)
-    n_angles = args.angles
     offset = (seed % 1000) / 1000.0 * 2.0 * np.pi / n_angles
     report = torus_persistence_report(
         setup.decomp.full,
@@ -139,8 +139,9 @@ def cmd_verify(args) -> int:
 
 def cmd_check_diophantine(args) -> int:
     """Exit 0 with the gamma profile of the omega init_from_problem finds,
-    scanned as it scans but to --k-max (the ring's K_max unless given); 2 on
-    resonance with 0 < |k|_1 <= --k-max."""
+    scanned as it scans but to --k-max (the ring's K_max unless given); 1
+    when --k-max is not in 1..MAX_ORDER or its scan exceeds SCAN_LIMIT
+    wavevectors; 2 on resonance with 0 < |k|_1 <= --k-max."""
     problem = Problem.load(args.problem)
     k_max = problem.trunc.K_max if args.k_max is None else args.k_max
     try:
@@ -151,7 +152,7 @@ def cmd_check_diophantine(args) -> int:
     table = {
         "omega": [float(v) for v in freq.omega],
         "tau": problem.tau,
-        "K_max": k_max,
+        "K_max": len(freq.shell_divisors),  # one shell per order 1..K_max, as an int
         "gamma_K": freq.gamma,
         "shells": divisor_shells(freq),
     }
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="run the normalization iteration")
     common(p, True)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", default=None)
     p.add_argument("--target-eps", type=float, default=None)
     p.set_defaults(func=cmd_normalize)
 
@@ -220,14 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--angles", type=int, default=8)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--angles", default=8)
+    p.add_argument("--seed", default=None)
     p.add_argument("--write-trajectories", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check-diophantine", help="scan small divisors per |k| shell")
     common(p, False)
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-max", default=None)
     p.set_defaults(func=cmd_check_diophantine)
 
     p = sub.add_parser("constants", help="evaluate the constants ledger")

@@ -29,7 +29,7 @@ from .bracket import ExtendedPoint, StructureMatrix
 from .errors import ParameterError, StiffnessError
 from .jsonio import fmt_float, safe_number
 from .kolmogorov import ChiRecord, apply_displacements, composed_displacements, linear_frequencies
-from .series import FourierTaylorSeries, SeriesStack
+from .series import MAX_ORDER, FourierTaylorSeries, SeriesStack, _integer
 
 
 def solve_ivp(*args, **kwargs):
@@ -117,6 +117,9 @@ def _rms(v):
     return np.linalg.norm(v) / v.size ** 0.5
 
 
+# The step-size control overflows on extreme tolerances or horizons without
+# a warning: _dop853 refuses a step or an error norm that is not finite.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _initial_steps(field, V0, F0, t_end, rtol, atol):
     """The first step of each row, by Hairer, Norsett & Wanner's rule
     (sec. II.4) as scipy's select_initial_step takes it; one field call."""
@@ -137,6 +140,7 @@ def _initial_steps(field, V0, F0, t_end, rtol, atol):
     return np.array(steps)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _error_norm(h, err5, err3):
     """scipy's DOP853 error norm of one row: the 5th-order estimate damped by
     the 3rd-order one, both already divided by the row's scale."""
@@ -158,7 +162,8 @@ def _dop853(field, V0, t_end, rtol, atol):
     np.matmul and error norms per-row np.linalg.norm, so each row is bit for
     bit what the row alone gives.  Returns (t, states, nfev) per row.
     Raises ParameterError unless rtol, t_end and V0 are finite and rtol,
-    t_end > 0, and StiffnessError when a row's step falls below min_step.
+    t_end > 0, and StiffnessError when a row's first step or error norm is
+    not finite (neither is then read) or its step falls below min_step.
     """
     for name, value in (("tol", rtol), ("t_end", t_end)):
         if not (math.isfinite(value) and value > 0):
@@ -170,6 +175,8 @@ def _dop853(field, V0, t_end, rtol, atol):
     P, d = V0.shape
     F = field(V0)
     h_abs = _initial_steps(field, V0, F, t_end, rtol, atol)
+    if not np.isfinite(h_abs).all():
+        raise StiffnessError("integrator failed: the first step is not finite")
     ts, ys = [[0.0] for _ in range(P)], [[v] for v in V0]
     nfev = [2] * P
     live = np.arange(P)  # the V0 row of each row in the batch
@@ -181,7 +188,8 @@ def _dop853(field, V0, t_end, rtol, atol):
         stuck = np.flatnonzero(h_abs < min_step)
         if stuck.size:
             raise StiffnessError(
-                "integrator failed: step below the float spacing at t = %r" % t[stuck[0]]
+                "integrator failed: step below the float spacing at t = %r"
+                % float(t[stuck[0]])
             )
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t
@@ -200,6 +208,10 @@ def _dop853(field, V0, t_end, rtol, atol):
         for i, row in enumerate(live):
             nfev[row] += 12
             err = _error_norm(h[i], err5[i], err3[i])
+            if not math.isfinite(err):
+                raise StiffnessError(
+                    "integrator failed: error estimate not finite at t = %r" % float(t[i])
+                )
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
                 if rejected[i]:
@@ -392,8 +404,7 @@ def torus_persistence_report(
     2 n_angles trajectories are integrated in one batch; each AngleReport
     keeps both of its trajectories.
     """
-    if n_angles < 1:
-        raise ParameterError("n_angles must be at least 1, got %d" % n_angles)
+    n_angles = _integer(n_angles, "n_angles", 1, MAX_ORDER, ParameterError)
     n = S.n
     settle_from = 0.5 * t_end
     floor = 100.0 * tol

@@ -26,13 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearResonanceError, ParameterError, ResonanceError, SecularTermError
-from .series import FourierTaylorSeries, WeightedNormParams, weighted_norm
+from .series import MAX_ORDER, FourierTaylorSeries, WeightedNormParams, _integer, weighted_norm
 
 # solves abort below this divisor magnitude (floating-point safety; the
 # Diophantine condition plus a > 0 keeps honest problems far above it)
 DIVISOR_FLOOR = 1e-13
 
 RESIDUAL_REL_TOL = 1e-12
+
+# the most wavevectors one lattice scan visits: about 0.7-3.4 us each on a
+# 2-core x86 host (3.4 when every point lies in 0 < |k|_1 <= K_max, as for
+# n = 1), so at most about 3.5 s; the built-in problems scan at most 4913
+SCAN_LIMIT = 10**6
 
 
 @dataclass
@@ -62,13 +67,20 @@ def lattice_scan(omega, tau, K_max):
     one scan of 0 < |k|_1 <= K_max.  The dot product stays per row: a
     vectorized K @ omega rounds some divisors differently.
 
-    Raises ParameterError when K_max < 1, K_max max|omega| (a bound on every
-    |k.omega|) is not finite or s^tau overflows, and ResonanceError naming
-    the lowest-order k whose k.omega vanishes to floating precision.
+    Raises ParameterError unless K_max is an integer in 1..MAX_ORDER whose
+    box of (2 K_max + 1)^n wavevectors has at most SCAN_LIMIT points, when
+    K_max max|omega| (a bound on every |k.omega|) is not finite or s^tau
+    overflows, and ResonanceError naming the lowest-order k whose k.omega
+    vanishes to floating precision.
     """
     omega = np.asarray(omega, dtype=float)
-    if K_max < 1:
-        raise ParameterError("'K_max' must be >= 1, got %r" % (K_max,))
+    K_max = _integer(K_max, "'K_max'", 1, MAX_ORDER, ParameterError)
+    points = (2 * K_max + 1) ** len(omega)
+    if points > SCAN_LIMIT:
+        raise ParameterError(
+            "'K_max' = %d scans (2 K_max + 1)^%d = %d wavevectors, over the limit of %d"
+            % (K_max, len(omega), points, SCAN_LIMIT)
+        )
     if not np.any(omega):
         raise ResonanceError("zero frequency vector")
     scale = float(np.abs(omega).max())

@@ -40,14 +40,14 @@ from .errors import (
     ParameterError,
     ProblemFormatError,
     StepRefusedError,
-    StructureMismatchError,
 )
 from .homological import FrequencyData, build_E, solve_S, solve_T
 from .series import (
+    MAX_ORDER,
     FourierTaylorSeries,
     SeriesStack,
     WeightedNormParams,
-    _term_index,
+    _integer,
     reassemble_taylor,
     shift_action_expansion,
     taylor_split,
@@ -229,7 +229,7 @@ class ChiRecord:
     """Generating function with the domain parameters it was built at.
 
     A record is checked when made, as a stored generator is read back:
-    step is a non-negative integer (by the term-index rule), rho and sigma
+    step is an integer in 0..MAX_ORDER (read by _integer), rho and sigma
     are finite and positive with finite majorant weights on chi's ring, and
     d lies in (0, 1/3), where the shrink factor 1 - 3d is positive.  Raises
     ProblemFormatError otherwise.
@@ -242,14 +242,7 @@ class ChiRecord:
     d: float
 
     def __post_init__(self):
-        try:
-            step = _term_index(self.step)
-        except (StructureMismatchError, TypeError, ValueError, OverflowError):
-            step = -1
-        if step < 0:
-            raise ProblemFormatError(
-                "generator step must be a non-negative integer, got %r" % (self.step,)
-            )
+        step = _integer(self.step, "generator step", 0, MAX_ORDER, ProblemFormatError)
         try:
             rho, sigma, d = float(self.rho), float(self.sigma), float(self.d)
         except (TypeError, ValueError) as exc:

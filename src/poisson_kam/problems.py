@@ -24,10 +24,9 @@ import numpy as np
 
 from . import jsonio
 from .bracket import StructureMatrix
-from .errors import ProblemFormatError, StructureMismatchError
+from .errors import ProblemFormatError
 from .kolmogorov import RunOptions, RunSetup, init_from_problem
-from .series import (MAX_ORDER, FourierTaylorSeries, Truncation, _order, _term_index,
-                     weight_bounds)
+from .series import MAX_ORDER, FourierTaylorSeries, Truncation, _integer, weight_bounds
 
 GOLDEN = (1.0 + 5 ** 0.5) / 2.0
 
@@ -52,25 +51,6 @@ _OPTION_RANGES = {
     "max_steps": (">= 1", lambda v: v >= 1),
     "threshold": ("a number other than NaN", lambda v: not math.isnan(v)),
 }
-
-
-def _integer_field(payload: dict, name: str) -> int:
-    """payload[name] as an int, by the rule term indices follow: a boolean, a
-    non-integral or a non-finite number is refused."""
-    value = payload[name]
-    try:
-        return _term_index(value)
-    except StructureMismatchError as exc:
-        raise ProblemFormatError("%r must be an integer, got %r" % (name, value)) from exc
-
-
-def _dimension(payload: dict, name: str) -> int:
-    """payload[name], a count of angles or actions, as an int in 1..MAX_ORDER;
-    the refusal names the bounds, not the value (it may be 300 digits long)."""
-    k = _integer_field(payload, name)
-    if not 1 <= k <= MAX_ORDER:
-        raise ProblemFormatError("%r must lie in 1..%d" % (name, MAX_ORDER))
-    return k
 
 
 @dataclass(frozen=True)
@@ -143,9 +123,9 @@ class Problem:
 
     def option(self, name, override=None):
         """The override, else the file value, else the default; None counts as
-        unset.  The value is coerced by the type of its default; an integer
-        option takes no boolean and no number with a fractional part, and a
-        numeric option must lie in its range in _OPTION_RANGES.  Raises
+        unset.  The value is coerced by the type of its default: an integer
+        option is read by _integer up to MAX_ORDER, a float one by float(),
+        and a numeric option must lie in its range in _OPTION_RANGES.  Raises
         ProblemFormatError for an unknown name or a value that does not
         coerce or is out of range."""
         if name in _OPTION_DEFAULTS:
@@ -157,13 +137,13 @@ class Problem:
         value = override if override is not None else self.options.get(name)
         if value is None:
             return default
-        fractional = isinstance(value, float) and not value.is_integer()
-        if isinstance(default, int) and (isinstance(value, bool) or fractional):
-            raise ProblemFormatError("option %r: expected an integer, got %r" % (name, value))
-        try:
-            value = type(default)(value)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError("option %r: %s" % (name, exc)) from exc
+        if isinstance(default, int):
+            value = _integer(value, "option %r" % name, hi=MAX_ORDER, error=ProblemFormatError)
+        else:
+            try:
+                value = float(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ProblemFormatError("option %r: %s" % (name, exc)) from exc
         rule, ok = _OPTION_RANGES.get(name, (None, None))
         if rule is not None and not ok(value):
             raise ProblemFormatError("option %r must be %s, got %r" % (name, rule, value))
@@ -203,17 +183,15 @@ class Problem:
     @classmethod
     def from_payload(cls, payload: dict) -> "Problem":
         try:
-            trunc = Truncation(
-                *(
-                    _order(_integer_field(payload["trunc"], name), name)
-                    for name in ("K_max", "L_max", "P_max")
-                )
-            )
+            trunc = Truncation(*(
+                _integer(payload["trunc"][k], "series order " + k, 0, MAX_ORDER,
+                         ProblemFormatError) for k in Truncation._fields
+            ))
             series = FourierTaylorSeries.from_payload
             B12, B22 = ([[series(e) for e in row] for row in payload[k]] for k in ("B12", "B22"))
             return cls(
-                n=_dimension(payload, "n"),
-                m=_dimension(payload, "m"),
+                n=_integer(payload["n"], "n", 1, MAX_ORDER, ProblemFormatError),
+                m=_integer(payload["m"], "m", 1, MAX_ORDER, ProblemFormatError),
                 a=float(payload["a"]),
                 epsilon=float(payload["epsilon"]),
                 tau=float(payload["tau"]),
@@ -224,7 +202,7 @@ class Problem:
                 structure=StructureMatrix(B12, B22),
                 options=dict(payload.get("options", {})),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProblemFormatError("bad problem payload: %s" % exc) from exc
 
     def save(self, path):

@@ -55,6 +55,10 @@ derivative in y or eta, or a product with y_i, shifts one key column by a
 constant on ordered rows, which keeps their order.  Only rows from outside
 the algebra (from_terms, direct construction) take the constructor's merge.
 
+_integer is the one reader of integers from outside: term indices, series
+orders, dimensions, generator steps, integer options and the CLI's counts
+all pass through it, each with its own bounds and error class.
+
 Mass discarded by the hard truncation is recorded on the innermost tracker
 opened by discards() in the current context, which passes it on outwards to
 discard_tracker, the process total; so a Lie series or a test can count its
@@ -82,6 +86,7 @@ import contextlib
 import contextvars
 import itertools
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -190,31 +195,30 @@ def discard_log():
     return _opened(TruncationTracker())
 
 
-def _term_index(v) -> int:
-    """v as an int; a boolean or a number with a fractional part is refused."""
-    if type(v) is int:
-        return v
-    if isinstance(v, (bool, np.bool_)) or (isinstance(v, float) and not v.is_integer()):
-        raise StructureMismatchError("term index must be an integer, got %r" % (v,))
-    return int(v)
-
-
 # The largest series order (K_max, L_max, P_max) a file may give.  Keys are
 # int32, and a product forms the sum of two keys and its |k|_1 in int32
 # before it truncates, so orders up to (2^31 - 1) // 2 keep those in range.
+# It also bounds every other count a file or a flag gives.
 MAX_ORDER = 2**30 - 1
 
 
-def _order(v, name) -> int:
-    """The series order ``name`` read from a file: an integer term index (see
-    _term_index) from 0 to MAX_ORDER.  The refusal names the bound, not the
-    value, which may have hundreds of digits."""
-    k = _term_index(v)
-    if k > MAX_ORDER:
-        raise StructureMismatchError("series order %s must be at most %d" % (name, MAX_ORDER))
-    if k < 0:
-        raise StructureMismatchError("series order %s must not be negative" % name)
-    return k
+def _integer(value, what, lo=None, hi=None, error=StructureMismatchError) -> int:
+    """value, read from a file, an option or a flag, as an int in lo..hi (a
+    bound of None is open); a boolean or what is not a whole number is
+    refused.  Raises error naming what, and a bound refusal names the bound,
+    never the value."""
+    if type(value) is not int:
+        try:
+            if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+                raise TypeError
+            value = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise error("%s must be an integer, got %s" % (what, reprlib.repr(value))) from None
+    if lo is not None and value < lo:
+        raise error("%s must be at least %d" % (what, lo))
+    if hi is not None and value > hi:
+        raise error("%s must be at most %d" % (what, hi))
+    return value
 
 
 def _tuples(cols):
@@ -265,19 +269,17 @@ class FourierTaylorSeries:
     @classmethod
     def from_terms(cls, n, m, decay_rate, trunc, terms: Iterable):
         """Build from an iterable of (k, alpha, e, p, coefficient); the indices
-        must be integers (an integral float is taken, a boolean is not)."""
+        are read by _integer, and alpha and p must not be negative."""
         trunc = Truncation(*trunc)
         rows, cs = [], []
         for k, alpha, e, p, c in terms:
-            k = tuple(_term_index(v) for v in k)
-            alpha = tuple(_term_index(v) for v in alpha)
-            e, p = _term_index(e), _term_index(p)
+            k = tuple(_integer(v, "term index") for v in k)
+            alpha = tuple(_integer(v, "term index", 0) for v in alpha)
+            e, p = _integer(e, "term index"), _integer(p, "term index", 0)
             if len(k) != n or len(alpha) != m:
                 raise StructureMismatchError("key length does not match dims")
             if e not in (0, 1):
                 raise EtaDegreeError("eta power must be 0 or 1")
-            if min(alpha, default=0) < 0 or p < 0:
-                raise StructureMismatchError("alpha and p must be non-negative")
             if (
                 sum(abs(v) for v in k) > trunc.K_max
                 or sum(alpha) > trunc.L_max
@@ -580,12 +582,14 @@ class FourierTaylorSeries:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FourierTaylorSeries":
-        trunc = tuple(_order(payload[k], k) for k in ("K_max", "L_max", "P_max"))
+        trunc = [
+            _integer(payload[k], "series order " + k, 0, MAX_ORDER) for k in Truncation._fields
+        ]
         terms = [
             (t["k"], t["alpha"], t["e"], t["p"], complex(t["re"], t["im"]))
             for t in payload["terms"]
         ]
-        n, m = _term_index(payload["n"]), _term_index(payload["m"])
+        n, m = (_integer(payload[k], k, 1, MAX_ORDER) for k in ("n", "m"))
         return cls.from_terms(n, m, payload["a"], trunc, terms)
 
 

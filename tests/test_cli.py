@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,12 +25,15 @@ from poisson_kam import (
     StructureMatrix,
     Truncation,
     benchmark_problem,
+    diophantine_profile,
     lie_vs_flow_check,
     rescaled_benchmark_problem,
     run,
+    torus_persistence_report,
     two_dof_problem,
 )
 from poisson_kam.cli import main
+from poisson_kam.errors import ParameterError, ProblemFormatError, StructureMismatchError
 
 from conftest import non_poisson_b12
 
@@ -343,20 +347,20 @@ def test_lie_check_matches_library(tmp_path, capsys, make):
     assert [row["distance"] for row in rows] == expected
 
 
-def _python_with_timeout(*args):
+def _python_with_timeout(*args, timeout=60):
     """A fresh interpreter that imports this poisson_kam, with a timeout: an
     unchecked NaN tol or t_end makes the integrator spin instead of failing."""
     src = str(Path(poisson_kam.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
     )
 
 
-def _cli_with_timeout(*args):
+def _cli_with_timeout(*args, timeout=60):
     """The CLI in a child process."""
-    return _python_with_timeout("-m", "poisson_kam.cli", *args)
+    return _python_with_timeout("-m", "poisson_kam.cli", *args, timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -873,3 +877,178 @@ def test_verify_integrator_failure_exit_1(bench_file, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: integrator failed")
     assert not (out / "persistence_report.json").exists()
+
+
+
+# ---- integers read from outside --------------------------------------------
+
+_HUGE = 2**70
+_BENCH = benchmark_problem(epsilon=1e-3)
+
+
+def _series_with(key, value):
+    payload = _BENCH.f.to_payload()
+    payload[key] = value
+    return FourierTaylorSeries.from_payload(payload)
+
+
+def _report_with_angles(value):
+    setup = _BENCH.initialize()
+    return torus_persistence_report(setup.decomp.full, setup.structure, [], n_angles=value)
+
+
+def _file(*path):
+    """A CLI site: normalize on the benchmark problem with path set to the value."""
+    def argv(value, problem, out, tmp):
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(_mutated(_BASE_PAYLOAD, path, value)))
+        return ["normalize", "--problem", str(bad), "--out", str(tmp / "o")]
+    return argv
+
+
+def _flag(command, flag):
+    """A CLI site: command on the benchmark run with the flag set to the value."""
+    def argv(value, problem, out, tmp):
+        return [command, "--problem", str(problem), "--out", str(out), flag, str(value)]
+    return argv
+
+
+def _generator_step(value, problem, out, tmp):
+    generators = json.loads((out / "generators.json").read_text())
+    generators["chi"][0]["step"] = value
+    (tmp / "run").mkdir()
+    (tmp / "run" / "generators.json").write_text(json.dumps(generators))
+    return ["verify", "--problem", str(problem), "--out", str(tmp / "run")]
+
+
+# each site: a library call on the value, its error class, the name the
+# library's and the CLI's messages give, whether a lower bound exists, and
+# a CLI run on the value
+_INTEGER_SITES = {
+    "term index": (
+        lambda v: FourierTaylorSeries.from_terms(1, 1, 0.5, (4, 4, 4), [((0,), (0,), 0, v, 1.0)]),
+        StructureMismatchError, ("term index",) * 2, True, _file("f", "terms", 0, "p"),
+    ),
+    "series order": (
+        lambda v: _series_with("K_max", v),
+        StructureMismatchError, ("series order K_max",) * 2, True, _file("f", "K_max"),
+    ),
+    "n": (lambda v: _series_with("n", v), StructureMismatchError, ("n", "n"), True, _file("n")),
+    "m": (
+        lambda v: Problem.from_payload(_mutated(_BASE_PAYLOAD, ("m",), v)),
+        ProblemFormatError, ("m", "m"), True, _file("B12", 0, 0, "m"),
+    ),
+    "trunc": (
+        lambda v: Problem.from_payload(_mutated(_BASE_PAYLOAD, ("trunc", "P_max"), v)),
+        ProblemFormatError, ("series order P_max",) * 2, True, _file("trunc", "P_max"),
+    ),
+    "generator step": (
+        lambda v: ChiRecord(v, _BENCH.f, 0.5, 1.0, 0.1),
+        ProblemFormatError, ("generator step",) * 2, True, _generator_step,
+    ),
+    "--max-steps": (
+        lambda v: _BENCH.option("max_steps", v),
+        ProblemFormatError, ("option 'max_steps'",) * 2, True, _flag("normalize", "--max-steps"),
+    ),
+    "option in a file": (
+        lambda v: _BENCH.option("seed", v),
+        ProblemFormatError, ("option 'seed'",) * 2, False, _file("options", "seed"),
+    ),
+    "--seed": (
+        lambda v: _BENCH.option("seed", v),
+        ProblemFormatError, ("option 'seed'",) * 2, False, _flag("verify", "--seed"),
+    ),
+    "--angles": (
+        _report_with_angles,
+        ParameterError, ("n_angles", "--angles"), True, _flag("verify", "--angles"),
+    ),
+    "--k-max": (
+        lambda v: diophantine_profile([1.0], 1.0, v),
+        ParameterError, ("'K_max'",) * 2, True, _flag("check-diophantine", "--k-max"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value, refusal",
+    [(True, "integer"), (2.5, "integer"), ("x", "integer"), (_HUGE, "bound"), (-1, "bound")],
+    ids=["True", "2.5", "x", "2**70", "-1"],
+)
+@pytest.mark.parametrize("site", list(_INTEGER_SITES))
+def test_outside_integer_refused_by_one_rule(bench_run, tmp_path, capsys, site, value, refusal):
+    """A boolean, a fractional number, a string that is no integer, 2^70 and
+    (where a lower bound exists) -1, at each integer read from a file, an
+    option or a flag: the library raises the site's error class, and the CLI
+    exits 1 with one error: line; neither echoes the digits of 2^70."""
+    call, error, whats, bounded_below, cli = _INTEGER_SITES[site]
+    if value == -1 and not bounded_below:
+        call(value)  # no lower bound: -1 is an integer like any other
+        return
+    with pytest.raises(error) as info:
+        call(value)
+    capsys.readouterr()
+    assert main(cli(value, *bench_run, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    for message, what in zip((str(info.value), err), whats):
+        assert str(_HUGE) not in message
+        if refusal == "integer":
+            assert "%s must be an integer" % what in message
+        elif value == -1:
+            assert "%s must be" % what in message
+
+
+def test_oversize_lattice_scans_exit_1_within_seconds(bench_run, tmp_path):
+    """A scan of more than SCAN_LIMIT wavevectors is refused before it
+    starts: --k-max just above the limit on the 1-DOF benchmark, and
+    normalize on a 3-DOF ring at (8000, 3, 8), which packs but would scan
+    about 4.1e12 wavevectors."""
+    problem, _ = bench_run
+    payload = _three_dof_problem().to_payload()
+    _set_every(payload, "K_max", 8000)
+    payload["options"] = {"sigma": 0.05}
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(payload))
+    for argv, k_max, points in (
+        (["check-diophantine", "--problem", str(problem), "--k-max", "500001"], 500001, 1000003),
+        (["normalize", "--problem", str(ring), "--out", str(tmp_path / "o")], 8000, 16001**3),
+    ):
+        proc = _cli_with_timeout(*argv, timeout=20)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: 'K_max' = %d scans (2 K_max + 1)^%d = %d wavevectors, over the limit of "
+            "1000000\n" % (k_max, 1 if k_max == 500001 else 3, points)
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--tol", "1e-300"),
+        ("lie-check", "--tol", "1e-300"),
+        ("verify", "--t-end", "1e300"),
+    ],
+    ids=["verify-tol", "lie-check-tol", "verify-t-end"],
+)
+def test_extreme_stepper_settings_exit_1_without_warnings(bench_run, argv):
+    """Tolerances and horizons that overflow the step-size control end in one
+    error: line naming t as a plain float, with warnings raised as errors."""
+    problem, out = bench_run
+    command, *flags = argv
+    proc = _python_with_timeout(
+        "-W", "error", "-m", "poisson_kam.cli", command, "--problem", str(problem),
+        "--out", str(out), *flags,
+    )
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: integrator failed: .* at t = [0-9.e+]+\n", proc.stderr)
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_overflowing_float_field_exit_1(bench_file, tmp_path, capsys):
+    """A float field written as an integer too large for a float (10^400):
+    one error line, no OverflowError traceback."""
+    for path in [("a",), ("epsilon",), ("y_star", 0), ("f", "terms", 0, "re"), ("options", "rho")]:
+        bench_file.write_text(json.dumps(_mutated(_BASE_PAYLOAD, path, 10**400)))
+        assert main(["normalize", "--problem", str(bench_file), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "too large to convert to float" in err

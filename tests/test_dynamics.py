@@ -299,3 +299,10 @@ def test_stepper_rejects_bad_tol_and_t_end(tol, t_end):
 def test_stepper_rejects_a_non_finite_start():
     with pytest.raises(ParameterError):
         _dop853(lambda V: -V, np.array([[1.0, 0.0], [math.nan, 1.0]]), 1.0, 1e-8, 1e-8)
+
+
+def test_nan_first_step_ends_in_stiffness_error():
+    """A field that is NaN at the start makes the first step NaN, which never
+    falls below min_step: the stepper refuses it instead of looping on it."""
+    with pytest.raises(StiffnessError, match="first step is not finite"):
+        _dop853(lambda V: np.full_like(V, np.nan), np.ones((1, 2)), 1.0, 1e-8, 1e-10)
