@@ -24,7 +24,7 @@ from .bracket import ExtendedPoint
 from .homological import divisor_shells
 from .kolmogorov import ChiRecord, run, torus_frequencies
 from .problems import Problem
-from .series import MAX_ORDER, _integer
+from .series import MAX_ORDER, _integer, _real
 
 import numpy as np
 
@@ -182,7 +182,9 @@ def cmd_lie_check(args) -> int:
     """Check series transform vs time-1 flow for every stored generator.
     Exit 0 when all distances are within tolerance, 2 when one misses it or a
     stored generator fails the contraction guard, 1 when normalize outputs
-    are absent or malformed or the integrator fails."""
+    are absent or malformed, --tol is not finite and > 0 or the integrator
+    fails."""
+    tol = _real(args.tol, "'tol'", "finite and > 0")
     out, problem, setup, chi_records = _load_run(args)
     point = ExtendedPoint(
         np.zeros(problem.m), np.full(problem.n, 0.3), 0.0, 0.0
@@ -190,8 +192,8 @@ def cmd_lie_check(args) -> int:
     rows = []
     ok = True
     for rec in chi_records:
-        dist = lie_vs_flow_check(rec, setup.structure, point, tol=args.tol)
-        bound = max(10.0 * args.tol, 1e-8)
+        dist = lie_vs_flow_check(rec, setup.structure, point, tol=tol)
+        bound = max(10.0 * tol, 1e-8)
         rows.append({"step": rec.step, "distance": dist, "bound": bound})
         ok = ok and dist <= bound
     _write(out / "lie_check.json", {"rows": rows, "passed": ok})
@@ -213,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="run the normalization iteration")
     common(p, True)
     p.add_argument("--max-steps", default=None)
-    p.add_argument("--target-eps", type=float, default=None)
+    p.add_argument("--target-eps", default=None)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("verify", help="torus persistence report for a finished run")
     common(p, True)
-    p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--t-end", default=None)
+    p.add_argument("--tol", default=None)
+    p.add_argument("--threshold", default=None)
     p.add_argument("--angles", default=8)
     p.add_argument("--seed", default=None)
     p.add_argument("--write-trajectories", action="store_true")
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lie-check", help="series transform vs numerical flow")
     common(p, True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", default=1e-12)
     p.set_defaults(func=cmd_lie_check)
     return parser
 

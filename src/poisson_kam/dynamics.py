@@ -29,7 +29,7 @@ from .bracket import ExtendedPoint, StructureMatrix
 from .errors import ParameterError, StiffnessError
 from .jsonio import fmt_float, safe_number
 from .kolmogorov import ChiRecord, apply_displacements, composed_displacements, linear_frequencies
-from .series import MAX_ORDER, FourierTaylorSeries, SeriesStack, _integer
+from .series import MAX_ORDER, FourierTaylorSeries, SeriesStack, _integer, _real
 
 
 def solve_ivp(*args, **kwargs):
@@ -165,9 +165,8 @@ def _dop853(field, V0, t_end, rtol, atol):
     t_end > 0, and StiffnessError when a row's first step or error norm is
     not finite (neither is then read) or its step falls below min_step.
     """
-    for name, value in (("tol", rtol), ("t_end", t_end)):
-        if not (math.isfinite(value) and value > 0):
-            raise ParameterError("%r must be finite and > 0, got %r" % (name, value))
+    rtol = _real(rtol, "'tol'", "finite and > 0")
+    t_end = _real(t_end, "'t_end'", "finite and > 0")
     V0 = np.asarray(V0, dtype=float)
     if not np.isfinite(V0).all():
         raise ParameterError("start states must be finite")
@@ -402,9 +401,13 @@ def torus_persistence_report(
     discriminate.  improvement = naive_settled / mapped_settled.  The
     composed map is built once and evaluated at every start point, and all
     2 n_angles trajectories are integrated in one batch; each AngleReport
-    keeps both of its trajectories.
+    keeps both of its trajectories.  n_angles, t_end, tol and threshold are
+    read (by _integer and _real, raising ParameterError) before any work.
     """
     n_angles = _integer(n_angles, "n_angles", 1, MAX_ORDER, ParameterError)
+    t_end = _real(t_end, "'t_end'", "finite and > 0")
+    tol = _real(tol, "'tol'", "finite and > 0")
+    threshold = _real(threshold, "'threshold'", "a number other than NaN")
     n = S.n
     settle_from = 0.5 * t_end
     floor = 100.0 * tol

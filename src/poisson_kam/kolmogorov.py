@@ -48,6 +48,7 @@ from .series import (
     SeriesStack,
     WeightedNormParams,
     _integer,
+    _real,
     reassemble_taylor,
     shift_action_expansion,
     taylor_split,
@@ -118,25 +119,14 @@ class HamiltonianDecomposition:
 
 
 def _eta_series(like):
-    return FourierTaylorSeries.from_terms(
-        like.n,
-        like.m,
-        like.decay_rate,
-        like.trunc,
-        [((0,) * like.n, (0,) * like.m, 1, 0, 1.0)],
-    )
+    return FourierTaylorSeries.from_terms(*like.ring, [((0,) * like.n, (0,) * like.m, 1, 0, 1.0)])
 
 
 def _omega_y(like, omega_tilde):
     """omega~.y in the ring of like."""
     unit = np.eye(like.m, dtype=int)
-    return FourierTaylorSeries.from_terms(
-        like.n,
-        like.m,
-        like.decay_rate,
-        like.trunc,
-        [((0,) * like.n, unit[i], 0, 0, float(w)) for i, w in enumerate(omega_tilde)],
-    )
+    terms = [((0,) * like.n, unit[i], 0, 0, float(w)) for i, w in enumerate(omega_tilde)]
+    return FourierTaylorSeries.from_terms(*like.ring, terms)
 
 
 def linear_frequencies(H):
@@ -230,9 +220,9 @@ class ChiRecord:
 
     A record is checked when made, as a stored generator is read back:
     step is an integer in 0..MAX_ORDER (read by _integer), rho and sigma
-    are finite and positive with finite majorant weights on chi's ring, and
-    d lies in (0, 1/3), where the shrink factor 1 - 3d is positive.  Raises
-    ProblemFormatError otherwise.
+    are finite and positive (read by _real) with finite majorant weights on
+    chi's ring, and d lies in (0, 1/3), where the shrink factor 1 - 3d is
+    positive.  Raises ProblemFormatError otherwise.
     """
 
     step: int
@@ -243,20 +233,15 @@ class ChiRecord:
 
     def __post_init__(self):
         step = _integer(self.step, "generator step", 0, MAX_ORDER, ProblemFormatError)
-        try:
-            rho, sigma, d = float(self.rho), float(self.sigma), float(self.d)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError("generator %d: %s" % (step, exc)) from exc
-        rules = [
-            (name, v, "finite and > 0", math.isfinite(v) and v > 0)
-            for name, v in (("rho", rho), ("sigma", sigma))
-        ]
-        if all(ok for *_, ok in rules):
-            rules += weight_bounds(rho, sigma, self.chi.trunc)
-            # Gamma_{rho,sigma} divides by (e rho sigma)^2
-            rules.append(("rho * sigma", rho * sigma, "such that (e rho sigma)^2 > 0",
-                          (math.e * rho * sigma) ** 2 > 0.0))
-        rules.append(("d", d, "in (0, 1/3)", 0.0 < d < 1.0 / 3.0))
+        rho, sigma, d = (
+            _real(getattr(self, name), "generator %d: %s" % (step, name), rule, ProblemFormatError)
+            for name, rule in (("rho", "finite and > 0"), ("sigma", "finite and > 0"),
+                               ("d", "in (0, 1/3)"))
+        )
+        rules = weight_bounds(rho, sigma, self.chi.trunc)
+        # Gamma_{rho,sigma} divides by (e rho sigma)^2
+        rules.append(("rho * sigma", rho * sigma, "such that (e rho sigma)^2 > 0",
+                      (math.e * rho * sigma) ** 2 > 0.0))
         for name, value, rule, ok in rules:
             if not ok:
                 raise ProblemFormatError(

@@ -14,7 +14,7 @@ builder, _built_in.
 from __future__ import annotations
 
 import json
-import math
+import reprlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
@@ -26,12 +26,12 @@ from . import jsonio
 from .bracket import StructureMatrix
 from .errors import ProblemFormatError
 from .kolmogorov import RunOptions, RunSetup, init_from_problem
-from .series import MAX_ORDER, FourierTaylorSeries, Truncation, _integer, weight_bounds
+from .series import MAX_ORDER, FourierTaylorSeries, Truncation, _integer, _real, weight_bounds
 
 GOLDEN = (1.0 + 5 ** 0.5) / 2.0
 
-# defaults of the options that are not RunOptions fields; RunOptions holds
-# the defaults of the run settings
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunOptions)}
+# the default of every option; RunOptions holds those of the run settings
 _OPTION_DEFAULTS = {
     "rho": 0.5,
     "sigma": 1.0,
@@ -39,17 +39,18 @@ _OPTION_DEFAULTS = {
     "tol": 1e-10,
     "threshold": 10.0,
     "seed": 0,
+    **_RUN_DEFAULTS,
 }
-_RUN_DEFAULTS = {f.name: f.default for f in fields(RunOptions)}
 
 
-# the range each numeric option must lie in, whether set in the file or
-# passed as an override
-_OPTION_RANGES = {
-    **dict.fromkeys(("rho", "sigma", "tol", "t_end", "target_eps"),
-                    ("finite and > 0", lambda v: math.isfinite(v) and v > 0)),
-    "max_steps": (">= 1", lambda v: v >= 1),
-    "threshold": ("a number other than NaN", lambda v: not math.isnan(v)),
+# the rule each real option is read by (see series._real) and the least
+# value of each integer option, whether set in the file or passed as an
+# override
+_OPTION_RULES = {
+    **dict.fromkeys(("rho", "sigma", "tol", "t_end", "target_eps"), "finite and > 0"),
+    "threshold": "a number other than NaN",
+    "max_steps": 1,
+    "seed": None,
 }
 
 
@@ -68,33 +69,38 @@ class Problem:
     options: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        # stored read-only, so a built Problem stays as checked
+        # every scalar is stored as read and the containers read-only, so a
+        # built Problem stays as checked
+        for name in ("n", "m"):
+            value = _integer(getattr(self, name), name, 1, MAX_ORDER, ProblemFormatError)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "trunc", Truncation(*(
+            _integer(v, "series order " + k, 1, MAX_ORDER, ProblemFormatError)
+            for k, v in Truncation(*self.trunc)._asdict().items()
+        )))
+        if not isinstance(self.options, Mapping):
+            got = reprlib.repr(self.options)
+            raise ProblemFormatError("options must be an object, got %s" % got)
         object.__setattr__(self, "options", MappingProxyType(dict(self.options)))
-        y_star = np.array(self.y_star, dtype=float)
-        y_star.setflags(write=False)
-        object.__setattr__(self, "y_star", y_star)
         for name in self.options:
             self.option(name)
-        fin = math.isfinite
-        rules = [
-            ("epsilon", self.epsilon, "finite and >= 0", fin(self.epsilon) and self.epsilon >= 0),
-            ("decay rate a", self.a, "in (0, 1)", 0.0 < self.a < 1.0),
-            ("tau", self.tau, "finite and >= 0", fin(self.tau) and self.tau >= 0),
-            ("y_star", y_star.tolist(), "%d finite numbers" % self.m,
-             y_star.shape == (self.m,) and np.isfinite(y_star).all()),
-        ]
-        rules += [
-            ("truncation order " + k, v, ">= 1", v >= 1) for k, v in self.trunc._asdict().items()
-        ]
-        rules += [
-            ("option %r" % name, value, rule, ok)
-            for name, value, rule, ok in weight_bounds(
-                self.option("rho"), self.option("sigma"), self.trunc
+        for name, what, rule in (("epsilon", "epsilon", "finite and >= 0"),
+                                 ("a", "decay rate a", "in (0, 1)"),
+                                 ("tau", "tau", "finite and >= 0")):
+            value = _real(getattr(self, name), what, rule, ProblemFormatError)
+            object.__setattr__(self, name, value)
+        y_star = np.asarray(self.y_star, dtype=object)
+        if y_star.shape != (self.m,):
+            raise ProblemFormatError(
+                "y_star must be %d numbers, got %s" % (self.m, reprlib.repr(self.y_star))
             )
-        ]
-        for name, value, rule, ok in rules:
+        y_star = np.array([_real(v, "y_star", "finite", ProblemFormatError) for v in y_star])
+        y_star.setflags(write=False)
+        object.__setattr__(self, "y_star", y_star)
+        rho, sigma = self.option("rho"), self.option("sigma")
+        for name, value, rule, ok in weight_bounds(rho, sigma, self.trunc):
             if not ok:
-                raise ProblemFormatError("%s must be %s, got %r" % (name, rule, value))
+                raise ProblemFormatError("option %r must be %s, got %r" % (name, rule, value))
         # StructureMatrix gives every entry the (n, m) of its block shape, so
         # checking the entries' ring also checks B12 is m x n and B22 n x n
         S = self.structure
@@ -123,31 +129,20 @@ class Problem:
 
     def option(self, name, override=None):
         """The override, else the file value, else the default; None counts as
-        unset.  The value is coerced by the type of its default: an integer
-        option is read by _integer up to MAX_ORDER, a float one by float(),
-        and a numeric option must lie in its range in _OPTION_RANGES.  Raises
-        ProblemFormatError for an unknown name or a value that does not
-        coerce or is out of range."""
-        if name in _OPTION_DEFAULTS:
-            default = _OPTION_DEFAULTS[name]
-        elif name in _RUN_DEFAULTS:
-            default = _RUN_DEFAULTS[name]
-        else:
+        unset.  The value is read by the type of its default and its entry in
+        _OPTION_RULES: an integer option by _integer from its least value up
+        to MAX_ORDER, a real one by _real.  Raises ProblemFormatError for an
+        unknown name or a value that is refused."""
+        if name not in _OPTION_DEFAULTS:
             raise ProblemFormatError("unknown option %r" % name)
+        default = _OPTION_DEFAULTS[name]
         value = override if override is not None else self.options.get(name)
         if value is None:
             return default
+        what, rule = "option %r" % name, _OPTION_RULES[name]
         if isinstance(default, int):
-            value = _integer(value, "option %r" % name, hi=MAX_ORDER, error=ProblemFormatError)
-        else:
-            try:
-                value = float(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ProblemFormatError("option %r: %s" % (name, exc)) from exc
-        rule, ok = _OPTION_RANGES.get(name, (None, None))
-        if rule is not None and not ok(value):
-            raise ProblemFormatError("option %r must be %s, got %r" % (name, rule, value))
-        return value
+            return _integer(value, what, rule, MAX_ORDER, ProblemFormatError)
+        return _real(value, what, rule, ProblemFormatError)
 
     def run_options(self, **overrides) -> RunOptions:
         unknown = sorted(set(overrides) - set(_RUN_DEFAULTS))
@@ -183,24 +178,15 @@ class Problem:
     @classmethod
     def from_payload(cls, payload: dict) -> "Problem":
         try:
-            trunc = Truncation(*(
-                _integer(payload["trunc"][k], "series order " + k, 0, MAX_ORDER,
-                         ProblemFormatError) for k in Truncation._fields
-            ))
             series = FourierTaylorSeries.from_payload
             B12, B22 = ([[series(e) for e in row] for row in payload[k]] for k in ("B12", "B22"))
             return cls(
-                n=_integer(payload["n"], "n", 1, MAX_ORDER, ProblemFormatError),
-                m=_integer(payload["m"], "m", 1, MAX_ORDER, ProblemFormatError),
-                a=float(payload["a"]),
-                epsilon=float(payload["epsilon"]),
-                tau=float(payload["tau"]),
-                y_star=payload["y_star"],
-                trunc=trunc,
+                **{k: payload[k] for k in ("n", "m", "a", "epsilon", "tau", "y_star")},
+                trunc=Truncation(*(payload["trunc"][k] for k in Truncation._fields)),
                 h=series(payload["h"]),
                 f=series(payload["f"]),
                 structure=StructureMatrix(B12, B22),
-                options=dict(payload.get("options", {})),
+                options=payload.get("options", {}),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProblemFormatError("bad problem payload: %s" % exc) from exc

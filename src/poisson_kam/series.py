@@ -55,9 +55,10 @@ derivative in y or eta, or a product with y_i, shifts one key column by a
 constant on ordered rows, which keeps their order.  Only rows from outside
 the algebra (from_terms, direct construction) take the constructor's merge.
 
-_integer is the one reader of integers from outside: term indices, series
-orders, dimensions, generator steps, integer options and the CLI's counts
-all pass through it, each with its own bounds and error class.
+_real is the one reader of numbers from outside, each held to one range of
+_REAL_RULES, and _integer reads the integers through it: term indices,
+series orders, dimensions, generator steps, integer options and the CLI's
+counts, each with its own bounds and error class.
 
 Mass discarded by the hard truncation is recorded on the innermost tracker
 opened by discards() in the current context, which passes it on outwards to
@@ -204,21 +205,47 @@ MAX_ORDER = 2**30 - 1
 
 def _integer(value, what, lo=None, hi=None, error=StructureMismatchError) -> int:
     """value, read from a file, an option or a flag, as an int in lo..hi (a
-    bound of None is open); a boolean or what is not a whole number is
-    refused.  Raises error naming what, and a bound refusal names the bound,
-    never the value."""
+    bound of None is open): a number _real reads as whole.  Raises error
+    naming what, and a bound refusal names the bound, never the value."""
     if type(value) is not int:
-        try:
-            if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
-                raise TypeError
-            value = int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise error("%s must be an integer, got %s" % (what, reprlib.repr(value))) from None
+        value = int(_real(value, what, "an integer", error))
     if lo is not None and value < lo:
         raise error("%s must be at least %d" % (what, lo))
     if hi is not None and value > hi:
         raise error("%s must be at most %d" % (what, hi))
     return value
+
+
+# the ranges _real reads a number by, each under the name its messages give
+_REAL_RULES = {
+    "a number": lambda v: True,
+    "an integer": float.is_integer,
+    "finite": math.isfinite,
+    "finite and > 0": lambda v: math.isfinite(v) and v > 0,
+    "finite and >= 0": lambda v: math.isfinite(v) and v >= 0,
+    "in (0, 1)": lambda v: 0.0 < v < 1.0,
+    "in (0, 1/3)": lambda v: 0.0 < v < 1.0 / 3.0,
+    "a number other than NaN": lambda v: not math.isnan(v),
+}
+
+
+def _real(value, what, rule, error=ParameterError) -> float:
+    """value, read from a file, an option or a flag, as a float in the range
+    _REAL_RULES[rule]; a boolean or what float() refuses is refused.  Raises
+    error with "<what> must be <rule>, got <value>", plus float()'s reason
+    when the value is too large to convert."""
+    number = value
+    if type(value) is not float:
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            number = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            got = reprlib.repr(value) + (" (%s)" % exc if isinstance(exc, OverflowError) else "")
+            raise error("%s must be %s, got %s" % (what, rule, got)) from None
+    if not _REAL_RULES[rule](number):
+        raise error("%s must be %s, got %s" % (what, rule, reprlib.repr(value)))
+    return number
 
 
 def _tuples(cols):
@@ -296,19 +323,12 @@ class FourierTaylorSeries:
 
     @classmethod
     def constant(cls, value, like: "FourierTaylorSeries"):
-        return cls.from_terms(
-            like.n,
-            like.m,
-            like.decay_rate,
-            like.trunc,
-            [((0,) * like.n, (0,) * like.m, 0, 0, value)] if value != 0 else [],
-        )
+        terms = [((0,) * like.n, (0,) * like.m, 0, 0, value)] if value != 0 else []
+        return cls.from_terms(*like.ring, terms)
 
     def _like(self, keys, coeffs):
         """A series of this ring from rows in canonical order: no merge runs."""
-        return FourierTaylorSeries(
-            self.n, self.m, self.decay_rate, self.trunc, keys, coeffs, _canonical=True
-        )
+        return FourierTaylorSeries(*self.ring, keys, coeffs, _canonical=True)
 
     # ---- key column views ---------------------------------------------
 
@@ -331,6 +351,11 @@ class FourierTaylorSeries:
     # ---- basic queries -------------------------------------------------
 
     @property
+    def ring(self):
+        """(n, m, decay_rate, trunc): what a series of this ring is built from."""
+        return self.n, self.m, self.decay_rate, self.trunc
+
+    @property
     def num_terms(self) -> int:
         return len(self.coeffs)
 
@@ -339,13 +364,7 @@ class FourierTaylorSeries:
 
     def is_action_only(self) -> bool:
         """True when every term has k = 0, e = 0, p = 0 (pure y dependence)."""
-        if self.is_zero():
-            return True
-        return (
-            not self.kcols.any()
-            and not self.ecol.any()
-            and not self.pcol.any()
-        )
+        return not (self.kcols.any() or self.ecol.any() or self.pcol.any())
 
     def max_abs_coeff(self) -> float:
         return float(np.abs(self.coeffs).max()) if len(self.coeffs) else 0.0
@@ -586,11 +605,13 @@ class FourierTaylorSeries:
             _integer(payload[k], "series order " + k, 0, MAX_ORDER) for k in Truncation._fields
         ]
         terms = [
-            (t["k"], t["alpha"], t["e"], t["p"], complex(t["re"], t["im"]))
+            (t["k"], t["alpha"], t["e"], t["p"],
+             complex(_real(t["re"], "coefficient re", "a number"),
+                     _real(t["im"], "coefficient im", "a number")))
             for t in payload["terms"]
         ]
         n, m = (_integer(payload[k], k, 1, MAX_ORDER) for k in ("n", "m"))
-        return cls.from_terms(n, m, payload["a"], trunc, terms)
+        return cls.from_terms(n, m, _real(payload["a"], "decay rate a", "in (0, 1)"), trunc, terms)
 
 
 class SeriesStack:
@@ -823,4 +844,4 @@ def shift_action_expansion(f: FourierTaylorSeries, y_star) -> FourierTaylorSerie
             raise OverflowError
     except OverflowError:
         raise ParameterError("y_star = %s overflows the shifted series" % y_star) from None
-    return FourierTaylorSeries.from_terms(f.n, f.m, f.decay_rate, f.trunc, terms)
+    return FourierTaylorSeries.from_terms(*f.ring, terms)

@@ -913,12 +913,15 @@ def _flag(command, flag):
     return argv
 
 
-def _generator_step(value, problem, out, tmp):
-    generators = json.loads((out / "generators.json").read_text())
-    generators["chi"][0]["step"] = value
-    (tmp / "run").mkdir()
-    (tmp / "run" / "generators.json").write_text(json.dumps(generators))
-    return ["verify", "--problem", str(problem), "--out", str(tmp / "run")]
+def _generator(*path):
+    """A CLI site: verify on a copy of the benchmark run whose generators.json
+    has path set to the value."""
+    def argv(value, problem, out, tmp):
+        generators = json.loads((out / "generators.json").read_text())
+        (tmp / "run").mkdir()
+        (tmp / "run" / "generators.json").write_text(json.dumps(_mutated(generators, path, value)))
+        return ["verify", "--problem", str(problem), "--out", str(tmp / "run")]
+    return argv
 
 
 # each site: a library call on the value, its error class, the name the
@@ -944,7 +947,7 @@ _INTEGER_SITES = {
     ),
     "generator step": (
         lambda v: ChiRecord(v, _BENCH.f, 0.5, 1.0, 0.1),
-        ProblemFormatError, ("generator step",) * 2, True, _generator_step,
+        ProblemFormatError, ("generator step",) * 2, True, _generator("chi", 0, "step"),
     ),
     "--max-steps": (
         lambda v: _BENCH.option("max_steps", v),
@@ -1052,3 +1055,149 @@ def test_overflowing_float_field_exit_1(bench_file, tmp_path, capsys):
         assert main(["normalize", "--problem", str(bench_file), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "too large to convert to float" in err
+
+
+# ---- real numbers read from outside ----------------------------------------
+
+
+def _problem_with(*path):
+    return lambda v: Problem.from_payload(_mutated(_BASE_PAYLOAD, path, v))
+
+
+def _report_with(name):
+    def call(value):
+        setup = _BENCH.initialize()
+        return torus_persistence_report(
+            setup.decomp.full, setup.structure, [], n_angles=1, **{name: value}
+        )
+    return call
+
+
+def _lie_check_with_tol(value):
+    record = ChiRecord.from_payload(_BASE_GENERATORS["chi"][0])
+    point = ExtendedPoint(np.zeros(1), np.full(1, 0.3))
+    return lie_vs_flow_check(record, _BENCH.initialize().structure, point, tol=value)
+
+
+# each site: a library call on the value, its error class, the name the
+# library's and the CLI's messages give, a value out of the site's range
+# (None where any number is taken) and a CLI run on the value
+_REAL_SITES = {
+    "a": (_problem_with("a"), ProblemFormatError, ("decay rate a",) * 2, 1.5, _file("a")),
+    "epsilon": (
+        _problem_with("epsilon"), ProblemFormatError, ("epsilon",) * 2, -1e-3, _file("epsilon"),
+    ),
+    "tau": (_problem_with("tau"), ProblemFormatError, ("tau",) * 2, -1.0, _file("tau")),
+    "y_star": (
+        _problem_with("y_star", 0), ProblemFormatError, ("y_star",) * 2, float("inf"),
+        _file("y_star", 0),
+    ),
+    "option in a file": (
+        lambda v: _BENCH.option("tol", v),
+        ProblemFormatError, ("option 'tol'",) * 2, 0.0, _file("options", "tol"),
+    ),
+    "series a": (
+        lambda v: _series_with("a", v), ParameterError, ("decay rate a",) * 2, 0.0, _file("f", "a"),
+    ),
+    "coefficient im": (
+        lambda v: _series_with("terms", [dict(_BENCH.f.to_payload()["terms"][0], im=v)]),
+        ParameterError, ("coefficient im",) * 2, None, _file("f", "terms", 0, "im"),
+    ),
+    "coefficient re in generators.json": (
+        lambda v: _series_with("terms", [dict(_BENCH.f.to_payload()["terms"][0], re=v)]),
+        ParameterError, ("coefficient re",) * 2, None,
+        _generator("chi", 0, "chi", "terms", 0, "re"),
+    ),
+    "generator rho": (
+        lambda v: ChiRecord(0, _BENCH.f, v, 1.0, 0.1),
+        ProblemFormatError, ("generator 0: rho",) * 2, 0.0, _generator("chi", 0, "rho"),
+    ),
+    "generator sigma": (
+        lambda v: ChiRecord(0, _BENCH.f, 0.5, v, 0.1),
+        ProblemFormatError, ("generator 0: sigma",) * 2, float("inf"),
+        _generator("chi", 0, "sigma"),
+    ),
+    "generator d": (
+        lambda v: ChiRecord(0, _BENCH.f, 0.5, 1.0, v),
+        ProblemFormatError, ("generator 0: d",) * 2, 0.5, _generator("chi", 0, "d"),
+    ),
+    "--target-eps": (
+        lambda v: _BENCH.initialize(target_eps=v),
+        ProblemFormatError, ("option 'target_eps'",) * 2, -1.0, _flag("normalize", "--target-eps"),
+    ),
+    "--t-end": (
+        _report_with("t_end"),
+        ParameterError, ("'t_end'", "option 't_end'"), 0.0, _flag("verify", "--t-end"),
+    ),
+    "--tol": (
+        _report_with("tol"),
+        ParameterError, ("'tol'", "option 'tol'"), -1.0, _flag("verify", "--tol"),
+    ),
+    "--threshold": (
+        _report_with("threshold"),
+        ParameterError, ("'threshold'", "option 'threshold'"), float("nan"),
+        _flag("verify", "--threshold"),
+    ),
+    "lie-check --tol": (
+        _lie_check_with_tol,
+        ParameterError, ("'tol'",) * 2, float("inf"), _flag("lie-check", "--tol"),
+    ),
+}
+
+
+_OUT_OF_RANGE = object()
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.bool_(False), "x", _OUT_OF_RANGE], ids=["True", "np.False_", "x", "range"]
+)
+@pytest.mark.parametrize("site", list(_REAL_SITES))
+def test_outside_real_refused_by_one_rule(bench_run, tmp_path, capsys, site, value):
+    """A boolean (Python's or numpy's), a string that is no number and a
+    number out of the site's range, at each real number read from a file, an
+    option or a flag: the library raises the site's error class, and the CLI
+    exits 1 with one error: line naming the site, not a usage text, and not
+    exit 2 as a refusal."""
+    call, error, whats, out_of_range, cli = _REAL_SITES[site]
+    if value is _OUT_OF_RANGE:
+        if out_of_range is None:
+            return
+        value = out_of_range
+    with pytest.raises(error) as info:
+        call(value)
+    capsys.readouterr()
+    # a JSON file holds no numpy boolean: the CLI is given its Python value
+    value = value.item() if isinstance(value, np.generic) else value
+    assert main(cli(value, *bench_run, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "usage:" not in err
+    for message, what in zip((str(info.value), err), whats):
+        assert "%s must be " % what in message
+
+
+@pytest.mark.parametrize("options", [[["rho", 0.5]], "ab", None])
+def test_options_that_are_not_an_object_exit_1(bench_file, tmp_path, capsys, options):
+    """A problem file's options must be a JSON object: a list of pairs or a
+    string is refused with one error naming options."""
+    bench_file.write_text(json.dumps(_mutated(_BASE_PAYLOAD, ("options",), options)))
+    with pytest.raises(ProblemFormatError, match="^options must be an object"):
+        Problem.load(bench_file)
+    assert main(["normalize", "--problem", str(bench_file), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: options must be an object, got ")
+
+
+@pytest.mark.parametrize(
+    "setting", [{"t_end": float("nan")}, {"threshold": float("nan")}, {"tol": True, "t_end": True}]
+)
+def test_report_reads_its_settings_before_any_work(monkeypatch, setting):
+    """torus_persistence_report refuses a NaN t_end or threshold and boolean
+    settings before it builds the composed map."""
+    from poisson_kam import dynamics
+
+    def unreachable(*args):
+        raise AssertionError("the map was built")
+
+    monkeypatch.setattr(dynamics, "composed_displacements", unreachable)
+    setup = rescaled_benchmark_problem().initialize()
+    with pytest.raises(ParameterError, match="must be"):
+        torus_persistence_report(setup.decomp.full, setup.structure, [], **setting)
