@@ -298,8 +298,11 @@ def integrate(
     One row per accepted solver step.  torus_error is |y|, the Euclidean
     distance from the expansion torus y = 0; phase_drift is x(t) - x(0) -
     omega t wrapped to (-pi, pi].  When omega is not supplied it is recovered
-    from the linear action part of H.
+    from the linear action part of H.  tol (tol * 1e-2 absolute) and t_end
+    are read before any work: ParameterError unless finite and > 0.
     """
+    tol = _real(tol, "'tol'", "finite and > 0")
+    t_end = _real(t_end, "'t_end'", "finite and > 0")
     grad = _GradientCache(H, S)
     m, n = S.m, S.n
     if omega is None:

@@ -7,15 +7,14 @@ their rows do, so a merge sorts codes: _merge_order finds the stable order
 of the codes by a tagged in-place sort, _run_sums and _run_products sum the
 coefficients of each run of equal codes, _merge_sorted places one canonical
 series' terms among another's by binary search, and _merge_codes merges
-unsorted codes.  Every ring packs: _pack_codec refuses one whose key rows
-need more than 62 bits.
+unsorted codes.  Every ring packs: _pack_codec counts a key row's bits and
+refuses a ring over 62 before it allocates anything for it.
 
 The passes over a product's pairs (see series) work on blocks of
 _BLOCK_PAIRS pairs, so no temporary they gather is longer than one block.
 """
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -47,27 +46,26 @@ def _pack_codec(n, m, trunc):
     """The _Codec for a (possibly product-summed) key row of one ring, built
     once per (n, m, trunc) with read-only arrays.  Packing is linear, so the
     code of a product key is the code of one factor plus the other factor's
-    row @ strides.  Raises StructureMismatchError for a ring whose rows need
-    more than 62 bits."""
+    row @ strides.  A row's bits are counted by arithmetic first: n angle
+    columns of one width, m action columns of another, then e and p; a ring
+    whose rows need more than 62 bits raises StructureMismatchError before
+    any per-column array is built."""
     K, L, P = trunc
-    lo = [-2 * K] * n + [0] * (m + 2)
-    sizes = [4 * K + 1] * n + [2 * L + 1] * m + [3] + [2 * P + 1]
-    bits = [max(1, int(math.ceil(math.log2(s + 1)))) for s in sizes]
-    if sum(bits) > 62:
+    widths = [(4 * K + 1).bit_length(), (2 * L + 1).bit_length(), 2, (2 * P + 1).bit_length()]
+    total = n * widths[0] + m * widths[1] + widths[2] + widths[3]
+    if total > 62:
         raise StructureMismatchError(
             "the ring n=%d, m=%d, (K_max, L_max, P_max) = (%d, %d, %d) needs %d bits "
-            "per key, over the 62 that pack into one int64 code" % (n, m, K, L, P, sum(bits))
+            "per key, over the 62 that pack into one int64 code" % (n, m, K, L, P, total)
         )
-    shifts = np.empty(n + m + 2, dtype=np.int64)
-    shift = 0
-    for i in range(n + m + 2 - 1, -1, -1):
-        shifts[i] = shift
-        shift += bits[i]
+    bits = np.repeat(np.array(widths, dtype=np.int64), [n, m, 1, 1])
+    # column i sits above the bits of every column after it
+    shifts = np.cumsum(bits[::-1])[::-1] - bits
     codec = _Codec(
-        np.asarray(lo, dtype=np.int64),
+        np.repeat(np.array([-2 * K, 0], dtype=np.int64), [n, m + 2]),
         np.left_shift(1, shifts),
         shifts,
-        np.left_shift(1, np.asarray(bits, dtype=np.int64)) - 1,
+        np.left_shift(1, bits) - 1,
     )
     for arr in codec:
         arr.setflags(write=False)

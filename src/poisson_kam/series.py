@@ -45,15 +45,16 @@ holds, per pair:
 
 Only the merged codes are unpacked into keys.  The packing codec is built
 once per ring, and a ring whose keys need more than 62 bits is refused
-when a series is built in it.
+before anything is allocated for it.
 
 The codes, the merges and the block size live in the merge module.  Every
 operation keeps the canonical order by construction and builds through
-_like, which merges nothing: a sum places one series' terms among the
-other's by a binary search of their sorted codes (_merge_sorted), and a
+_like, which reads and merges nothing: a sum places one series' terms among
+the other's by a binary search of their sorted codes (_merge_sorted), and a
 derivative in y or eta, or a product with y_i, shifts one key column by a
 constant on ordered rows, which keeps their order.  Only rows from outside
-the algebra (from_terms, direct construction) take the constructor's merge.
+the algebra (from_terms, direct construction) take the constructor's merge
+and have their ring read (_read_ring).
 
 _real is the one reader of numbers from outside, each held to one range of
 _REAL_RULES, and _integer reads the integers through it: term indices,
@@ -125,8 +126,8 @@ class WeightedNormParams:
     sigma: float
 
     def __post_init__(self):
-        if not (self.rho > 0 and self.sigma > 0):
-            raise ValueError("rho and sigma must be positive")
+        for name in ("rho", "sigma"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, "finite and > 0"))
 
 
 def weight_bounds(rho, sigma, trunc):
@@ -248,6 +249,17 @@ def _real(value, what, rule, error=ParameterError) -> float:
     return number
 
 
+def _read_ring(n, m, decay_rate, trunc):
+    """A ring from outside, read: n, m in 1..MAX_ORDER, the decay rate in
+    (0, 1), each order in 0..MAX_ORDER, and its key rows must pack."""
+    n, m = _integer(n, "n", 1, MAX_ORDER), _integer(m, "m", 1, MAX_ORDER)
+    decay_rate = _real(decay_rate, "decay rate a", "in (0, 1)")
+    orders = Truncation(*trunc)._asdict().items()
+    trunc = Truncation(*(_integer(v, "series order " + k, 0, MAX_ORDER) for k, v in orders))
+    _pack_codec(n, m, trunc)
+    return n, m, decay_rate, trunc
+
+
 def _tuples(cols):
     """The rows of a list of equal-length columns, as tuples; () for each
     row when there are no columns."""
@@ -260,11 +272,10 @@ class FourierTaylorSeries:
     __slots__ = ("n", "m", "decay_rate", "trunc", "keys", "coeffs")
 
     def __init__(self, n, m, decay_rate, trunc, keys=None, coeffs=None, _canonical=False):
-        self.n = int(n)
-        self.m = int(m)
-        self.decay_rate = float(decay_rate)
-        self.trunc = Truncation(*trunc)
-        ncols = self.n + self.m + 2
+        if not _canonical:
+            n, m, decay_rate, trunc = _read_ring(n, m, decay_rate, trunc)
+        self.n, self.m, self.decay_rate, self.trunc = n, m, decay_rate, trunc
+        ncols = n + m + 2
         if keys is None:
             keys = np.zeros((0, ncols), dtype=np.int32)
             coeffs = np.zeros(0, dtype=np.complex128)
@@ -272,13 +283,10 @@ class FourierTaylorSeries:
         coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
         if keys.shape[0] != coeffs.shape[0]:
             raise StructureMismatchError("keys/coeffs length mismatch")
-        if not _canonical:
-            # built with no rows too, so a ring that does not pack is refused
-            codec = _pack_codec(self.n, self.m, self.trunc)
-            if len(coeffs):
-                _, first, coeffs = _merge_codes(_pack(keys, codec), coeffs)
-                keys = keys.take(first, axis=0)
-                del _, first
+        if not _canonical and len(coeffs):
+            _, first, coeffs = _merge_codes(_pack(keys, _pack_codec(n, m, trunc)), coeffs)
+            keys = keys.take(first, axis=0)
+            del _, first
         keep = coeffs != 0
         if not keep.all():
             keys, coeffs = keys[keep], coeffs[keep]
@@ -296,8 +304,9 @@ class FourierTaylorSeries:
     @classmethod
     def from_terms(cls, n, m, decay_rate, trunc, terms: Iterable):
         """Build from an iterable of (k, alpha, e, p, coefficient); the indices
-        are read by _integer, and alpha and p must not be negative."""
-        trunc = Truncation(*trunc)
+        are read by _integer, alpha and p must not be negative, and a
+        coefficient must not be a boolean."""
+        n, m, decay_rate, trunc = _read_ring(n, m, decay_rate, trunc)
         rows, cs = [], []
         for k, alpha, e, p, c in terms:
             k = tuple(_integer(v, "term index") for v in k)
@@ -313,6 +322,8 @@ class FourierTaylorSeries:
                 or p > trunc.P_max
             ):
                 raise StructureMismatchError("term outside the truncation orders")
+            if isinstance(c, (bool, np.bool_)):
+                raise ParameterError("coefficient must be a number, got %r" % c)
             c = complex(c)
             if not cmath.isfinite(c):
                 raise ParameterError("non-finite coefficient %r at k=%s" % (c, list(k)))
@@ -327,7 +338,8 @@ class FourierTaylorSeries:
         return cls.from_terms(*like.ring, terms)
 
     def _like(self, keys, coeffs):
-        """A series of this ring from rows in canonical order: no merge runs."""
+        """A series of this ring from rows in canonical order: nothing is
+        read and no merge runs."""
         return FourierTaylorSeries(*self.ring, keys, coeffs, _canonical=True)
 
     # ---- key column views ---------------------------------------------
@@ -396,24 +408,14 @@ class FourierTaylorSeries:
             yield tuple(row[:n]), tuple(row[n : n + m]), row[n + m], row[n + m + 1], c
 
     def _check_compatible(self, other: "FourierTaylorSeries"):
-        if (
-            self.n != other.n
-            or self.m != other.m
-            or self.decay_rate != other.decay_rate
-            or self.trunc != other.trunc
-        ):
-            raise StructureMismatchError(
-                "series disagree on dims, decay rate or truncation"
-            )
+        if self.ring != other.ring:
+            raise StructureMismatchError("series disagree on dims, decay rate or truncation")
 
     def __eq__(self, other):
         if not isinstance(other, FourierTaylorSeries):
             return NotImplemented
         return (
-            self.n == other.n
-            and self.m == other.m
-            and self.decay_rate == other.decay_rate
-            and self.trunc == other.trunc
+            self.ring == other.ring
             and self.keys.shape == other.keys.shape
             and bool((self.keys == other.keys).all())
             and bool((self.coeffs == other.coeffs).all())
@@ -512,16 +514,13 @@ class FourierTaylorSeries:
         """The terms within the orders trunc, as a series of that ring.  The
         canonical order is lexicographic in the key rows in every ring, so
         the kept rows stay canonical; a selection records no discard."""
-        trunc = Truncation(*trunc)
+        *_, trunc = ring = _read_ring(self.n, self.m, self.decay_rate, trunc)
         keep = (
             (np.abs(self.kcols).sum(axis=1) <= trunc.K_max)
             & (self.acols.sum(axis=1) <= trunc.L_max)
             & (self.pcol <= trunc.P_max)
         )
-        return FourierTaylorSeries(
-            self.n, self.m, self.decay_rate, trunc, self.keys[keep], self.coeffs[keep],
-            _canonical=True,
-        )
+        return FourierTaylorSeries(*ring, self.keys[keep], self.coeffs[keep], _canonical=True)
 
     # ---- evaluation ------------------------------------------------------
 
@@ -601,17 +600,14 @@ class FourierTaylorSeries:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FourierTaylorSeries":
-        trunc = [
-            _integer(payload[k], "series order " + k, 0, MAX_ORDER) for k in Truncation._fields
-        ]
         terms = [
             (t["k"], t["alpha"], t["e"], t["p"],
              complex(_real(t["re"], "coefficient re", "a number"),
                      _real(t["im"], "coefficient im", "a number")))
             for t in payload["terms"]
         ]
-        n, m = (_integer(payload[k], k, 1, MAX_ORDER) for k in ("n", "m"))
-        return cls.from_terms(n, m, _real(payload["a"], "decay rate a", "in (0, 1)"), trunc, terms)
+        trunc = [payload[k] for k in Truncation._fields]
+        return cls.from_terms(payload["n"], payload["m"], payload["a"], trunc, terms)
 
 
 class SeriesStack:

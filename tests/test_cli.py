@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,8 +25,10 @@ from poisson_kam import (
     Problem,
     StructureMatrix,
     Truncation,
+    WeightedNormParams,
     benchmark_problem,
     diophantine_profile,
+    integrate,
     lie_vs_flow_check,
     rescaled_benchmark_problem,
     run,
@@ -1173,6 +1176,113 @@ def test_outside_real_refused_by_one_rule(bench_run, tmp_path, capsys, site, val
     assert err.startswith("error:") and len(err.splitlines()) == 1 and "usage:" not in err
     for message, what in zip((str(info.value), err), whats):
         assert "%s must be " % what in message
+
+
+def _integrate_with_tol(value):
+    setup = _BENCH.initialize()
+    start = ExtendedPoint(np.zeros(1), np.full(1, 0.3))
+    return integrate(setup.decomp.full, setup.structure, [start], 0.1, value)
+
+
+# each library entry point that reads a ring, a radius, a coefficient or a
+# tolerance, on a value it must refuse, with the error class and the message
+# that names the value
+_LIBRARY_REFUSALS = {
+    "from_terms a": (
+        lambda: FourierTaylorSeries.from_terms(1, 1, True, (4, 4, 4), []),
+        ParameterError, "decay rate a must be in (0, 1), got True",
+    ),
+    "from_terms K_max": (
+        lambda: FourierTaylorSeries.from_terms(1, 1, 0.5, (4.5, 4, 4), []),
+        StructureMismatchError, "series order K_max must be an integer, got 4.5",
+    ),
+    "from_terms n": (
+        lambda: FourierTaylorSeries.from_terms(True, 1, 0.5, (4, 4, 4), []),
+        StructureMismatchError, "n must be an integer, got True",
+    ),
+    "from_terms coefficient": (
+        lambda: FourierTaylorSeries.from_terms(1, 1, 0.5, (4, 4, 4), [((0,), (0,), 0, 0, True)]),
+        ParameterError, "coefficient must be a number, got True",
+    ),
+    "constructor m": (
+        lambda: FourierTaylorSeries(1, 1.5, 0.5, (4, 4, 4)),
+        StructureMismatchError, "m must be an integer, got 1.5",
+    ),
+    "zeros a": (
+        lambda: FourierTaylorSeries.zeros(1, 1, 1.0, (4, 4, 4)),
+        ParameterError, "decay rate a must be in (0, 1), got 1.0",
+    ),
+    "cut P_max": (
+        lambda: FourierTaylorSeries.zeros(1, 1, 0.5, (4, 4, 4)).cut((4, 4, True)),
+        StructureMismatchError, "series order P_max must be an integer, got True",
+    ),
+    "WeightedNormParams rho": (
+        lambda: WeightedNormParams(float("inf"), 1.0),
+        ParameterError, "rho must be finite and > 0, got inf",
+    ),
+    "WeightedNormParams sigma": (
+        lambda: WeightedNormParams(1.0, True),
+        ParameterError, "sigma must be finite and > 0, got True",
+    ),
+    "integrate tol": (
+        lambda: _integrate_with_tol(None),
+        ParameterError, "'tol' must be finite and > 0, got None",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(_LIBRARY_REFUSALS))
+def test_library_reads_what_it_is_given(site):
+    """The library entry points read their rings, radii, coefficients and
+    tolerances by the rules a file's fields follow, so a boolean, a
+    fractional order or a rate of 1 is refused, naming the value, and not
+    built or left to a bare TypeError."""
+    call, error, message = _LIBRARY_REFUSALS[site]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_library_reads_a_number_in_text_as_a_file_field():
+    """A radius or tolerance given as text that float() takes is that number."""
+    assert WeightedNormParams("0.5", "1") == WeightedNormParams(0.5, 1.0)
+    (by_text,), (by_float,) = _integrate_with_tol("1e-8"), _integrate_with_tol(1e-8)
+    assert np.array_equal(by_text.states, by_float.states)
+
+
+def _traced_peak(call):
+    """The peak memory call() traces, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_ring_refused_by_zeros_before_anything_is_allocated():
+    """zeros in a ring of 10^6 angles is refused by counting its key bits,
+    with no list or array per column built first (that traces over 20 MB)."""
+
+    def zeros():
+        with pytest.raises(StructureMismatchError, match=r"^the ring n=1000000, .* 3000006 bits"):
+            FourierTaylorSeries.zeros(10**6, 1, 0.5, (1, 1, 1))
+
+    assert _traced_peak(zeros) < 1e6
+
+
+def test_wide_ring_refused_in_a_file_before_anything_is_allocated(tmp_path, capsys):
+    """normalize on a problem file whose h has 10^6 angles and no terms
+    exits 1 with one error naming the ring, under a traced peak of 2 MB."""
+    problem = tmp_path / "wide.json"
+    h = dict(_BASE_PAYLOAD["h"], n=10**6, terms=[])
+    problem.write_text(json.dumps(dict(_BASE_PAYLOAD, h=h)))
+    argv = ["normalize", "--problem", str(problem), "--out", str(tmp_path / "o")]
+    codes = []
+    assert _traced_peak(lambda: codes.append(main(argv))) < 2e6
+    assert codes == [1]
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ring n=1000000, m=1, ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("options", [[["rho", 0.5]], "ab", None])
