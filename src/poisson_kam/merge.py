@@ -3,12 +3,12 @@
 A key row (k, alpha, e, p) of one ring packs into one int64 code, (row - lo)
 @ strides, each column in its own bits (_pack_codec); packing is linear, so
 the code of a product key is the sum of its factors' codes.  Codes sort as
-their rows do, so a merge sorts codes: _merge_order finds the stable order
-of the codes by a tagged in-place sort, _run_sums and _run_products sum the
-coefficients of each run of equal codes, _merge_sorted places one canonical
-series' terms among another's by binary search, and _merge_codes merges
-unsorted codes.  Every ring packs: _pack_codec counts a key row's bits and
-refuses a ring over 62 before it allocates anything for it.
+their rows do, so a merge sorts codes and sums the coefficients of each run
+of equal codes (_run_sums, _run_products).  Rows are merged one of two ways:
+_merge_codes, the stable argsort, merges a series' rows at construction and
+the rows of a sum, and _merge_order, a tagged in-place sort, merges the
+pairs of a product alone.  Every ring packs: _pack_codec counts a key row's
+bits and refuses a ring over 62 before it allocates anything for it.
 
 The passes over a product's pairs (see series) work on blocks of
 _BLOCK_PAIRS pairs, so no temporary they gather is longer than one block.
@@ -87,17 +87,25 @@ def _unpack(codes, codec):
     return rows.astype(np.int32)
 
 
+def _run_starts(codes):
+    """Where each run of equal codes starts in sorted codes."""
+    boundary = np.empty(len(codes), dtype=bool)
+    boundary[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
+    return np.flatnonzero(boundary)
+
+
 def _merge_order(codes):
-    """Sort a non-empty int64 code array in place, stably: returns the order
-    that sorts it and where each run of equal codes starts in the sorted
-    codes.
+    """Sort a non-empty int64 code array of a product's pairs in place,
+    stably: returns the order that sorts it and where each run of equal
+    codes starts in the sorted codes.
 
     Each code is shifted left by s = len(codes).bit_length() bits and tagged
     with its row index in the freed bits, block by block, so the tagged keys
     are unique and numpy's in-place sort, stable or not, puts them in the
-    stable order of the codes; the row order (int32 below 2^31 rows) is read
-    back by mask and the codes by shift, in place.  Codes that overflow
-    int64 once shifted take the stable argsort."""
+    stable order of the codes; the row order is read back by mask, as int32
+    since a product forms fewer than 2^31 pairs, and the codes by shift, in
+    place.  Codes that overflow int64 once shifted take the stable argsort."""
     s = len(codes).bit_length()
     bound = 1 << (63 - s)
     if -bound <= codes.min() and codes.max() < bound:
@@ -105,16 +113,13 @@ def _merge_order(codes):
         for block in _blocks(len(codes)):
             codes[block] |= np.arange(block.start, block.stop)
         codes.sort()
-        order = np.empty(len(codes), dtype=np.int32 if s < 32 else np.int64)
+        order = np.empty(len(codes), dtype=np.int32)
         np.bitwise_and(codes, (1 << s) - 1, out=order, casting="unsafe")
         codes >>= s
     else:
         order = np.argsort(codes, kind="stable")
         codes[...] = codes[order]
-    boundary = np.empty(len(codes), dtype=bool)
-    boundary[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=boundary[1:])
-    return order, np.flatnonzero(boundary)
+    return order, _run_starts(codes)
 
 
 def _run_sums(coeffs, starts):
@@ -145,37 +150,12 @@ def _run_products(f_coeffs, g_coeffs, i, j, order, starts):
 
 
 def _merge_codes(codes, coeffs):
-    """Stable-sort a copy of a non-empty int64 code array and sum the
-    coefficients of equal codes (see _merge_order).  Returns the unique
-    codes, the index of the first row of each, and the sums."""
-    codes = codes.copy()
-    order, starts = _merge_order(codes)
+    """The stable merge of an int64 code array, which is left as it is:
+    the unique codes, the index of the first row of each, and the sum of
+    the coefficients of each run of equal codes in row order.  numpy's
+    stable sort of int64 is a timsort, which merges codes that arrive as a
+    few sorted runs, such as a sum's two operands, in linear passes."""
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = _run_starts(codes)
     return codes[starts], order[starts], _run_sums(coeffs[order], starts)
-
-
-def _merge_sorted(f, g, codec):
-    """The keys and coefficients of f + g for canonical f and g: g's terms
-    are placed among f's by a binary search of their codes, and a key both
-    have is summed as f's coefficient plus g's, which is what reduceat gives
-    for a run of two rows; so the result is the constructor's merge of the
-    concatenated rows bit for bit."""
-    # the codes less the constant lo @ strides, which keeps their order
-    a, b = f.keys @ codec.strides, g.keys @ codec.strides
-    pos = np.searchsorted(a, b, "right")
-    shared = pos > 0
-    shared[shared] = a[pos[shared] - 1] == b[shared]
-    new = np.flatnonzero(~shared)
-    # dest: the rows of f + g that g's new terms land on; src: each row of
-    # f + g as a row of the concatenation [f, g]
-    dest = pos[new] + np.arange(len(new))
-    from_f = np.ones(len(a) + len(new), dtype=bool)
-    from_f[dest] = False
-    src = np.empty(len(from_f), dtype=np.int64)
-    src[from_f] = np.arange(len(a))
-    src[dest] = len(a) + new
-    keys = np.concatenate([f.keys, g.keys]).take(src, axis=0)
-    coeffs = np.concatenate([f.coeffs, g.coeffs])[src]
-    coeffs[np.flatnonzero(from_f)[pos[shared] - 1]] += g.coeffs[shared]
-    # recombined from its parts as _run_sums does, which can change the
-    # sign of a zero part
-    return keys, coeffs.real + 1j * coeffs.imag

@@ -47,19 +47,19 @@ Only the merged codes are unpacked into keys.  The packing codec is built
 once per ring, and a ring whose keys need more than 62 bits is refused
 before anything is allocated for it.
 
-The codes, the merges and the block size live in the merge module.  Every
-operation keeps the canonical order by construction and builds through
-_like, which reads and merges nothing: a sum places one series' terms among
-the other's by a binary search of their sorted codes (_merge_sorted), and a
-derivative in y or eta, or a product with y_i, shifts one key column by a
-constant on ordered rows, which keeps their order.  Only rows from outside
-the algebra (from_terms, direct construction) take the constructor's merge
-and have their ring read (_read_ring).
+The codes, the merges and the block size live in the merge module.  A sum
+and a construction share one merge, _merge_rows, the stable sort of codes:
+of a sum's operands' rows end to end, or of rows from outside the algebra
+(from_terms, direct construction) once their ring is read (_read_ring).
+Only the product takes the tagged sort.  Every other operation keeps the
+canonical order by construction and builds through _like, which reads and
+merges nothing: a derivative in y or eta, or a product with y_i, shifts one
+key column by a constant on ordered rows, which keeps their order.
 
-_real is the one reader of numbers from outside, each held to one range of
-_REAL_RULES, and _integer reads the integers through it: term indices,
-series orders, dimensions, generator steps, integer options and the CLI's
-counts, each with its own bounds and error class.
+_number reads every number from outside: a coefficient, and through _real
+a real number held to one range of _REAL_RULES, through which _integer reads
+term indices, series orders, dimensions, generator steps, integer options
+and the CLI's counts, each with its own bounds and error class.
 
 Mass discarded by the hard truncation is recorded on the innermost tracker
 opened by discards() in the current context, which passes it on outwards to
@@ -105,7 +105,6 @@ from .merge import (
     _blocks,
     _merge_codes,
     _merge_order,
-    _merge_sorted,
     _pack,
     _pack_codec,
     _run_products,
@@ -230,20 +229,25 @@ _REAL_RULES = {
 }
 
 
+def _number(value, kind, what, rule, error):
+    """value, read from outside, as kind (float or complex): a boolean, or
+    what kind() refuses, raises error "<what> must be <rule>, got <value>",
+    plus kind()'s reason when the value is too large to convert."""
+    if type(value) is kind:
+        return value
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        got = reprlib.repr(value) + (" (%s)" % exc if isinstance(exc, OverflowError) else "")
+        raise error("%s must be %s, got %s" % (what, rule, got)) from None
+
+
 def _real(value, what, rule, error=ParameterError) -> float:
-    """value, read from a file, an option or a flag, as a float in the range
-    _REAL_RULES[rule]; a boolean or what float() refuses is refused.  Raises
-    error with "<what> must be <rule>, got <value>", plus float()'s reason
-    when the value is too large to convert."""
-    number = value
-    if type(value) is not float:
-        try:
-            if isinstance(value, (bool, np.bool_)):
-                raise TypeError
-            number = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            got = reprlib.repr(value) + (" (%s)" % exc if isinstance(exc, OverflowError) else "")
-            raise error("%s must be %s, got %s" % (what, rule, got)) from None
+    """value, read from a file, an option or a flag, as a float (_number) in
+    the range _REAL_RULES[rule]."""
+    number = _number(value, float, what, rule, error)
     if not _REAL_RULES[rule](number):
         raise error("%s must be %s, got %s" % (what, rule, reprlib.repr(value)))
     return number
@@ -258,6 +262,13 @@ def _read_ring(n, m, decay_rate, trunc):
     trunc = Truncation(*(_integer(v, "series order " + k, 0, MAX_ORDER) for k, v in orders))
     _pack_codec(n, m, trunc)
     return n, m, decay_rate, trunc
+
+
+def _merge_rows(keys, coeffs, codec):
+    """Each distinct key row once, in canonical order, with the sum of its
+    coefficients in row order: the stable merge of their codes."""
+    _, first, coeffs = _merge_codes(_pack(keys, codec), coeffs)
+    return keys.take(first, axis=0), coeffs
 
 
 def _tuples(cols):
@@ -283,10 +294,8 @@ class FourierTaylorSeries:
         coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
         if keys.shape[0] != coeffs.shape[0]:
             raise StructureMismatchError("keys/coeffs length mismatch")
-        if not _canonical and len(coeffs):
-            _, first, coeffs = _merge_codes(_pack(keys, _pack_codec(n, m, trunc)), coeffs)
-            keys = keys.take(first, axis=0)
-            del _, first
+        if not _canonical:
+            keys, coeffs = _merge_rows(keys, coeffs, _pack_codec(n, m, trunc))
         keep = coeffs != 0
         if not keep.all():
             keys, coeffs = keys[keep], coeffs[keep]
@@ -305,7 +314,7 @@ class FourierTaylorSeries:
     def from_terms(cls, n, m, decay_rate, trunc, terms: Iterable):
         """Build from an iterable of (k, alpha, e, p, coefficient); the indices
         are read by _integer, alpha and p must not be negative, and a
-        coefficient must not be a boolean."""
+        coefficient is what complex() takes, read by _number."""
         n, m, decay_rate, trunc = _read_ring(n, m, decay_rate, trunc)
         rows, cs = [], []
         for k, alpha, e, p, c in terms:
@@ -322,9 +331,7 @@ class FourierTaylorSeries:
                 or p > trunc.P_max
             ):
                 raise StructureMismatchError("term outside the truncation orders")
-            if isinstance(c, (bool, np.bool_)):
-                raise ParameterError("coefficient must be a number, got %r" % c)
-            c = complex(c)
+            c = _number(c, complex, "coefficient", "a number", ParameterError)
             if not cmath.isfinite(c):
                 raise ParameterError("non-finite coefficient %r at k=%s" % (c, list(k)))
             rows.append(k + alpha + (e, p))
@@ -436,8 +443,9 @@ class FourierTaylorSeries:
         if isinstance(other, (int, float, complex)):
             other = FourierTaylorSeries.constant(other, self)
         self._check_compatible(other)
-        codec = _pack_codec(self.n, self.m, self.trunc)
-        return self._like(*_merge_sorted(self, other, codec))
+        keys = np.concatenate([self.keys, other.keys])
+        coeffs = np.concatenate([self.coeffs, other.coeffs])
+        return self._like(*_merge_rows(keys, coeffs, _pack_codec(self.n, self.m, self.trunc)))
 
     __radd__ = __add__
 

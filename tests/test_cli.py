@@ -1204,6 +1204,19 @@ _LIBRARY_REFUSALS = {
         lambda: FourierTaylorSeries.from_terms(1, 1, 0.5, (4, 4, 4), [((0,), (0,), 0, 0, True)]),
         ParameterError, "coefficient must be a number, got True",
     ),
+    **{
+        "from_terms coefficient " + name: (
+            lambda c=c: FourierTaylorSeries.from_terms(1, 1, 0.5, (4, 4, 4), [((0,), (0,), 0, 0, c)]),
+            ParameterError, "coefficient must be a number, got " + got,
+        )
+        for name, c, got in [
+            ("text", "x", "'x'"),
+            ("None", None, "None"),
+            ("list", [1], "[1]"),
+            ("10**400", 10**400, "100000000000000000...0000000000000000000 "
+                                 "(int too large to convert to float)"),
+        ]
+    },
     "constructor m": (
         lambda: FourierTaylorSeries(1, 1.5, 0.5, (4, 4, 4)),
         StructureMismatchError, "m must be an integer, got 1.5",

@@ -28,7 +28,7 @@ from poisson_kam import (
     schedule_audit,
     two_dof_problem,
 )
-from poisson_kam import cli
+from poisson_kam import cli, problems
 from poisson_kam.bracket import LieOperator, low_degree_bracket
 from poisson_kam.errors import (
     ParameterError,
@@ -447,6 +447,50 @@ def test_noncanonical_rescaled_persistence_and_flow():
     pt = ExtendedPoint(np.zeros(1), np.array([0.4, 1.1]), 0.0, 0.0)
     for rec in res.chi_records:
         assert lie_vs_flow_check(rec, setup.structure, pt, tol=1e-12) <= 1e-8
+
+
+def _noncanonical_3dof_problem():
+    """The paper's case at n = m = 3: h = |y|^2/2, f = exp(-a xi) [cos x1 +
+    cos(x1 + x2)/2 + cos(x2 + x3)/2], B12 = -diag(0.7 + 0.3 y_i) and B22 =
+    0.2 between x1 and x2, in the ring (4, 2, 4) at a 1/2, epsilon 5e-5 and
+    tau 1.2; y* solves (0.7 + 0.3 y_i) y_i = omega_i for omega = (1, phi,
+    1 + sqrt 2)."""
+    ring = (3, 3, 0.5, Truncation(4, 2, 4))
+    zk = (0, 0, 0)
+    units = [tuple(int(j == i) for j in range(3)) for i in range(3)]
+    zero = FourierTaylorSeries.zeros(*ring)
+    b22 = FourierTaylorSeries.constant(0.2, zero)
+    B12 = [
+        [FourierTaylorSeries.from_terms(*ring, [(zk, zk, 0, 0, -0.7), (zk, u, 0, 0, -0.3)])
+         if j == i else zero for j in range(3)]
+        for i, u in enumerate(units)
+    ]
+    B22 = [[zero, b22, zero], [-b22, zero, zero], [zero, zero, zero]]
+    h = [(zk, tuple(2 * v for v in u), 0, 0, 0.5) for u in units]
+    f = [
+        (tuple(s * v for v in k), zk, 0, 1, c)
+        for k, c in (((1, 0, 0), 0.5), ((1, 1, 0), 0.25), ((0, 1, 1), 0.25))
+        for s in (1, -1)
+    ]
+    omega = (1.0, GOLDEN, 1.0 + math.sqrt(2.0))
+    y_star = [(-0.7 + math.sqrt(0.49 + 1.2 * w)) / 0.6 for w in omega]
+    return problems._built_in(StructureMatrix(B12, B22), h, f, 5e-5, 1.2, y_star, {})
+
+
+def test_noncanonical_3dof_normalizes_and_persists():
+    """A non-canonical structure with three actions and three angles passes
+    the Jacobi check at load, converges in two steps, and its normalizing
+    map keeps the torus at both angles of the report."""
+    from poisson_kam import torus_persistence_report
+
+    setup = _noncanonical_3dof_problem().initialize()
+    res = run(setup)
+    assert res.status == "converged" and len(res.chi_records) == 2
+    rep = torus_persistence_report(
+        setup.decomp.full, setup.structure, res.chi_records, n_angles=2
+    )
+    assert rep.passed
+    assert all(a.xi_shift == 0.0 for a in rep.angles)
 
 
 def test_init_rejects_bad_decay_rate():

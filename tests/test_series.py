@@ -809,7 +809,7 @@ def test_merge_codes_is_the_stable_merge(case):
     assert np.array_equal(_bits(got[2].imag), _bits(ref[2].imag))
 
 
-def test_merge_codes_takes_the_stable_argsort_only_when_the_tag_overflows(monkeypatch):
+def test_merge_order_takes_the_stable_argsort_only_when_the_tag_overflows(monkeypatch):
     calls = []
     argsort = np.argsort
     monkeypatch.setattr(
@@ -821,19 +821,20 @@ def test_merge_codes_takes_the_stable_argsort_only_when_the_tag_overflows(monkey
                          (-(1 << 61) - 1, True), ((1 << 63) - 1, True)]:
         calls.clear()
         codes = np.array([code, 0, code], dtype=np.int64)
-        merged, first, summed = merge._merge_codes(codes, coeffs)
+        order, starts = merge._merge_order(codes)
         assert calls == ([{"kind": "stable"}] if stable else [])
-        assert sorted(merged.tolist()) == merged.tolist() == sorted({code, 0})
-        assert summed[merged.tolist().index(code)] == 2.0
+        merged, summed = codes[starts].tolist(), merge._run_sums(coeffs[order], starts)
+        assert sorted(codes.tolist()) == codes.tolist() and merged == sorted({code, 0})
+        assert order.tolist() == ([0, 2, 1] if code < 0 else [1, 0, 2])
+        assert summed[merged.index(code)] == 2.0
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(_operands())
 def test_sum_of_canonical_series_is_the_row_merge(operands):
-    """f + g merges the two sorted code runs instead of sorting them; keys
-    and coefficients, down to the signed zeros a negation leaves, are bit
-    for bit those of the constructor's merge of the concatenated rows, also
-    where the sum cancels."""
+    """f + g is the constructor's merge of the concatenated rows: keys and
+    coefficients, down to the signed zeros a negation leaves, are bit for
+    bit those of the constructor, also where the sum cancels."""
     f, g = operands
     for a, b in ((f, g), (g, f), (f, -g), (-f, f), (f, f.scale(0))):
         got = a + b
