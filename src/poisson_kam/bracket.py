@@ -57,6 +57,10 @@ JACOBI_REL_TOL = 1e-12
 
 @dataclass
 class ExtendedPoint:
+    """A point (y, x, eta, xi) of the extended phase space, or a batch of P
+    points when the fields carry a leading batch axis: y (P, m), x (P, n),
+    eta and xi (P,).  compose_map and integrate take either."""
+
     y: np.ndarray
     x: np.ndarray
     eta: complex = 0.0

@@ -28,7 +28,7 @@ import numpy as np
 from .bracket import ExtendedPoint, StructureMatrix
 from .errors import ParameterError, StiffnessError
 from .jsonio import fmt_float, safe_number
-from .kolmogorov import ChiRecord, apply_displacements, composed_displacements, linear_frequencies
+from .kolmogorov import ChiRecord, compose_map, linear_frequencies
 from .series import MAX_ORDER, FourierTaylorSeries, SeriesStack, _integer, _real
 
 
@@ -273,14 +273,10 @@ class _GradientCache:
 
 
 def _state_vector(point: ExtendedPoint, m: int, n: int) -> np.ndarray:
-    """The real state (y, x, eta, xi); a mapped point's imaginary dust is dropped."""
-    return np.concatenate(
-        [
-            np.real(point.y).astype(float).reshape(m),
-            np.real(point.x).astype(float).reshape(n),
-            [float(np.real(point.eta)), float(point.xi)],
-        ]
-    )
+    """The real states (y, x, eta, xi), one row per point of a batch (one
+    row for a lone point); a mapped point's imaginary dust is dropped."""
+    columns = [(point.y, m), (point.x, n), (point.eta, 1), (point.xi, 1)]
+    return np.hstack([np.real(np.asarray(v)).astype(float).reshape(-1, k) for v, k in columns])
 
 
 def integrate(
@@ -293,7 +289,8 @@ def integrate(
 ) -> List[Trajectory]:
     """Integrate the extended system from each of ``starts`` for t in
     [0, t_end], all in one batch from one field build; one Trajectory per
-    start, each what that start alone gives.
+    start, a start with a batch axis (see ExtendedPoint) giving one per
+    row, each what that point alone gives, and [] for no starts.
 
     One row per accepted solver step.  torus_error is |y|, the Euclidean
     distance from the expansion torus y = 0; phase_drift is x(t) - x(0) -
@@ -307,7 +304,7 @@ def integrate(
     m, n = S.m, S.n
     if omega is None:
         omega = S.B0 @ linear_frequencies(H)
-    V0 = np.array([_state_vector(p, m, n) for p in starts]).reshape(-1, m + n + 2)
+    V0 = np.array([row for p in starts for row in _state_vector(p, m, n)]).reshape(-1, m + n + 2)
     out = []
     for v0, (t, states, nfev) in zip(V0, _dop853(grad.field, V0, t_end, tol, tol * 1e-2)):
         # one norm per row: a vectorized norm may round differently for m >= 2
@@ -402,8 +399,9 @@ def torus_persistence_report(
     action displacement is fully visible, whereas the early-window values of
     both runs are dominated by the O(eps) torus deformation itself and cannot
     discriminate.  improvement = naive_settled / mapped_settled.  The
-    composed map is built once and evaluated at every start point, and all
-    2 n_angles trajectories are integrated in one batch; each AngleReport
+    n_angles starts are one batch point, mapped by one compose_map call (one
+    build of the map), and all 2 n_angles trajectories are integrated in one
+    batch from [starts, mapped starts]; each AngleReport
     keeps both of its trajectories.  n_angles, t_end, tol and threshold are
     read (by _integer and _real, raising ParameterError) before any work.
     """
@@ -414,11 +412,11 @@ def torus_persistence_report(
     n = S.n
     settle_from = 0.5 * t_end
     floor = 100.0 * tol
-    disp = composed_displacements(chi_records, S)
-    x0s = [np.full(n, angle_offset + 2.0 * math.pi * idx / n_angles) for idx in range(n_angles)]
-    naive_starts = [ExtendedPoint(np.zeros(S.m), x0.copy(), 0.0, 0.0) for x0 in x0s]
-    mapped_starts = [apply_displacements(disp, p) for p in naive_starts]
-    trajectories = integrate(H, S, naive_starts + mapped_starts, t_end, tol, omega=omega)
+    theta = angle_offset + 2.0 * math.pi * np.arange(n_angles) / n_angles
+    x0s = np.repeat(theta[:, None], n, axis=1)
+    starts = ExtendedPoint(np.zeros((n_angles, S.m)), x0s, np.zeros(n_angles), np.zeros(n_angles))
+    mapped_starts = compose_map(chi_records, starts, S)
+    trajectories = integrate(H, S, [starts, mapped_starts], t_end, tol, omega=omega)
 
     def one_angle(idx):
         naive, mapped = trajectories[idx], trajectories[n_angles + idx]
@@ -436,7 +434,7 @@ def torus_persistence_report(
             naive_drift_sup=float(np.abs(naive.phase_drift).max()),
             mapped_drift_sup=float(np.abs(mapped.phase_drift).max()),
             improvement=improvement,
-            xi_shift=abs(mapped_starts[idx].xi - naive_starts[idx].xi),
+            xi_shift=float(abs(mapped_starts.xi[idx] - starts.xi[idx])),
             naive=naive,
             mapped=mapped,
         )
@@ -470,9 +468,9 @@ def lie_vs_flow_check(
     contraction guard is refused before its flow is integrated.
     """
     m, n = S.m, S.n
-    mapped = apply_displacements(composed_displacements([record], S), point)
+    mapped = compose_map([record], point, S)
     flow = _GradientCache(-record.chi, S).field
-    ((_, states, _),) = _dop853(flow, _state_vector(point, m, n)[None, :], 1.0, tol, tol)
+    ((_, states, _),) = _dop853(flow, _state_vector(point, m, n), 1.0, tol, tol)
     end = states[-1]
     series_end = list(mapped.y) + list(mapped.x) + [mapped.eta, mapped.xi]
     return float(max([0.0] + [abs(v - e) for v, e in zip(series_end, end)]))

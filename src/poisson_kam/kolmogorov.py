@@ -684,45 +684,44 @@ def composed_displacements(chi_records, S: StructureMatrix):
 
     Applies exp(L_chi) for step 0 first, then step 1, ... to the coordinate
     functions (kept as identity + series displacement, since bare x and xi are
-    not ring elements).  Returns {coordinate: displacement or None}; xi has no
-    entry: the transformation does not act on time.  The map depends on the
-    run only, so build it once and evaluate it with apply_displacements.
-    Each record's generator is one LieOperator, shared by all its series; a
-    stored generator that fails the contraction guard raises
-    LieDivergenceError (a StepRefusedError).
+    not ring elements).  Returns the displacements of y_1..y_m, x_1..x_n and
+    eta in that order, each a zero series of S's ring before any record; xi
+    has none: the transformation does not act on time.  compose_map, the
+    one place the map is applied, builds it.  Each record's generator is one
+    LieOperator, shared by all its series; a stored generator that fails
+    the contraction guard raises LieDivergenceError (a StepRefusedError).
     """
-    coords = [("y", i) for i in range(S.m)] + [("x", l) for l in range(S.n)]
-    coords += ["eta"]
-    disp = {c: None for c in coords}
+    coords = [("y", i) for i in range(S.m)] + [("x", l) for l in range(S.n)] + ["eta"]
+    disp = [S.B12[0][0]._like(None, None)] * len(coords)
     for rec in chi_records:
         op = LieOperator(rec.chi, S, rec.norm_params())
-        for c in coords:
+        for i, c in enumerate(coords):
             base, _ = op.displacement(c)
-            if disp[c] is not None and not disp[c].is_zero():
-                carried, _ = op.transform(disp[c])
-            else:
-                carried = disp[c]
-            disp[c] = base if carried is None else base + carried
+            disp[i] = base if disp[i].is_zero() else base + op.transform(disp[i])[0]
     return disp
 
 
-def apply_displacements(disp, point: ExtendedPoint) -> ExtendedPoint:
-    """Evaluate a composed map from composed_displacements at a point; the
-    displacements that are not None are evaluated as one SeriesStack."""
-    live = [c for c, d in disp.items() if d is not None]
-    vals = []
-    if live:
-        point_batch = ([point.y], [point.x], [point.eta], [point.xi])
-        vals = SeriesStack([disp[c] for c in live]).evaluate(*point_batch)[0]
-    at = dict(zip(live, map(complex, vals)))
-    y = np.array([v + at.get(("y", i), 0.0) for i, v in enumerate(point.y)])
-    x = np.array([v + at.get(("x", l), 0.0) for l, v in enumerate(point.x)])
-    return ExtendedPoint(y, x, point.eta + at.get("eta", 0.0), point.xi)
+def compose_map(chi_records, point: ExtendedPoint, S: StructureMatrix) -> ExtendedPoint:
+    """Push a point in final coordinates back through every step's flow.
 
-
-def compose_map(chi_records, point: ExtendedPoint, S: StructureMatrix):
-    """Push a point in final coordinates back through every step's flow."""
-    return apply_displacements(composed_displacements(chi_records, S), point)
+    The one place the map is applied: its displacements are built once, as
+    one SeriesStack, and valued at the points one at a time, so the term
+    values of one point only are held at once.  The point's fields may
+    carry a leading batch axis, y (P, m), x (P, n), eta and xi (P,); the
+    result has the input's shapes, and each of its points is what that
+    point alone maps to, bit for bit.
+    """
+    m, n = S.m, S.n
+    stack = SeriesStack(composed_displacements(chi_records, S))
+    y, x = np.reshape(point.y, (-1, m)), np.reshape(point.x, (-1, n))
+    eta, xi = np.reshape(point.eta, -1), np.reshape(point.xi, -1)
+    disp = np.array([stack.evaluate(*at)[0] for at in zip(y, x, eta, xi)]).reshape(-1, m + n + 1)
+    return ExtendedPoint(
+        (y + disp[:, :m]).reshape(np.shape(point.y)),
+        (x + disp[:, m : m + n]).reshape(np.shape(point.x)),
+        (eta + disp[:, m + n]).reshape(np.shape(point.eta))[()],
+        point.xi,
+    )
 
 
 # ---------------------------------------------------------------- schedule audit

@@ -14,7 +14,6 @@ builder, _built_in.
 from __future__ import annotations
 
 import json
-import reprlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
@@ -26,7 +25,15 @@ from . import jsonio
 from .bracket import StructureMatrix
 from .errors import ProblemFormatError
 from .kolmogorov import RunOptions, RunSetup, init_from_problem
-from .series import MAX_ORDER, FourierTaylorSeries, Truncation, _integer, _real, weight_bounds
+from .series import (
+    MAX_ORDER,
+    FourierTaylorSeries,
+    Truncation,
+    _integer,
+    _real,
+    _shown,
+    weight_bounds,
+)
 
 GOLDEN = (1.0 + 5 ** 0.5) / 2.0
 
@@ -79,7 +86,7 @@ class Problem:
             for k, v in Truncation(*self.trunc)._asdict().items()
         )))
         if not isinstance(self.options, Mapping):
-            got = reprlib.repr(self.options)
+            got = _shown(self.options)
             raise ProblemFormatError("options must be an object, got %s" % got)
         object.__setattr__(self, "options", MappingProxyType(dict(self.options)))
         for name in self.options:
@@ -92,7 +99,7 @@ class Problem:
         y_star = np.asarray(self.y_star, dtype=object)
         if y_star.shape != (self.m,):
             raise ProblemFormatError(
-                "y_star must be %d numbers, got %s" % (self.m, reprlib.repr(self.y_star))
+                "y_star must be %d numbers, got %s" % (self.m, _shown(self.y_star))
             )
         y_star = np.array([_real(v, "y_star", "finite", ProblemFormatError) for v in y_star])
         y_star.setflags(write=False)
@@ -206,7 +213,8 @@ class Problem:
             raise ProblemFormatError(
                 "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
             ) from exc
-        except ProblemFormatError as exc:
+        except (ProblemFormatError, ValueError) as exc:
+            # ValueError: an integer literal longer than Python converts
             raise ProblemFormatError("%s: %s" % (path, exc)) from exc
         return cls.from_payload(payload)
 

@@ -229,6 +229,16 @@ _REAL_RULES = {
 }
 
 
+def _shown(value) -> str:
+    """reprlib.repr(value), or, for a value holding an integer too long for
+    Python to print, a phrase saying so."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        held = "" if isinstance(value, int) else "a %s holding " % type(value).__name__
+        return "%san integer of more than %d digits" % (held, sys.get_int_max_str_digits())
+
+
 def _number(value, kind, what, rule, error):
     """value, read from outside, as kind (float or complex): a boolean, or
     what kind() refuses, raises error "<what> must be <rule>, got <value>",
@@ -240,7 +250,7 @@ def _number(value, kind, what, rule, error):
             raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        got = reprlib.repr(value) + (" (%s)" % exc if isinstance(exc, OverflowError) else "")
+        got = _shown(value) + (" (%s)" % exc if isinstance(exc, OverflowError) else "")
         raise error("%s must be %s, got %s" % (what, rule, got)) from None
 
 
@@ -249,7 +259,7 @@ def _real(value, what, rule, error=ParameterError) -> float:
     the range _REAL_RULES[rule]."""
     number = _number(value, float, what, rule, error)
     if not _REAL_RULES[rule](number):
-        raise error("%s must be %s, got %s" % (what, rule, reprlib.repr(value)))
+        raise error("%s must be %s, got %s" % (what, rule, _shown(value)))
     return number
 
 

@@ -1215,8 +1215,20 @@ _LIBRARY_REFUSALS = {
             ("list", [1], "[1]"),
             ("10**400", 10**400, "100000000000000000...0000000000000000000 "
                                  "(int too large to convert to float)"),
+            ("10**5000", 10**5000, "an integer of more than 4300 digits "
+                                   "(int too large to convert to float)"),
         ]
     },
+    "benchmark_problem epsilon 10**5000": (
+        lambda: benchmark_problem(epsilon=10**5000),
+        ProblemFormatError, "epsilon must be finite and >= 0, got an integer of more than "
+                            "4300 digits (int too large to convert to float)",
+    ),
+    "benchmark_problem y_star [10**5000, 1]": (
+        lambda: benchmark_problem(y_star=[10**5000, 1]),
+        ProblemFormatError, "y_star must be 1 numbers, got a list holding an integer of more "
+                            "than 4300 digits",
+    ),
     "constructor m": (
         lambda: FourierTaylorSeries(1, 1.5, 0.5, (4, 4, 4)),
         StructureMismatchError, "m must be an integer, got 1.5",
@@ -1309,6 +1321,17 @@ def test_options_that_are_not_an_object_exit_1(bench_file, tmp_path, capsys, opt
     assert capsys.readouterr().err.startswith("error: options must be an object, got ")
 
 
+def test_integer_literal_too_long_to_convert_exits_1(bench_file, tmp_path, capsys):
+    """A problem file whose epsilon is an integer literal of 5000 digits, more
+    than Python converts, is refused with one error line naming the file."""
+    text = json.dumps(_mutated(_BASE_PAYLOAD, ("epsilon",), "<epsilon>"))
+    bench_file.write_text(text.replace('"<epsilon>"', "9" * 5000))
+    assert main(["normalize", "--problem", str(bench_file), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: Exceeds the limit (4300 digits)" % bench_file)
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "setting", [{"t_end": float("nan")}, {"threshold": float("nan")}, {"tol": True, "t_end": True}]
 )
@@ -1320,7 +1343,7 @@ def test_report_reads_its_settings_before_any_work(monkeypatch, setting):
     def unreachable(*args):
         raise AssertionError("the map was built")
 
-    monkeypatch.setattr(dynamics, "composed_displacements", unreachable)
+    monkeypatch.setattr(dynamics, "compose_map", unreachable)
     setup = rescaled_benchmark_problem().initialize()
     with pytest.raises(ParameterError, match="must be"):
         torus_persistence_report(setup.decomp.full, setup.structure, [], **setting)

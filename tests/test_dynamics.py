@@ -217,7 +217,7 @@ def _scipy_row(H, S, start, t_end, tol):
     from scipy.integrate import solve_ivp
 
     field = _GradientCache(H, S).field
-    v0 = _state_vector(start, S.m, S.n)
+    (v0,) = _state_vector(start, S.m, S.n)
     return solve_ivp(
         lambda t, v: field(v[None, :])[0],
         (0.0, t_end),
@@ -282,6 +282,22 @@ def test_one_start_equals_its_row_of_a_batch(rng):
         for name in ("t", "states", "torus_error", "phase_drift"):
             assert np.array_equal(getattr(alone, name), getattr(row, name))
         assert (alone.nfev, alone.accepted_steps) == (row.nfev, row.accepted_steps)
+
+
+def test_a_batch_point_integrates_as_its_points(rng):
+    """A start whose fields carry a batch axis gives one Trajectory per row,
+    each what that point alone gives; no starts give no trajectories."""
+    setup = two_dof_problem().initialize()
+    H, S = setup.decomp.full, setup.structure
+    starts = _spread_starts(rng, S, 3)
+    fields = ("y", "x", "eta", "xi")
+    batch = ExtendedPoint(*(np.array([getattr(p, f) for p in starts]) for f in fields))
+    rows = integrate(H, S, [batch], 5.0, 1e-9)
+    assert len(rows) == 3
+    for row, alone in zip(rows, integrate(H, S, starts, 5.0, 1e-9)):
+        for name in ("t", "states", "torus_error", "phase_drift"):
+            assert np.array_equal(getattr(alone, name), getattr(row, name))
+    assert integrate(H, S, [], 5.0, 1e-9) == []
 
 
 def test_blow_up_raises_stiffness_error():

@@ -559,6 +559,34 @@ def test_problem_file_sets_every_run_option(tmp_path):
         Problem.load(path).initialize(d_total=2.0)
 
 
+@pytest.mark.parametrize("factory", [rescaled_benchmark_problem, two_dof_problem])
+def test_compose_map_of_a_batch_is_each_point_alone(rng, factory):
+    """A batch point maps, bit for bit, as each of its points alone, and
+    keeps its shapes; with no records a batch maps to itself."""
+    setup = factory().initialize()
+    S, P = setup.structure, 3
+    batch = ExtendedPoint(
+        rng.uniform(-0.05, 0.05, (P, S.m)),
+        rng.uniform(-np.pi, np.pi, (P, S.n)),
+        rng.uniform(-0.1, 0.1, P),
+        rng.uniform(0.5, 4.0, P),
+    )
+    bits = lambda v: np.asarray(v, dtype=np.complex128).tobytes()
+    records = run(setup).chi_records
+    out = compose_map(records, batch, S)
+    shapes = [np.shape(getattr(out, f)) for f in ("y", "x", "eta", "xi")]
+    assert shapes == [(P, S.m), (P, S.n), (P,), (P,)]
+    for i in range(P):
+        point = ExtendedPoint(batch.y[i], batch.x[i], batch.eta[i], batch.xi[i])
+        alone = compose_map(records, point, S)
+        for f in ("y", "x", "eta", "xi"):
+            assert bits(getattr(out, f)[i]) == bits(getattr(alone, f))
+        assert bits(alone.y) != bits(point.y) and bits(alone.eta) != bits(point.eta)
+    same = compose_map([], batch, S)
+    for f in ("y", "x", "eta", "xi"):
+        assert np.array_equal(getattr(same, f), getattr(batch, f))
+
+
 def test_compose_map_matches_sequential_flows():
     # the map sends new coords to old: first step's flow applied last
     from scipy.integrate import solve_ivp
